@@ -104,7 +104,10 @@ def _emit(args, document: dict, schema: str, header: list[str], rows) -> None:
     else:
         text = _render_csv(schema, header, rows)
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        try:
+            Path(args.out).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise _UsageError(f"cannot write --out {args.out!r}: {exc.strerror}") from None
     else:
         sys.stdout.write(text)
 
@@ -205,6 +208,8 @@ def _cmd_extensions(args) -> None:
     sector = _sector(args)
     tol = _check_tol(args.tol)
     thetas = args.theta if args.theta else [0.0]
+    if not all(math.isfinite(t) for t in thetas):
+        raise _UsageError(f"--theta must be finite, got {thetas}")
     if args.n < 50:
         raise _UsageError(f"--n must be >= 50 for extensions, got {args.n}")
     reports = extension_sweep(sector, args.n, thetas, tol)
@@ -341,9 +346,14 @@ def _load_state_json(path: str) -> tuple[FockVector, SqueezeParams]:
         nu = complex(config["nu"]["re"], config["nu"]["im"])
         lam = complex(config["lambda"]["re"], config["lambda"]["im"])
         coeffs = document["results"]["coefficients"]
+        if not coeffs:
+            raise ValueError("the coefficient list is empty")
         arr = np.zeros(len(coeffs), dtype=np.complex128)
         for entry in coeffs:
-            arr[int(entry["m"])] = complex(entry["re"], entry["im"])
+            m = int(entry["m"])
+            if not 0 <= m < len(coeffs):
+                raise ValueError(f"coefficient index m={m} outside 0..{len(coeffs) - 1}")
+            arr[m] = complex(entry["re"], entry["im"])
         tail = float(document["diagnostics"]["tail_estimate"])
     except (OSError, KeyError, ValueError, TypeError) as exc:
         raise _UsageError(f"cannot read state JSON {path!r}: {exc}") from None

@@ -26,6 +26,7 @@ from enum import Enum
 import numpy as np
 
 from ._compensated import comp_dot
+from .polynomials import hermite
 
 # integer products above this bit length cannot be converted to float;
 # the square root is then evaluated as exp of a log-domain sum
@@ -301,52 +302,23 @@ def growth_profile(
 # k = 1 closed form
 
 
-def _scaled_hermite_sequence(x: complex, M: int) -> tuple[np.ndarray, np.ndarray]:
-    """H_m(x) for m <= M as (direction, log magnitude) pairs.
-
-    The raw recursion H_{m+1} = 2x H_m - 2m H_{m-1} overflows near m ~ 250,
-    so both entries are renormalized by exact powers of two on the way up.
-    """
-    dirs = np.zeros(M + 1, dtype=np.complex128)
-    logs = np.full(M + 1, _NEG_INF)
-    h_prev, h = complex(1.0), 2.0 * x
-    shift = 0.0  # accumulated log of the rescale factor
-    dirs[0], logs[0] = 1.0, 0.0
-    if M >= 1 and h != 0:
-        dirs[1], logs[1] = h / abs(h), math.log(abs(h))
-    for m in range(1, M):
-        h_prev, h = h, 2.0 * x * h - 2.0 * m * h_prev
-        big = max(abs(h), abs(h_prev))
-        if big > 2.0**512:
-            h = math.ldexp(1.0, -512) * h
-            h_prev = math.ldexp(1.0, -512) * h_prev
-            shift += 512.0 * math.log(2.0)
-        if h != 0:
-            dirs[m + 1] = h / abs(h)
-            logs[m + 1] = math.log(abs(h)) + shift
-    return dirs, logs
-
-
 def hermite_identity_check(lam: complex, M: int) -> float:
     """Max relative deviation of the k=1 solution from H_m(lam/sqrt 2)/sqrt(2^m m!).
 
-    The comparison side runs the raw Hermite recursion (independently of the
-    b_m machinery) with factorial scalings handled in log space; M up to
-    ~100 is the intended range.
+    The comparison side takes H_m from polynomials.hermite, the raw Hermite
+    recursion (independent of the b_m machinery), with factorial scalings
+    handled in log space; M up to ~100 is the intended range (hermite
+    raises OverflowError once H_m itself leaves binary64).
     """
     sector = SectorParams(1, 0)
     sol = solve_recursion(sector, lam, M, InitialKind.POLYNOMIAL)
-    hdirs, hlogs = _scaled_hermite_sequence(complex(lam) / math.sqrt(2.0), M)
+    x = complex(lam) / math.sqrt(2.0)
     worst = 0.0
     for m in range(M + 1):
         norm = 0.5 * (m * math.log(2.0) + math.lgamma(m + 1))
-        hl = hlogs[m] - norm
-        fl = sol.log_abs[m]
-        if hl == _NEG_INF and fl == _NEG_INF:
+        hv = hermite(m, x) * math.exp(-norm)
+        fv = sol.value(m)
+        if hv == 0 and fv == 0:
             continue  # both identically zero (odd m at lam=0)
-        scale = max(hl, fl)
-        fv = sol.directions[m] * math.exp(fl - scale)
-        hv = hdirs[m] * math.exp(hl - scale)
-        dev = abs(fv - hv) / max(abs(fv), abs(hv))
-        worst = max(worst, dev)
+        worst = max(worst, abs(fv - hv) / max(abs(fv), abs(hv)))
     return worst

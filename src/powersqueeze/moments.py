@@ -57,10 +57,10 @@ def integrate_weighted(f, b: float, tol: float, degree: int = 0) -> tuple[float,
 
     f must accept an ndarray and be bounded by A * max(1, |x|^degree); A is
     estimated from a probe grid and enters the tail bound.  Panels are
-    halved until two successive composite rules agree to tol/2 (plus a
-    roundoff floor); the returned error is that difference plus the tail
-    bound.  Refinement beyond the documented cap raises QuadratureError
-    carrying the last two estimates.
+    halved until two successive composite rules agree to tol/2 plus a
+    roundoff floor of 1e-14 int |f| rho; the returned error is that
+    difference plus the floor plus the tail bound.  Refinement beyond the
+    documented cap raises QuadratureError carrying the last two estimates.
     """
     if b <= 0:
         raise ValueError(f"b must be > 0, got {b}")
@@ -76,25 +76,30 @@ def integrate_weighted(f, b: float, tol: float, degree: int = 0) -> tuple[float,
 
     nodes, weights = np.polynomial.legendre.leggauss(_GL_ORDER)
 
-    def composite(panels: int) -> float:
+    def composite(panels: int) -> tuple[float, float]:
+        """The composite rule and its sum of |contributions| (~ int |f| rho)."""
         edges = np.linspace(-X, X, panels + 1)
         mid = 0.5 * (edges[:-1] + edges[1:])
         half = 0.5 * (edges[1] - edges[0])
         pts = (mid[:, None] + half * nodes[None, :]).ravel()
         vals = np.asarray(f(pts), dtype=np.float64) * weight_rho(b, pts)
-        contrib = half * (vals.reshape(panels, _GL_ORDER) * weights[None, :])
-        # fixed summation order for byte-reproducible results
-        return math.fsum(contrib.ravel().tolist())
+        contrib = (half * (vals.reshape(panels, _GL_ORDER) * weights[None, :])).ravel()
+        # fixed summation order for byte-reproducible results; the
+        # magnitude only scales a roundoff floor and needs no exact sum
+        return math.fsum(contrib.tolist()), float(np.sum(np.abs(contrib)))
 
     panels = max(8, int(math.ceil(X / 2.0)))
-    previous = composite(panels)
+    current, _ = composite(panels)
     for _ in range(_MAX_REFINEMENTS):
         panels *= 2
-        current = composite(panels)
-        delta = abs(current - previous)
-        if delta <= 0.5 * tol + 1e-14 * abs(current):
-            return current, delta + tail
         previous = current
+        current, magnitude = composite(panels)
+        delta = abs(current - previous)
+        # roundoff of the sum scales with int |f| rho, which for an odd
+        # integrand is far above the (vanishing) result itself
+        floor = 1e-14 * magnitude
+        if delta <= 0.5 * tol + floor:
+            return current, delta + tail + floor
     raise QuadratureError(
         f"moments.integrate_weighted: no convergence to {tol:g} after "
         f"{_MAX_REFINEMENTS} refinements (last two estimates {previous!r}, "
@@ -145,6 +150,12 @@ def _as_moment_arrays(s) -> tuple[np.ndarray, np.ndarray]:
     return vals, np.zeros_like(vals)
 
 
+def _hankel(vals: np.ndarray, order: int) -> np.ndarray:
+    """The order x order Hankel matrix [s_{i+j}]."""
+    idx = np.arange(order)
+    return vals[idx[:, None] + idx[None, :]]
+
+
 def hankel_positive(s) -> HankelCheck:
     """Positive-definiteness of the Hankel minors [s_{i+j}] at every order.
 
@@ -157,13 +168,13 @@ def hankel_positive(s) -> HankelCheck:
     max_order = (len(vals) - 1) // 2 + 1
     margin = math.inf
     for order in range(1, max_order + 1):
-        H = np.array([[vals[i + j] for j in range(order)] for i in range(order)])
+        H = _hankel(vals, order)
         budget = order * float(np.max(errs[: 2 * order - 1])) if len(errs) else 0.0
+        margin = min(margin, float(np.linalg.eigvalsh(H)[0]) - budget)
         try:
             np.linalg.cholesky(H)
         except np.linalg.LinAlgError:
-            return HankelCheck(False, order, min(margin, float(np.linalg.eigvalsh(H)[0]) - budget))
-        margin = min(margin, float(np.linalg.eigvalsh(H)[0]) - budget)
+            return HankelCheck(False, order, margin)
     return HankelCheck(True, None, margin)
 
 
@@ -195,22 +206,13 @@ def moments_to_jacobi(s, n: int) -> JacobiCoefficients:
         raise ValueError(
             f"need moments through order {2 * size - 2}, got only {len(vals) - 1}"
         )
-    R = None
-    reached = 0
+    R = np.zeros((0, 0))
     for order in range(1, size + 1):
-        H = np.array([[vals[i + j] for j in range(order)] for i in range(order)])
         try:
-            R = np.linalg.cholesky(H).T
+            R = np.linalg.cholesky(_hankel(vals, order)).T
         except np.linalg.LinAlgError:
-            got = reached  # largest PD minor = largest recovered Jacobi block
-            c = np.array([R[j, j] / R[j - 1, j - 1] for j in range(1, got)])
-            a = np.array(
-                [
-                    R[j, j + 1] / R[j, j]
-                    - (R[j - 1, j] / R[j - 1, j - 1] if j >= 1 else 0.0)
-                    for j in range(0, got - 1)
-                ]
-            )
+            got = len(R)  # largest PD minor = largest recovered Jacobi block
+            c, a = _recurrence_coefficients(R)
             raise JacobiRecoveryError(
                 f"moments.moments_to_jacobi: Hankel minor of size {order} is "
                 f"singular; recovered Jacobi block of order {got}",
@@ -218,15 +220,15 @@ def moments_to_jacobi(s, n: int) -> JacobiCoefficients:
                 offdiag=c,
                 diag=a,
             ) from None
-        reached = order
-    c = np.array([R[j, j] / R[j - 1, j - 1] for j in range(1, n + 1)])
-    a = np.array(
-        [
-            R[j, j + 1] / R[j, j] - (R[j - 1, j] / R[j - 1, j - 1] if j >= 1 else 0.0)
-            for j in range(0, n + 1)
-        ]
-    )
-    return JacobiCoefficients(offdiag=c, diag=a)
+    c, a = _recurrence_coefficients(R)
+    return JacobiCoefficients(offdiag=c[:n], diag=a)
+
+
+def _recurrence_coefficients(R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """c_1..c_{s-1} and a_0..a_{s-2} from the s x s Cholesky factor R."""
+    d = np.diag(R)
+    q = np.diag(R, 1) / d[:-1]  # r_{j,j+1} / r_jj
+    return d[1:] / d[:-1], q - np.concatenate(([0.0], q[:-1]))
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,6 @@ cross-checks the two to 1e-8 and a disagreement is a hard error.
 
 from __future__ import annotations
 
-import cmath
 import math
 from fractions import Fraction
 
@@ -41,12 +40,13 @@ def pochhammer(a: complex, m: int) -> complex:
     return result
 
 
-def hermite(n: int, x: float) -> float:
-    """Physicists' Hermite polynomial H_n(x).
+def hermite(n: int, x: complex) -> complex:
+    """Physicists' Hermite polynomial H_n(x), for real or complex x.
 
     Recursion H_{n+1} = 2x H_n - 2n H_{n-1} with power-of-two rescaling,
     so values stay exact relative to the plain recursion while n up to
-    ~200 (and beyond, until the final value itself overflows) is safe.
+    ~200 (and beyond, until the final value itself overflows, which raises
+    OverflowError) is safe.  Real x gives a float.
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
@@ -57,10 +57,17 @@ def hermite(n: int, x: float) -> float:
     for m in range(1, n):
         h_prev, h = h, 2.0 * x * h - 2.0 * m * h_prev
         if max(abs(h), abs(h_prev)) > 2.0**512:
-            h = math.ldexp(h, -512)
-            h_prev = math.ldexp(h_prev, -512)
+            h = _ldexp(h, -512)
+            h_prev = _ldexp(h_prev, -512)
             exp2 += 512
-    return math.ldexp(h, exp2)
+    return _ldexp(h, exp2)
+
+
+def _ldexp(z: complex, exp2: int) -> complex:
+    """z * 2**exp2, exact on the real and imaginary parts."""
+    if isinstance(z, complex):
+        return complex(math.ldexp(z.real, exp2), math.ldexp(z.imag, exp2))
+    return math.ldexp(z, exp2)
 
 
 def _series_coefficient(b: float, m: int) -> float:
@@ -195,21 +202,11 @@ def log_gamma_complex(z: complex) -> complex:
     z = complex(z)
     if z.real <= 0.0:
         raise ValueError(f"Re z must be > 0, got {z!r}")
-    acc = 0.0 + 0.0j
-    while z.real < _SHIFT_THRESHOLD:
-        acc += cmath.log(z)
-        z += 1.0
-    s = (z - 0.5) * cmath.log(z) - z + _HALF_LOG_TWO_PI
-    zpow = z
-    zsq = z * z
-    for coeff in _STIRLING_TERMS:
-        s += coeff / zpow
-        zpow *= zsq
-    return s - acc
+    return complex(_log_gamma_b_ix(z.real, z.imag))
 
 
-def _log_gamma_b_ix(b: float, x: np.ndarray) -> np.ndarray:
-    """Vectorized log Gamma(b + ix) for fixed b > 0 and real array x."""
+def _log_gamma_b_ix(b: float, x) -> np.ndarray:
+    """Vectorized log Gamma(b + ix) for fixed b > 0 and real (array) x."""
     z = b + 1j * np.asarray(x, dtype=np.float64)
     shifts = max(0, math.ceil(_SHIFT_THRESHOLD - b))
     acc = np.zeros_like(z)

@@ -37,6 +37,8 @@ from .jacobi import (
 _MAX_CUTOFF = 100_000
 _SQUARE_SUMMABLE_EXPONENT = -0.5 - 0.1  # decay strictly faster than 1/sqrt
 _CAUCHY_WINDOW = 0.10
+# log of the smallest normal binary64; a normalized c_0 below it is lost
+_LOG_TINY = math.log(np.finfo(np.float64).tiny)
 
 
 @dataclass(frozen=True)
@@ -86,6 +88,41 @@ def _tail_window(total: int) -> int:
     return max(1, total // 10)
 
 
+def _normalized_state(sector: SectorParams, coefficients, tol: float, caller: str) -> FockVector:
+    """Cutoff doubling, tail test, normalization and phase for both builders.
+
+    coefficients(M) returns (directions, log|c_m|) for m = 0..M of the
+    unnormalized vector.  The cutoff doubles from 32 until the
+    trailing-window mass is below tol, everything in log form; the vector
+    is then divided by its 2-norm and rotated so that c_0 is real positive.
+    """
+    M = 32
+    while True:
+        directions, log_c = coefficients(M)
+        log_norm_sq = np.logaddexp.reduce(2.0 * log_c)
+        log_tail = np.logaddexp.reduce(2.0 * log_c[-_tail_window(M + 1) :])
+        tail = math.exp(log_tail - log_norm_sq)
+        if tail < tol:
+            break
+        if M >= _MAX_CUTOFF:
+            raise NumericsError(
+                f"states.{caller}: tail {tail:.3e} above tol {tol:.3e} "
+                f"at the cutoff cap {_MAX_CUTOFF}"
+            )
+        M = min(2 * M, _MAX_CUTOFF)
+
+    log_c0 = log_c[0] - 0.5 * log_norm_sq
+    if log_c0 < _LOG_TINY:
+        raise NumericsError(
+            f"states.{caller}: c_0 = exp({log_c0:.6g}) underflows binary64 "
+            f"(cutoff {M})"
+        )
+    coeff = directions * np.exp(log_c - 0.5 * log_norm_sq)
+    coeff /= np.linalg.norm(coeff)
+    coeff *= (coeff[0] / abs(coeff[0])).conjugate()
+    return FockVector(sector, coeff, tail)
+
+
 def build_state(params: SqueezeParams, tol: float) -> FockVector:
     """Construct the normalized eigenstate of mu a^k + nu a+^k.
 
@@ -102,67 +139,51 @@ def build_state(params: SqueezeParams, tol: float) -> FockVector:
     phase_t = t / abs(t)
     lam_prime = params.lambda_prime()
 
-    M = 32
-    while True:
+    def coefficients(M):
         sol = solve_recursion(params.sector, lam_prime, M, InitialKind.POLYNOMIAL)
         m_idx = np.arange(M + 1)
-        log_c = sol.log_abs + m_idx * log_t
-        log_norm_sq = np.logaddexp.reduce(2.0 * log_c)
-        window = _tail_window(M + 1)
-        log_tail = np.logaddexp.reduce(2.0 * log_c[-window:])
-        tail = math.exp(log_tail - log_norm_sq)
-        if tail < tol:
-            break
-        if M >= _MAX_CUTOFF:
-            raise NumericsError(
-                f"states.build_state: tail {tail:.3e} above tol {tol:.3e} "
-                f"at the cutoff cap {_MAX_CUTOFF}"
-            )
-        M = min(2 * M, _MAX_CUTOFF)
+        return sol.directions * phase_t**m_idx, sol.log_abs + m_idx * log_t
 
-    with np.errstate(over="ignore"):
-        coeff = sol.directions * phase_t**m_idx * np.exp(log_c - 0.5 * log_norm_sq)
-    # c_0 = f_0/norm is already real positive; rotate defensively anyway
-    if coeff[0] != 0:
-        phase = coeff[0] / abs(coeff[0])
-        coeff = coeff * phase.conjugate()
-    return FockVector(params.sector, coeff, tail)
+    return _normalized_state(params.sector, coefficients, tol, "build_state")
 
 
 def build_power_coherent(sector: SectorParams, lam: complex, tol: float) -> FockVector:
     """Eigenstate of a^k alone (the nu = 0, mu = 1 point).
 
-    One-term recursion c_{m+1} = lam c_m / b_m; factorial damping makes the
-    vector square-summable for every lam.
+    c_m = lam^m / (b_0 ... b_{m-1}), built in log form; factorial damping
+    makes the vector square-summable for every lam.  NumericsError once
+    the normalized c_0 underflows (|lam| above about 37.6 at k = 1).
     """
     if not 0.0 < tol <= 1e-4:
         raise ValueError(f"tol must lie in (0, 1e-4], got {tol}")
     lam = complex(lam)
     if lam == 0:
         return FockVector(sector, np.array([1.0 + 0.0j]), 0.0)
-    M = 32
-    while True:
-        b = OffDiagonalSequence.build(sector, M).values
-        coeff = np.empty(M + 1, dtype=np.complex128)
-        coeff[0] = 1.0
-        for m in range(M):
-            coeff[m + 1] = lam * coeff[m] / b[m]
-        norm_sq = float(np.sum(np.abs(coeff) ** 2))
-        window = _tail_window(M + 1)
-        tail = float(np.sum(np.abs(coeff[-window:]) ** 2)) / norm_sq
-        if tail < tol:
-            break
-        if M >= _MAX_CUTOFF:
-            raise NumericsError(
-                f"states.build_power_coherent: tail {tail:.3e} above tol "
-                f"{tol:.3e} at the cutoff cap {_MAX_CUTOFF}"
-            )
-        M = min(2 * M, _MAX_CUTOFF)
-    coeff /= math.sqrt(norm_sq)
-    if coeff[0] != 0:
-        phase = coeff[0] / abs(coeff[0])
-        coeff = coeff * phase.conjugate()
-    return FockVector(sector, coeff, tail)
+    log_lam = math.log(abs(lam))
+    phase = lam / abs(lam)
+
+    def coefficients(M):
+        log_b = np.log(OffDiagonalSequence.build(sector, M).values)
+        m_idx = np.arange(M + 1)
+        log_c = m_idx * log_lam - np.concatenate(([0.0], np.cumsum(log_b)))
+        return phase**m_idx, log_c
+
+    return _normalized_state(sector, coefficients, tol, "build_power_coherent")
+
+
+def _lower(w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a^k on a coefficient array: slot m receives b_m w_{m+1}."""
+    out = np.zeros_like(w)
+    out[:-1] = b[: len(w) - 1] * w[1:]
+    return out
+
+
+def _raise(w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a+^k on a coefficient array: slot m receives b_{m-1} w_{m-1}; the
+    image of the top slot falls outside the array and is dropped."""
+    out = np.zeros_like(w)
+    out[1:] = b[: len(w) - 1] * w[:-1]
+    return out
 
 
 def apply_power_lowering(v: FockVector, k: int) -> FockVector:
@@ -171,20 +192,15 @@ def apply_power_lowering(v: FockVector, k: int) -> FockVector:
         raise ValueError(f"operator power {k} does not match sector k={v.sector.k}")
     c = v.coefficients
     b = OffDiagonalSequence.build(v.sector, len(c)).values
-    out = np.zeros_like(c)
-    out[:-1] = b[: len(c) - 1] * c[1:]
-    return FockVector(v.sector, out, v.tail_estimate)
+    return FockVector(v.sector, _lower(c, b), v.tail_estimate)
 
 
 def apply_power_raising(v: FockVector, k: int) -> FockVector:
     """a+^k v (unnormalized): slot m receives b_{m-1} c_{m-1}; one slot longer."""
     if k != v.sector.k:
         raise ValueError(f"operator power {k} does not match sector k={v.sector.k}")
-    c = v.coefficients
-    b = OffDiagonalSequence.build(v.sector, len(c)).values
-    out = np.zeros(len(c) + 1, dtype=np.complex128)
-    out[1:] = b[: len(c)] * c
-    return FockVector(v.sector, out, v.tail_estimate)
+    b = OffDiagonalSequence.build(v.sector, len(v.coefficients)).values
+    return FockVector(v.sector, _raise(_padded(v, 1), b), v.tail_estimate)
 
 
 # ---------------------------------------------------------------------------
@@ -234,16 +250,6 @@ def sr_report(v: FockVector, k: int) -> SRReport:
     L = len(c)
     b = OffDiagonalSequence.build(sector, L).values
 
-    def lower(w):
-        out = np.zeros_like(w)
-        out[:-1] = b[: L - 1] * w[1:]
-        return out
-
-    def raise_(w):
-        out = np.zeros_like(w)
-        out[1:] = b[: L - 1] * w[:-1]
-        return out
-
     keep = _kept_slots(v)
     bra = c[:keep]
 
@@ -251,14 +257,14 @@ def sr_report(v: FockVector, k: int) -> SRReport:
         return complex(np.vdot(bra, w[:keep]))
 
     norm = float(np.real(np.vdot(bra, bra)))
-    a_v = lower(c)
-    ad_v = raise_(c)
+    a_v = _lower(c, b)
+    ad_v = _raise(c, b)
     e1 = expect(a_v) / norm
     e1d = expect(ad_v) / norm
-    e2 = expect(lower(a_v)) / norm
-    e2d = expect(raise_(ad_v)) / norm
-    e_lr = expect(lower(ad_v)) / norm  # <a^k a+^k>
-    e_rl = expect(raise_(a_v)) / norm  # <a+^k a^k>
+    e2 = expect(_lower(a_v, b)) / norm
+    e2d = expect(_raise(ad_v, b)) / norm
+    e_lr = expect(_lower(ad_v, b)) / norm  # <a^k a+^k>
+    e_rl = expect(_raise(a_v, b)) / norm  # <a+^k a^k>
 
     mean_a = (e1 + e1d) / 2.0
     mean_b = (e1 - e1d) / 2.0j
@@ -304,10 +310,8 @@ def residual_check(v: FockVector, params: SqueezeParams) -> float:
     c = _padded(v, 1)
     L = len(c)
     b = OffDiagonalSequence.build(v.sector, L).values
-    low = np.zeros_like(c)
-    low[:-1] = b[: L - 1] * c[1:]
-    high = np.zeros_like(c)
-    high[1:] = b[: L - 1] * c[:-1]
+    low = _lower(c, b)
+    high = _raise(c, b)
     resid = mu * low + nu * high - lam * c
     keep = _kept_slots(v)
     num = float(np.linalg.norm(resid[:keep]))

@@ -270,6 +270,42 @@ class TestValidationAndErrors:
         assert result.returncode == 1
         assert "states.build_state" in result.stderr
 
+    @pytest.mark.parametrize("theta", ["nan", "inf"])
+    def test_non_finite_theta(self, theta):
+        result = run_cli("extensions", "--k", "3", "--n", "60", "--theta", theta)
+        assert result.returncode == 2
+        assert len(result.stderr.strip().splitlines()) == 1
+        assert "--theta" in result.stderr
+
+    @pytest.mark.parametrize(
+        "coefficients",
+        [[], [{"m": 7, "re": 1.0, "im": 0.0}], [{"m": -1, "re": 1.0, "im": 0.0}]],
+    )
+    def test_malformed_state_json(self, tmp_path, coefficients):
+        path = tmp_path / "bad_state.json"
+        document = {
+            "config": {
+                "k": 2,
+                "kappa": 0,
+                "nu": {"re": 0.5, "im": 0.0},
+                "lambda": {"re": 1.0, "im": 0.0},
+            },
+            "results": {"coefficients": coefficients},
+            "diagnostics": {"tail_estimate": 0.0},
+        }
+        path.write_text(json.dumps(document))
+        result = run_cli("verify-sr", str(path))
+        assert result.returncode == 2
+        assert len(result.stderr.strip().splitlines()) == 1
+        assert "Traceback" not in result.stderr
+
+    def test_out_into_missing_directory(self, tmp_path):
+        out = tmp_path / "missing_dir" / "state.csv"
+        result = run_cli("state", "--k", "1", "--nu", "0.5", "--lambda", "0", "--out", str(out))
+        assert result.returncode == 2
+        assert len(result.stderr.strip().splitlines()) == 1
+        assert str(out) in result.stderr
+
 
 class TestDeterminism:
     @pytest.mark.parametrize(

@@ -2,12 +2,14 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 from powersqueeze import (
     gamma_abs_sq,
     hermite,
+    log_gamma_complex,
     pochhammer,
     pollaczek,
     pollaczek_table,
@@ -43,7 +45,7 @@ class TestHermite:
         assert hermite(11, 0.0) == 0.0
 
     def test_h4_closed_form(self):
-        for x in np.linspace(-2, 2, 9):
+        for x in [*np.linspace(-2, 2, 9), 0.3 + 0.7j]:
             assert hermite(4, x) == pytest.approx(16 * x**4 - 48 * x**2 + 12, rel=1e-12, abs=1e-9)
 
     def test_large_degree_stays_finite(self):
@@ -122,6 +124,13 @@ def _product_formula_half(x: float, terms: int = 200_000) -> float:
     y = terms + 1.5
     psi1 = 1.0 / y + 1.0 / (2.0 * y * y) + 1.0 / (6.0 * y**3)
     return math.pi * math.exp(-(log_sum + x * x * psi1))
+
+
+class TestLogGamma:
+    @pytest.mark.parametrize("z", [0.3 + 2j, 4.5 - 7j, 12 + 0.5j])
+    def test_matches_mpmath(self, z):
+        expected = complex(mpmath.loggamma(z))
+        assert abs(log_gamma_complex(z) - expected) <= 1e-12 * abs(expected)
 
 
 class TestGammaAbsSq:

@@ -13,6 +13,7 @@ from powersqueeze import (
     apply_power_lowering,
     apply_power_raising,
     build_power_coherent,
+    NumericsError,
     build_state,
     commutator_weight,
     deficiency_evidence,
@@ -140,6 +141,24 @@ class TestPowerCoherent:
         vec = build_power_coherent(sector, 0.0, 1e-10)
         value = residual_check(vec, SqueezeParams(sector, 0.0, 0.0))
         assert value == 0.0
+
+    @pytest.mark.parametrize("lam", [28.0, 32 + 8j, 36j])
+    def test_k1_large_lambda(self, lam):
+        # mean photon number 800..1300: lam^m / sqrt(m!) leaves binary64
+        # long before the tail is reached, so the vector is built in log form
+        sector = SectorParams(1, 0)
+        vec = build_power_coherent(sector, lam, 1e-10)
+        c0 = vec.coefficients[0]
+        assert abs(vec.norm_sq() - 1.0) <= 1e-12
+        assert c0.real > 0.0 and c0.imag == 0.0
+        assert residual_check(vec, SqueezeParams(sector, 0.0, lam)) <= 1e-10
+        report = sr_report(vec, 1)
+        assert abs(report.gap) <= 1e-6 * report.rhs
+
+    def test_k1_c0_underflow_raises(self):
+        # normalized c_0 = exp(-|lam|^2 / 2) is below the normal range
+        with pytest.raises(NumericsError, match="states.build_power_coherent: c_0"):
+            build_power_coherent(SectorParams(1, 0), 40.0, 1e-10)
 
 
 class TestLadders:
