@@ -1,11 +1,21 @@
 """Eigenvalues of truncated (optionally boundary-modified) sector Jacobi
-matrices by Sturm-sequence bisection.
+matrices by Sturm-sequence bisection, seeded by LAPACK.
 
-Bisection is deliberately used instead of a faster dense solver: every
-eigenvalue comes with a Sturm-count bracket certificate, which the
-verification suite reuses directly.  Counts for a whole vector of shifts
-are evaluated together, so the O(n) recurrence runs once per bisection
-step for all n eigenvalues.
+Every eigenvalue is returned as the midpoint of a Sturm-count bisection
+bracket, with a fixed iteration count, so the result carries a bracket
+certificate and does not depend on the LAPACK build.  LAPACK
+(`scipy.linalg.eigh_tridiagonal`) only decides which Sturm counts need
+computing: one Sturm pass over the 2n shifts seed_j -/+ delta certifies a
+bracket [a_j, b_j] with count(a_j) <= j < count(b_j), widening delta where
+it does not (an index never certified bisects the whole Gershgorin range).
+The bisection then replays unchanged, and a midpoint not strictly inside
+both [a_j, b_j] and its own bracket [lo_j, hi_j] (certified the same way)
+is decided without a count: the floating-point Sturm count is monotone in
+the shift (Demmel, Dhillon & Ren, ETNA 3, 1995), so mid <= a_j gives
+count(mid) <= j and mid >= b_j gives count(mid) >= j + 1, the verdicts a
+count would give.  The midpoints are therefore bit-identical to plain
+bisection, and the counts still taken run together over one vector of
+shifts, so the O(n) recurrence runs once per step that needs one.
 """
 
 from __future__ import annotations
@@ -14,6 +24,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .errors import NumericsError
 from .jacobi import OffDiagonalSequence, SectorParams
@@ -87,6 +98,10 @@ class SpectrumReport:
     n: int
     bisect_tol: float
     boundary_theta: float | None = None
+    sturm_passes: int = 0  # Sturm-count passes, the bracket certificate included
+    # widest final bracket; wider than bisect_tol only where no binary64
+    # number lies inside it
+    max_bracket: float | None = None
 
     def central(self, count: int) -> np.ndarray:
         """The count smallest-magnitude eigenvalues, ascending by value.
@@ -98,6 +113,40 @@ class SpectrumReport:
         return np.sort(self.eigenvalues[order[:count]])
 
 
+def _seed_brackets(
+    T: TridiagonalMatrix, tol: float, span: float
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Certified brackets a_j <= lambda_j <= b_j around the LAPACK eigenvalues.
+
+    A bracket is kept only when count(a_j) <= j < count(b_j).  Uncertified
+    indices are retried with a 16x wider half-width; once that exceeds span
+    they keep (-inf, inf).  Returns a, b and the Sturm passes spent.
+    """
+    n = T.n
+    a = np.full(n, -np.inf)
+    b = np.full(n, np.inf)
+    try:
+        seed = T.diag if n == 1 else scipy.linalg.eigh_tridiagonal(
+            T.diag, T.offdiag, eigvals_only=True
+        )
+    except np.linalg.LinAlgError:  # no seed: every index bisects the full range
+        return a, b, 0
+    eps = np.finfo(np.float64).eps
+    delta = min(tol / 2, 8 * eps * max(float(np.max(np.abs(seed))), 1.0))
+    todo = np.arange(n)
+    passes = 0
+    while len(todo) and delta <= span:
+        below, above = seed[todo] - delta, seed[todo] + delta
+        counts = _sturm_counts(T, np.concatenate([below, above]))
+        passes += 1
+        ok = (counts[: len(todo)] <= todo) & (counts[len(todo) :] > todo)
+        a[todo[ok]] = below[ok]
+        b[todo[ok]] = above[ok]
+        todo = todo[~ok]
+        delta *= 16
+    return a, b, passes
+
+
 def eigenvalues_bisect(
     T: TridiagonalMatrix, tol: float, boundary_theta: float | None = None
 ) -> SpectrumReport:
@@ -106,6 +155,8 @@ def eigenvalues_bisect(
     Per-eigenvalue brackets [lo_j, hi_j] keep the invariant
     count(lo_j) <= j < count(hi_j); with all off-diagonals positive the
     eigenvalues are simple, so each final bracket isolates exactly one.
+    Where binary64 cannot resolve tol at |lambda_j| the bracket stops at
+    two adjacent doubles, wider than tol.
     """
     if tol <= 0:
         raise ValueError(f"tol must be > 0, got {tol}")
@@ -117,14 +168,21 @@ def eigenvalues_bisect(
     lo = np.full(n, glo)
     hi = np.full(n, ghi)
     ranks = np.arange(1, n + 1)
-    iterations = int(math.ceil(math.log2((ghi - glo) / tol))) + 2
+    width = ghi - glo  # 0 where the widening is below the spacing at a 1 x 1 diagonal
+    iterations = int(math.ceil(math.log2(width / tol))) + 2 if width > 0 else 0
+    a, b, passes = _seed_brackets(T, tol, width)
     for _ in range(iterations):
         mid = 0.5 * (lo + hi)
-        counts = _sturm_counts(T, mid)
-        go_down = counts >= ranks  # at least j+1 eigenvalues below mid
+        # [lo_j, hi_j] is certified as well: mid equals lo_j or hi_j once no
+        # double lies between them
+        go_down = mid >= np.minimum(b, hi)  # at least j+1 eigenvalues below mid
+        open_ = (mid > np.maximum(a, lo)) & ~go_down
+        if np.any(open_):
+            go_down[open_] = _sturm_counts(T, mid[open_]) >= ranks[open_]
+            passes += 1
         hi = np.where(go_down, mid, hi)
         lo = np.where(go_down, lo, mid)
-    if float(np.max(hi - lo)) > tol:
+    if np.any((hi - lo > tol) & (np.nextafter(lo, np.inf) < hi)):
         raise NumericsError(
             "spectra.eigenvalues_bisect: bracket did not shrink to tolerance"
         )
@@ -132,7 +190,12 @@ def eigenvalues_bisect(
     if np.any(np.diff(ev) < -tol):
         raise NumericsError("spectra.eigenvalues_bisect: bracket ordering lost")
     return SpectrumReport(
-        eigenvalues=ev, n=n, bisect_tol=tol, boundary_theta=boundary_theta
+        eigenvalues=ev,
+        n=n,
+        bisect_tol=tol,
+        boundary_theta=boundary_theta,
+        sturm_passes=passes,
+        max_bracket=float(np.max(hi - lo)),
     )
 
 

@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -110,6 +111,13 @@ class TestSpectrumCommand:
     def test_ell_requires_k2(self):
         code = main(["spectrum", "--k", "1", "--n", "5", "--ell"])
         assert code == 2
+
+    def test_tol_below_float_spacing_succeeds(self, capsys):
+        # |lambda| reaches 5.6e81 at k = 40: brackets stop at adjacent doubles
+        code = main(["spectrum", "--k", "40", "--n", "300", "--tol", "1e-10"])
+        assert code == 0
+        _, _, rows = parse_csv(capsys.readouterr().out)
+        assert len(rows) == 300
 
 
 class TestStateNuZero:
@@ -305,6 +313,29 @@ class TestValidationAndErrors:
         assert result.returncode == 2
         assert len(result.stderr.strip().splitlines()) == 1
         assert str(out) in result.stderr
+
+
+GOLDEN = Path(__file__).parent / "data"
+
+
+class TestGoldenBytes:
+    """Spectrum outputs pinned byte for byte; a speedup must not move them."""
+
+    @pytest.mark.parametrize(
+        "name, argv",
+        [
+            ("spectrum_k1_n5", ["spectrum", "--k", "1", "--n", "5", "--tol", "1e-10"]),
+            ("spectrum_k3_n400", ["spectrum", "--k", "3", "--n", "400"]),
+            ("extensions_k3_n400",
+             ["extensions", "--k", "3", "--kappa", "0", "--n", "400",
+              "--theta", "0", "--theta", "0.5", "--tol", "1e-9"]),
+        ],
+    )
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_stdout_matches_golden_file(self, capsys, name, argv, fmt):
+        assert main([*argv, "--format", fmt]) == 0
+        got = capsys.readouterr().out.encode("utf-8")
+        assert got == (GOLDEN / f"{name}.{fmt}").read_bytes()
 
 
 class TestDeterminism:

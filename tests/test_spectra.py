@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from powersqueeze import (
     SectorParams,
@@ -16,6 +19,7 @@ from powersqueeze import (
     strict_interlacing,
     sturm_count,
 )
+from powersqueeze.spectra import _sturm_counts
 
 
 def dense(T: TridiagonalMatrix) -> np.ndarray:
@@ -48,6 +52,48 @@ def charpoly_sign_changes(T: TridiagonalMatrix, x: float) -> int:
             changes += 1
         last = v
     return changes
+
+
+def plain_bisection_midpoints(T: TridiagonalMatrix, tols) -> dict:
+    """{tol: midpoints} of the unseeded full-range bisection loop, which
+    counts all n midpoints at every step.  The loop's state after i steps
+    depends on tol only through the starting range, so tols that share a
+    range share one run, snapshotted at each tol's step count."""
+    n = T.n
+    glo0, ghi0 = T.gershgorin()
+    runs = {}
+    for tol in tols:
+        span = max(ghi0 - glo0, tol)
+        glo, ghi = glo0 - 1e-3 * span, ghi0 + 1e-3 * span
+        steps = int(math.ceil(math.log2((ghi - glo) / tol))) + 2 if ghi > glo else 0
+        runs.setdefault((glo, ghi), {}).setdefault(max(steps, 0), []).append(tol)
+    ranks = np.arange(1, n + 1)
+    out = {}
+    for (glo, ghi), tols_at in runs.items():
+        lo = np.full(n, glo)
+        hi = np.full(n, ghi)
+        for step in range(max(tols_at) + 1):
+            for tol in tols_at.get(step, ()):
+                out[tol] = 0.5 * (lo + hi)
+            mid = 0.5 * (lo + hi)
+            go_down = _sturm_counts(T, mid) >= ranks
+            hi = np.where(go_down, mid, hi)
+            lo = np.where(go_down, lo, mid)
+    return out
+
+
+IDENTITY_SIZES = (1, 2, 5, 41, 44, 200, 401)
+IDENTITY_THETAS = (0.0, -0.7, 0.5)
+IDENTITY_TOLS = (1e-9, 1e-10, 1e-12)
+
+
+def assert_bits_match_plain_bisection(sector: SectorParams, sizes, thetas, tols):
+    for n in sizes:
+        for theta in thetas:
+            T = TridiagonalMatrix.truncation(sector, n, theta=theta)
+            for tol, plain in plain_bisection_midpoints(T, tols).items():
+                got = eigenvalues_bisect(T, tol).eigenvalues
+                assert np.array_equal(got, plain), (sector, n, theta, tol)
 
 
 def hermite_roots_by_bisection(n: int) -> np.ndarray:
@@ -109,6 +155,39 @@ class TestSturmCount:
         T = TridiagonalMatrix.truncation(SectorParams(2, 1), 30)
         for x in (0.37, 1.9, 14.2, 55.0):
             assert sturm_count(T, x) == 30 - sturm_count(T, -x)
+
+
+class TestSturmMonotone:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        k=st.integers(1, 6),
+        kappa_frac=st.floats(0.0, 1.0, exclude_max=True),
+        n=st.integers(1, 90),
+        theta=st.floats(-1.0, 1.0),
+        picks=st.lists(
+            st.tuples(st.integers(0, 10**6), st.integers(-6, 6)), min_size=1, max_size=12
+        ),
+        spread=st.floats(0.0, 1.0),
+    )
+    def test_counts_monotone_in_shift(self, k, kappa_frac, n, theta, picks, spread):
+        # the seeded bisection decides a midpoint without a count only
+        # because the floating-point count never decreases as the shift grows;
+        # shifts sit within a few ulps of eigenvalues and anywhere in range
+        T = TridiagonalMatrix.truncation(SectorParams(k, int(kappa_frac * k)), n, theta=theta)
+        ev = np.linalg.eigvalsh(dense(T))
+        lo, hi = T.gershgorin()
+        xs = []
+        for index, ulps in picks:
+            x = float(ev[index % n])
+            step = np.inf if ulps > 0 else -np.inf
+            for _ in range(abs(ulps)):
+                x = float(np.nextafter(x, step))
+            xs.append(x)
+            xs.append(lo + (hi - lo) * ((index % 997) / 996.0) * spread)
+        xs = np.sort(np.array(xs))
+        counts = _sturm_counts(T, xs)
+        assert np.all(np.diff(counts) >= 0)
+        assert np.array_equal(counts, [sturm_count(T, float(x)) for x in xs])
 
 
 class TestEigenvaluesBisect:
@@ -182,6 +261,62 @@ class TestEigenvaluesBisect:
         T = TridiagonalMatrix(diag=[2.5], offdiag=[])
         report = eigenvalues_bisect(T, 1e-12)
         assert report.eigenvalues[0] == pytest.approx(2.5, abs=1e-12)
+        # here the starting range d -/+ 1e-3 tol rounds to d itself
+        T = TridiagonalMatrix(diag=[-20.28792744466521], offdiag=[])
+        assert eigenvalues_bisect(T, 1e-12).eigenvalues[0] == T.diag[0]
+
+
+class TestSeededBisection:
+    """The LAPACK seed only skips counts: the midpoints keep their bits."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_bits_match_plain_bisection(self, k):
+        for kappa in range(k):
+            assert_bits_match_plain_bisection(
+                SectorParams(k, kappa), IDENTITY_SIZES, IDENTITY_THETAS, IDENTITY_TOLS
+            )
+
+    @pytest.mark.parametrize(
+        "wrong_seed",
+        [
+            lambda ev: ev[::-1] + 1.0,  # some certify after widening, some never
+            lambda ev: np.full_like(ev, np.nan),  # never certifies
+            None,  # LAPACK raises
+        ],
+        ids=["reversed-shifted", "nan", "lapack-error"],
+    )
+    def test_bits_survive_a_wrong_seed(self, monkeypatch, wrong_seed):
+        real = scipy.linalg.eigh_tridiagonal
+
+        def fake(d, e, eigvals_only=False):
+            if wrong_seed is None:
+                raise np.linalg.LinAlgError("eigh_tridiagonal did not converge")
+            return wrong_seed(real(d, e, eigvals_only=True))
+
+        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", fake)
+        for k in (1, 2, 3, 4):
+            for kappa in range(k):
+                assert_bits_match_plain_bisection(
+                    SectorParams(k, kappa), (2, 5, 41, 44), IDENTITY_THETAS, (1e-10,)
+                )
+
+    def test_certificate_skips_passes(self):
+        T = TridiagonalMatrix.truncation(SectorParams(2, 0), 41)
+        report = eigenvalues_bisect(T, 1e-9)
+        assert 1 <= report.sturm_passes <= 4
+        assert report.max_bracket <= 1e-9
+
+    def test_tol_below_float_spacing_returns(self):
+        # |lambda| reaches 5.4e7, where adjacent doubles are 7.5e-9 > tol apart
+        T = TridiagonalMatrix.truncation(SectorParams(4, 0), 1315)
+        tol = 1e-10
+        report = eigenvalues_bisect(T, tol)
+        oracle = np.linalg.eigvalsh(dense(T))
+        scale = float(np.max(np.abs(oracle)))
+        bound = 2 * T.n * np.finfo(np.float64).eps * scale
+        assert float(np.max(np.abs(report.eigenvalues - oracle))) <= bound
+        assert report.max_bracket > tol
+        assert report.max_bracket <= 2 * math.ulp(scale)
 
 
 class TestExtensionSweep:
