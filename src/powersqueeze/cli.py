@@ -42,7 +42,9 @@ def _fmt(x: float) -> str:
 
 def _parse_complex(text: str) -> complex:
     try:
-        value = complex(text.strip().replace("i", "j"))
+        text = text.strip()
+        # only a trailing i is the imaginary unit: "inf" and "nan" stay words
+        value = complex(text[:-1] + "j" if text.endswith("i") else text)
     except ValueError:
         raise _UsageError(f"cannot parse complex number {text!r}; use a+bi") from None
     if not (math.isfinite(value.real) and math.isfinite(value.imag)):
@@ -295,9 +297,13 @@ def _cmd_classify(args) -> None:
     _emit(args, document, "classify", header, rows)
 
 
+def _check_b(b: float | None) -> None:
+    if b is None or not 0.0 < b < math.inf:
+        raise _UsageError(f"--b must be a positive finite weight parameter, got {b}")
+
+
 def _cmd_moments(args) -> None:
-    if args.b is None or args.b <= 0:
-        raise _UsageError("--b must be a positive weight parameter")
+    _check_b(args.b)
     if not 0 <= args.M <= 24:
         raise _UsageError(f"--M (highest moment order) must be in [0, 24], got {args.M}")
     tol = _check_tol(args.tol)
@@ -318,8 +324,7 @@ def _cmd_moments(args) -> None:
 
 
 def _cmd_pollaczek(args) -> None:
-    if args.b is None or args.b <= 0:
-        raise _UsageError("--b must be a positive weight parameter")
+    _check_b(args.b)
     if args.M < 0:
         raise _UsageError(f"--M (max degree) must be >= 0, got {args.M}")
     if args.lam is None:

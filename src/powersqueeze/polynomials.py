@@ -245,4 +245,10 @@ def weight_tail_coefficient(b: float) -> float:
 
     Asymptotic constant 2^(2b)/Gamma(2b) doubled as a safety factor.
     """
-    return 2.0 * 2.0 ** (2.0 * b) / math.gamma(2.0 * b)
+    try:
+        return 2.0 * 2.0 ** (2.0 * b) / math.gamma(2.0 * b)
+    except OverflowError:
+        raise NumericsError(
+            f"polynomials.weight_tail_coefficient: Gamma(2b) overflows "
+            f"binary64 at b = {b!r}"
+        ) from None

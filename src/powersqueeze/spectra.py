@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import NumericsError
 from .jacobi import OffDiagonalSequence, SectorParams
@@ -118,10 +117,14 @@ def _seed_brackets(
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Certified brackets a_j <= lambda_j <= b_j around the LAPACK eigenvalues.
 
-    A bracket is kept only when count(a_j) <= j < count(b_j).  Uncertified
-    indices are retried with a 16x wider half-width; once that exceeds span
-    they keep (-inf, inf).  Returns a, b and the Sturm passes spent.
+    A bracket is kept only when count(a_j) <= j < count(b_j).  Index j
+    starts at half-width max(delta, 2 ulp(seed_j)), since a narrower bracket
+    rounds to a point; uncertified indices are retried with a 16x wider
+    half-width, and once that exceeds span they keep (-inf, inf).  Returns
+    a, b and the Sturm passes spent.
     """
+    import scipy.linalg  # loaded on first use: it doubles every CLI start
+
     n = T.n
     a = np.full(n, -np.inf)
     b = np.full(n, np.inf)
@@ -132,18 +135,21 @@ def _seed_brackets(
     except np.linalg.LinAlgError:  # no seed: every index bisects the full range
         return a, b, 0
     eps = np.finfo(np.float64).eps
-    delta = min(tol / 2, 8 * eps * max(float(np.max(np.abs(seed))), 1.0))
+    delta = np.maximum(
+        min(tol / 2, 8 * eps * max(float(np.max(np.abs(seed))), 1.0)),
+        2 * np.spacing(np.abs(seed)),
+    )
     todo = np.arange(n)
     passes = 0
-    while len(todo) and delta <= span:
-        below, above = seed[todo] - delta, seed[todo] + delta
+    while len(todo := todo[delta[todo] <= span]):
+        below, above = seed[todo] - delta[todo], seed[todo] + delta[todo]
         counts = _sturm_counts(T, np.concatenate([below, above]))
         passes += 1
         ok = (counts[: len(todo)] <= todo) & (counts[len(todo) :] > todo)
         a[todo[ok]] = below[ok]
         b[todo[ok]] = above[ok]
         todo = todo[~ok]
-        delta *= 16
+        delta[todo] *= 16
     return a, b, passes
 
 

@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import NumericsError
 from .jacobi import (
@@ -31,6 +30,7 @@ from .jacobi import (
     commutator_weight,
     envelope_fit,
     growth_profile,
+    log_off_diagonal,
     solve_recursion,
 )
 
@@ -123,19 +123,71 @@ def _normalized_state(sector: SectorParams, coefficients, tol: float, caller: st
     return FockVector(sector, coeff, tail)
 
 
+def _grows_to_cap(params: SqueezeParams) -> bool:
+    """Sufficient condition that |c_m| grows all the way to the cutoff cap.
+
+    With r = |lambda|/mu = |t lambda'| >= 3 b_cap, b_m increasing in m and
+    |t| <= 1: if |f_m| >= |f_{m-1}| (true at m = 0, f_{-1} = 0), then
+    b_m |f_{m+1}| >= |lambda'| |f_m| - b_{m-1} |f_{m-1}|
+    >= (|lambda'| - b_{m-1}) |f_m|, so |t| |f_{m+1}| >= (r - b_{m-1}) |f_m|
+    / b_m >= 2 |f_m|.  Hence |c_{m+1}| >= 2 |c_m| and |f_{m+1}| >= |f_m|
+    for every m below the cap.  The top entry then outweighs all others
+    put together, so every trailing window holds more than half the mass,
+    and the cutoff doubling could only end in its cap error.  (Factor 2
+    already makes |c_m| non-decreasing, which leaves about 10% of the mass
+    in the window; 3 keeps every ratio at 2, clear of rounding.)
+    """
+    r = abs(params.lam) / params.mu
+    return r > 0.0 and math.log(r) >= math.log(3.0) + log_off_diagonal(
+        params.sector, _MAX_CUTOFF
+    )
+
+
 def build_state(params: SqueezeParams, tol: float) -> FockVector:
     """Construct the normalized eigenstate of mu a^k + nu a+^k.
 
     The cutoff doubles until the trailing-window mass is below tol (log
     domain throughout, so sub-exponential growth of f_m cannot overflow).
     The overall phase is fixed by making c_0 real positive.
+
+    Inputs on which the doubling could only reach its cap raise
+    NumericsError before any recursion:
+
+    - mu = sqrt(1 + |nu|^2) overflows binary64 (|nu| above about 1e154);
+    - k <= 2 and |t| = 1, which binary64 gives once |nu| exceeds about
+      1e8 (mu rounds to |nu|).  Then |c_m| = N |f_m| with f the polynomial
+      solution.  The k <= 2 moment problems are determinate and their
+      measures have no point masses, so f is square-summable at no
+      lambda', and its trailing-window mass does not fall below tol:
+      at the cap it is about 5e-2 (k = 1) and 6e-3 (k = 2), against
+      tol <= 1e-4.  For k >= 3 (limit circle) every solution is
+      square-summable, so |t| = 1 is left to the doubling;
+    - |lambda|/mu >= 3 b_cap, where |c_m| grows to the cap (_grows_to_cap).
     """
     if params.nu == 0:
         raise ValueError("nu = 0 has no squeeze branch; use build_power_coherent")
     if not 0.0 < tol <= 1e-4:
         raise ValueError(f"tol must lie in (0, 1e-4], got {tol}")
-    t = params.branch_t()
+    try:
+        t = params.branch_t()
+    except OverflowError:
+        raise NumericsError(
+            f"states.build_state: mu = sqrt(1 + |nu|^2) overflows binary64 "
+            f"at |nu| = {abs(params.nu):.3e}"
+        ) from None
     log_t = math.log(abs(t))
+    if params.sector.k <= 2 and log_t >= 0.0:
+        raise NumericsError(
+            f"states.build_state: |t| = |nu/mu|^(1/2) rounds to 1 at "
+            f"|nu| = {abs(params.nu):.3e}; for k <= 2 the tail then never "
+            f"falls below tol"
+        )
+    if _grows_to_cap(params):
+        raise NumericsError(
+            f"states.build_state: |lambda|/mu = {abs(params.lam) / params.mu:.3e} "
+            f"is at least 3 b_m for every m up to the cutoff cap {_MAX_CUTOFF}, "
+            f"so |c_m| grows to the cap"
+        )
     phase_t = t / abs(t)
     lam_prime = params.lambda_prime()
 
@@ -363,6 +415,8 @@ def _minimal_solution_profile(sector: SectorParams, M: int) -> tuple[float | Non
     a banded solve with N = 100 M leaves contamination ~ sqrt(M/N) = 10%
     at the top of the fit window, enough for a decade-scale slope.
     """
+    import scipy.linalg  # loaded on first use: it doubles every CLI start
+
     N = min(100 * M, 2_000_000)
     b = OffDiagonalSequence.build(sector, N).values
     ab = np.zeros((3, N), dtype=np.complex128)

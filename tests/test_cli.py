@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -278,6 +279,44 @@ class TestValidationAndErrors:
         assert result.returncode == 1
         assert "states.build_state" in result.stderr
 
+    def test_growing_state_fails_fast(self, capsys):
+        # |lambda|/mu is far above 3 b_cap: the terms grow to the cutoff cap
+        start = time.perf_counter()
+        assert main(["state", "--k", "1", "--nu", "0.5", "--lambda", "1e300"]) == 1
+        assert time.perf_counter() - start < 0.5
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert "states.build_state" in err
+
+    @pytest.mark.parametrize("flag", ["--nu", "--lambda"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "1e400"])
+    def test_non_finite_state_parameters(self, capsys, flag, value):
+        argv = ["state", "--k", "1", "--nu", "0.5", "--lambda", "1"]
+        argv[argv.index(flag) + 1] = value
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert "must be finite" in err
+
+    @pytest.mark.parametrize("command", ["moments", "pollaczek"])
+    @pytest.mark.parametrize("b", ["nan", "inf", "-inf"])
+    def test_non_finite_b(self, capsys, command, b):
+        argv = [command, f"--b={b}", "--M", "3"]
+        if command == "pollaczek":
+            argv += ["--lambda", "0.5"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert "--b" in err
+
+    def test_moments_weight_overflow_names_source(self):
+        # Gamma(2b) overflows binary64 for b above about 85.8
+        result = run_cli("moments", "--b", "100", "--M", "4")
+        assert result.returncode == 1
+        assert len(result.stderr.strip().splitlines()) == 1
+        assert "polynomials.weight_tail_coefficient" in result.stderr
+        assert "Traceback" not in result.stderr
+
     @pytest.mark.parametrize("theta", ["nan", "inf"])
     def test_non_finite_theta(self, theta):
         result = run_cli("extensions", "--k", "3", "--n", "60", "--theta", theta)
@@ -313,6 +352,29 @@ class TestValidationAndErrors:
         assert result.returncode == 2
         assert len(result.stderr.strip().splitlines()) == 1
         assert str(out) in result.stderr
+
+
+class TestStartup:
+    def test_scipy_linalg_loads_only_when_called(self, tmp_path):
+        # scipy.linalg doubles the start time of every command; only the
+        # eigen-seed and banded-solve paths may load it
+        code = (
+            "import sys\n"
+            "import powersqueeze, powersqueeze.cli\n"
+            "assert 'scipy.linalg' not in sys.modules, 'loaded at import'\n"
+            "assert powersqueeze.cli.main(['state', '--k', '2', '--nu', '0.5',"
+            " '--lambda', '1', '--out', sys.argv[1]]) == 0\n"
+            "assert 'scipy.linalg' not in sys.modules, 'loaded by state'\n"
+            "assert powersqueeze.cli.main(['spectrum', '--k', '3', '--n', '20',"
+            " '--out', sys.argv[1]]) == 0\n"
+            "assert 'scipy.linalg' in sys.modules\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code, str(tmp_path / "out.csv")],
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 0, result.stderr
 
 
 GOLDEN = Path(__file__).parent / "data"

@@ -306,6 +306,13 @@ class TestSeededBisection:
         assert 1 <= report.sturm_passes <= 4
         assert report.max_bracket <= 1e-9
 
+    def test_brackets_start_at_float_spacing(self):
+        # |lambda| reaches ~1e66 at k = 40, where a tol/2 half-width rounds
+        # to a point; widening from there took 66 of 191 passes
+        T = TridiagonalMatrix.truncation(SectorParams(40, 0), 300)
+        report = eigenvalues_bisect(T, 1e-10)
+        assert report.sturm_passes < 191
+
     def test_tol_below_float_spacing_returns(self):
         # |lambda| reaches 5.4e7, where adjacent doubles are 7.5e-9 > tol apart
         T = TridiagonalMatrix.truncation(SectorParams(4, 0), 1315)

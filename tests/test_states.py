@@ -2,10 +2,12 @@
 and the square-summable solution count."""
 
 import math
+import time
 
 import numpy as np
 import pytest
 
+from powersqueeze import states
 from powersqueeze import (
     FockVector,
     SectorParams,
@@ -102,6 +104,47 @@ class TestBuildState:
         fine = build_state(params, 1e-12)
         n = len(coarse.coefficients)
         assert np.max(np.abs(coarse.coefficients - fine.coefficients[:n])) <= 1e-6
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_unit_t_fails_fast_for_k_at_most_2(self, k):
+        # mu = sqrt(1 + 1e16) rounds to 1e8, so |t| = 1 and the k <= 2 tail
+        # never falls below tol; the cutoff doubling to the cap took seconds
+        params = SqueezeParams(SectorParams(k, 0), 1e8, 0.0)
+        start = time.perf_counter()
+        with pytest.raises(NumericsError, match=r"^states\.build_state: \|t\|"):
+            build_state(params, 1e-10)
+        assert time.perf_counter() - start < 0.5
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_growth_to_cap_fails_fast(self, k):
+        sector = SectorParams(k, 0)
+        params = SqueezeParams(sector, 0.5, 1e300)
+        start = time.perf_counter()
+        with pytest.raises(NumericsError, match=r"^states\.build_state: \|lambda\|/mu"):
+            build_state(params, 1e-10)
+        assert time.perf_counter() - start < 0.5
+        # the condition sits at 3 b_cap: just below it nothing is refused
+        threshold = 3.0 * off_diagonal(sector, states._MAX_CUTOFF) * params.mu
+        assert states._grows_to_cap(SqueezeParams(sector, 0.5, threshold * 1.001))
+        assert not states._grows_to_cap(SqueezeParams(sector, 0.5, threshold * 0.999))
+        assert not states._grows_to_cap(SqueezeParams(sector, 0.5, 6.0))
+
+    def test_growth_condition_is_sufficient(self):
+        # k = 1, nu = 0.5: |lambda| = 1100 lies just above 3 b_cap mu ~ 1061,
+        # and every ratio |c_{m+1}/c_m| of the recursion up to the cap is
+        # at least 2, as the proof in _grows_to_cap says
+        sector = SectorParams(1, 0)
+        params = SqueezeParams(sector, 0.5, 1100j)
+        assert states._grows_to_cap(params)
+        M = 100_000
+        sol = solve_recursion(sector, params.lambda_prime(), M)
+        log_c = sol.log_abs + np.arange(M + 1) * math.log(abs(params.branch_t()))
+        assert np.min(np.diff(log_c)) >= math.log(2.0)
+
+    def test_mu_overflow_raises(self):
+        params = SqueezeParams(SectorParams(3, 0), 1e200, 1.0)
+        with pytest.raises(NumericsError, match=r"^states\.build_state: mu"):
+            build_state(params, 1e-10)
 
     def test_rejects_nu_zero_and_bad_tol(self):
         with pytest.raises(ValueError):
