@@ -5,17 +5,22 @@ Every eigenvalue is returned as the midpoint of a Sturm-count bisection
 bracket, with a fixed iteration count, so the result carries a bracket
 certificate and does not depend on the LAPACK build.  LAPACK
 (`scipy.linalg.eigh_tridiagonal`) only decides which Sturm counts need
-computing: one Sturm pass over the 2n shifts seed_j -/+ delta certifies a
-bracket [a_j, b_j] with count(a_j) <= j < count(b_j), widening delta where
-it does not (an index never certified bisects the whole Gershgorin range).
-The bisection then replays unchanged, and a midpoint not strictly inside
-both [a_j, b_j] and its own bracket [lo_j, hi_j] (certified the same way)
-is decided without a count: the floating-point Sturm count is monotone in
-the shift (Demmel, Dhillon & Ren, ETNA 3, 1995), so mid <= a_j gives
-count(mid) <= j and mid >= b_j gives count(mid) >= j + 1, the verdicts a
-count would give.  The midpoints are therefore bit-identical to plain
-bisection, and the counts still taken run together over one vector of
-shifts, so the O(n) recurrence runs once per step that needs one.
+computing: one Sturm pass over the 2n shifts seed_j -/+ delta_j certifies a
+bracket [a_j, b_j] with count(a_j) <= j < count(b_j), widening delta_j
+where it does not (an index never certified bisects the whole Gershgorin
+range).  Each index then replays its own bisection steps in Python
+floats, and a midpoint not strictly inside both [a_j, b_j] and its own
+bracket [lo_j, hi_j] (certified the same way) is decided without a count:
+the floating-point Sturm count is monotone in the shift (Demmel, Dhillon &
+Ren, ETNA 3, 1995), so mid <= a_j gives count(mid) <= j and mid >= b_j
+gives count(mid) >= j + 1, the verdicts a count would give.  An index that
+needs a count waits for the others, and once every unfinished index waits
+one pass counts them all, so the passes number the most counts any one
+index needs.  A shift's count does not depend on the other shifts of its
+pass, so the midpoints are bit-identical to plain bisection.  A pass over
+many shifts runs the O(n) recurrence as n numpy steps over the shift
+vector; a pass over a few runs it per shift in Python floats, with the
+same IEEE operations in the same order.
 """
 
 from __future__ import annotations
@@ -69,10 +74,26 @@ class TridiagonalMatrix:
         return float(np.min(self.diag - radius)), float(np.max(self.diag + radius))
 
 
+# Up to this many shifts a pass is cheaper as a Python float loop per shift
+# than as n numpy steps over the shift vector: the two cost the same at 48
+# to 64 shifts for n = 41 .. 1315.
+_SCALAR_SHIFTS = 48
+
+
 def _sturm_counts(T: TridiagonalMatrix, xs: np.ndarray) -> np.ndarray:
-    """Eigenvalues strictly below each shift, via the LDL^T pivot signs."""
+    """Eigenvalues strictly below each shift, via the LDL^T pivot signs.
+
+    Both paths make the same IEEE operations in the same order, so the
+    counts do not depend on how many shifts share a pass.
+    """
     off_sq = T.offdiag**2
     pivmin = np.finfo(np.float64).tiny * max(1.0, float(np.max(off_sq)) if len(off_sq) else 1.0)
+    if len(xs) <= _SCALAR_SHIFTS:
+        diag, off_sq = T.diag.tolist(), off_sq.tolist()
+        return np.array(
+            [_sturm_count_scalar(diag, off_sq, pivmin, x) for x in xs.tolist()],
+            dtype=np.int64,
+        )
     d = T.diag[0] - xs
     d = np.where(np.abs(d) < pivmin, -pivmin, d)
     counts = (d < 0).astype(np.int64)
@@ -82,6 +103,26 @@ def _sturm_counts(T: TridiagonalMatrix, xs: np.ndarray) -> np.ndarray:
             d = np.where(np.abs(d) < pivmin, -pivmin, d)
             counts += d < 0
     return counts
+
+
+def _sturm_count_scalar(diag: list, off_sq: list, pivmin: float, x: float) -> int:
+    """`_sturm_counts` at one shift, in Python floats.
+
+    A pivot d is counted when d < pivmin, which is d < 0 after the |d| <
+    pivmin -> -pivmin substitution.  No pivot is 0, and float division
+    overflows to +/-inf without raising, as numpy does.
+    """
+    d = diag[0] - x
+    if abs(d) < pivmin:
+        d = -pivmin
+    count = 1 if d < 0 else 0
+    for di, e in zip(diag[1:], off_sq):
+        d = (di - x) - e / d
+        if d < pivmin:
+            count += 1
+            if d > -pivmin:
+                d = -pivmin
+    return count
 
 
 def sturm_count(T: TridiagonalMatrix, x: float) -> int:
@@ -118,10 +159,11 @@ def _seed_brackets(
     """Certified brackets a_j <= lambda_j <= b_j around the LAPACK eigenvalues.
 
     A bracket is kept only when count(a_j) <= j < count(b_j).  Index j
-    starts at half-width max(delta, 2 ulp(seed_j)), since a narrower bracket
-    rounds to a point; uncertified indices are retried with a 16x wider
-    half-width, and once that exceeds span they keep (-inf, inf).  Returns
-    a, b and the Sturm passes spent.
+    starts at half-width max(delta, 32 eps |seed_j|): LAPACK's error is
+    about eps max|seed| near 0 and a few to a hundred eps |seed_j| at large
+    |seed_j|.  Uncertified indices are retried with a 4x wider half-width,
+    and once that exceeds span they keep (-inf, inf).  Returns a, b and the
+    Sturm passes spent.
     """
     import scipy.linalg  # loaded on first use: it doubles every CLI start
 
@@ -137,7 +179,7 @@ def _seed_brackets(
     eps = np.finfo(np.float64).eps
     delta = np.maximum(
         min(tol / 2, 8 * eps * max(float(np.max(np.abs(seed))), 1.0)),
-        2 * np.spacing(np.abs(seed)),
+        32 * eps * np.abs(seed),
     )
     todo = np.arange(n)
     passes = 0
@@ -149,8 +191,52 @@ def _seed_brackets(
         a[todo[ok]] = below[ok]
         b[todo[ok]] = above[ok]
         todo = todo[~ok]
-        delta[todo] *= 16
+        delta[todo] *= 4
     return a, b, passes
+
+
+def _replay(
+    T: TridiagonalMatrix, glo: float, ghi: float, a: list, b: list, steps: int
+) -> tuple[list, list, int]:
+    """`steps` bisection steps from [glo, ghi] for every index, in Python floats.
+
+    An index takes the steps its brackets decide on its own; one whose
+    midpoint they do not decide waits, and once every unfinished index
+    waits, one pass counts them all.  Returns lo, hi and the passes.
+    """
+    n = T.n
+    lo, hi, left, mids = [glo] * n, [ghi] * n, [steps] * n, [0.0] * n
+    todo = range(n)
+    passes = 0
+    while True:
+        waiting = []
+        for j in todo:
+            l, h, s, aj, bj = lo[j], hi[j], left[j], a[j], b[j]
+            while s > 0:
+                m = 0.5 * (l + h)
+                # [lo_j, hi_j] is certified as well: mid equals lo_j or hi_j
+                # once no double lies between them
+                if m >= h or m >= bj:  # at least j+1 eigenvalues below m
+                    h = m
+                elif m <= l or m <= aj:
+                    l = m
+                else:
+                    waiting.append(j)
+                    mids[j] = m
+                    break
+                s -= 1
+            lo[j], hi[j], left[j] = l, h, s
+        if not waiting:
+            return lo, hi, passes
+        counts = _sturm_counts(T, np.array([mids[j] for j in waiting]))
+        passes += 1
+        for j, count in zip(waiting, counts.tolist()):
+            if count > j:  # at least j+1 eigenvalues below mid
+                hi[j] = mids[j]
+            else:
+                lo[j] = mids[j]
+            left[j] -= 1
+        todo = waiting
 
 
 def eigenvalues_bisect(
@@ -171,23 +257,12 @@ def eigenvalues_bisect(
     span = max(ghi - glo, tol)
     glo -= 1e-3 * span
     ghi += 1e-3 * span
-    lo = np.full(n, glo)
-    hi = np.full(n, ghi)
-    ranks = np.arange(1, n + 1)
     width = ghi - glo  # 0 where the widening is below the spacing at a 1 x 1 diagonal
     iterations = int(math.ceil(math.log2(width / tol))) + 2 if width > 0 else 0
     a, b, passes = _seed_brackets(T, tol, width)
-    for _ in range(iterations):
-        mid = 0.5 * (lo + hi)
-        # [lo_j, hi_j] is certified as well: mid equals lo_j or hi_j once no
-        # double lies between them
-        go_down = mid >= np.minimum(b, hi)  # at least j+1 eigenvalues below mid
-        open_ = (mid > np.maximum(a, lo)) & ~go_down
-        if np.any(open_):
-            go_down[open_] = _sturm_counts(T, mid[open_]) >= ranks[open_]
-            passes += 1
-        hi = np.where(go_down, mid, hi)
-        lo = np.where(go_down, lo, mid)
+    lo, hi, counted = _replay(T, glo, ghi, a.tolist(), b.tolist(), iterations)
+    lo, hi = np.array(lo), np.array(hi)
+    passes += counted
     if np.any((hi - lo > tol) & (np.nextafter(lo, np.inf) < hi)):
         raise NumericsError(
             "spectra.eigenvalues_bisect: bracket did not shrink to tolerance"

@@ -51,7 +51,13 @@ class SqueezeParams:
 
     @property
     def mu(self) -> float:
-        return math.sqrt(1.0 + abs(self.nu) ** 2)
+        try:
+            return math.sqrt(1.0 + abs(self.nu) ** 2)
+        except OverflowError:  # |nu| above about 1.3e154
+            raise NumericsError(
+                f"states.SqueezeParams: mu = sqrt(1 + |nu|^2) overflows binary64 "
+                f"at |nu| = {abs(self.nu):.3e}"
+            ) from None
 
     def lambda_prime(self) -> complex:
         """lambda / (mu t) with t the principal root of nu/mu; nu != 0."""
@@ -170,7 +176,7 @@ def build_state(params: SqueezeParams, tol: float) -> FockVector:
         raise ValueError(f"tol must lie in (0, 1e-4], got {tol}")
     try:
         t = params.branch_t()
-    except OverflowError:
+    except NumericsError:  # mu overflows
         raise NumericsError(
             f"states.build_state: mu = sqrt(1 + |nu|^2) overflows binary64 "
             f"at |nu| = {abs(params.nu):.3e}"

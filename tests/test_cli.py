@@ -346,6 +346,20 @@ class TestValidationAndErrors:
         assert len(result.stderr.strip().splitlines()) == 1
         assert "Traceback" not in result.stderr
 
+    def test_state_json_with_overflowing_mu(self, tmp_path):
+        # mu = sqrt(1 + |nu|^2) overflows binary64 above |nu| ~ 1.3e154
+        path = tmp_path / "state.json"
+        assert main(["state", "--k", "2", "--nu", "0.5i", "--lambda", "1+1i",
+                     "--format", "json", "--out", str(path)]) == 0
+        document = json.loads(path.read_text())
+        document["config"]["nu"] = {"re": 1e200, "im": 0.0}
+        path.write_text(json.dumps(document))
+        result = run_cli("verify-sr", str(path))
+        assert result.returncode == 1
+        assert len(result.stderr.strip().splitlines()) == 1
+        assert "Traceback" not in result.stderr
+        assert result.stderr.startswith("error: states.")
+
     def test_out_into_missing_directory(self, tmp_path):
         out = tmp_path / "missing_dir" / "state.csv"
         result = run_cli("state", "--k", "1", "--nu", "0.5", "--lambda", "0", "--out", str(out))
@@ -391,6 +405,9 @@ class TestGoldenBytes:
             ("extensions_k3_n400",
              ["extensions", "--k", "3", "--kappa", "0", "--n", "400",
               "--theta", "0", "--theta", "0.5", "--tol", "1e-9"]),
+            # the cases where counting per index changes the passes most
+            ("spectrum_k4_n1315", ["spectrum", "--k", "4", "--n", "1315", "--tol", "1e-10"]),
+            ("spectrum_k40_n300", ["spectrum", "--k", "40", "--n", "300", "--tol", "1e-10"]),
         ],
     )
     @pytest.mark.parametrize("fmt", ["csv", "json"])

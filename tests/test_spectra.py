@@ -1,5 +1,6 @@
 """Sturm counting, bisection eigenvalues, extension sweeps, diagnostics."""
 
+import functools
 import math
 
 import numpy as np
@@ -19,6 +20,7 @@ from powersqueeze import (
     strict_interlacing,
     sturm_count,
 )
+from powersqueeze import spectra
 from powersqueeze.spectra import _sturm_counts
 
 
@@ -54,6 +56,23 @@ def charpoly_sign_changes(T: TridiagonalMatrix, x: float) -> int:
     return changes
 
 
+def reference_sturm_counts(T: TridiagonalMatrix, xs: np.ndarray) -> np.ndarray:
+    """Verbatim copy of the numpy Sturm pass `spectra._sturm_counts` ran
+    before it counted small shift sets in Python floats; the oracle for
+    the counts and for the bisection bits."""
+    off_sq = T.offdiag**2
+    pivmin = np.finfo(np.float64).tiny * max(1.0, float(np.max(off_sq)) if len(off_sq) else 1.0)
+    d = T.diag[0] - xs
+    d = np.where(np.abs(d) < pivmin, -pivmin, d)
+    counts = (d < 0).astype(np.int64)
+    with np.errstate(divide="ignore", over="ignore"):
+        for i in range(1, T.n):
+            d = (T.diag[i] - xs) - off_sq[i - 1] / d
+            d = np.where(np.abs(d) < pivmin, -pivmin, d)
+            counts += d < 0
+    return counts
+
+
 def plain_bisection_midpoints(T: TridiagonalMatrix, tols) -> dict:
     """{tol: midpoints} of the unseeded full-range bisection loop, which
     counts all n midpoints at every step.  The loop's state after i steps
@@ -76,7 +95,7 @@ def plain_bisection_midpoints(T: TridiagonalMatrix, tols) -> dict:
             for tol in tols_at.get(step, ()):
                 out[tol] = 0.5 * (lo + hi)
             mid = 0.5 * (lo + hi)
-            go_down = _sturm_counts(T, mid) >= ranks
+            go_down = reference_sturm_counts(T, mid) >= ranks
             hi = np.where(go_down, mid, hi)
             lo = np.where(go_down, lo, mid)
     return out
@@ -87,13 +106,22 @@ IDENTITY_THETAS = (0.0, -0.7, 0.5)
 IDENTITY_TOLS = (1e-9, 1e-10, 1e-12)
 
 
+@functools.lru_cache(maxsize=None)
+def plain_midpoints(sector: SectorParams, n: int, theta: float) -> dict:
+    """plain_bisection_midpoints over IDENTITY_TOLS, shared by every test
+    that bisects the same truncation."""
+    T = TridiagonalMatrix.truncation(sector, n, theta=theta)
+    return plain_bisection_midpoints(T, IDENTITY_TOLS)
+
+
 def assert_bits_match_plain_bisection(sector: SectorParams, sizes, thetas, tols):
     for n in sizes:
         for theta in thetas:
             T = TridiagonalMatrix.truncation(sector, n, theta=theta)
-            for tol, plain in plain_bisection_midpoints(T, tols).items():
+            plain = plain_midpoints(sector, n, theta)
+            for tol in tols:
                 got = eigenvalues_bisect(T, tol).eigenvalues
-                assert np.array_equal(got, plain), (sector, n, theta, tol)
+                assert np.array_equal(got, plain[tol]), (sector, n, theta, tol)
 
 
 def hermite_roots_by_bisection(n: int) -> np.ndarray:
@@ -157,37 +185,82 @@ class TestSturmCount:
             assert sturm_count(T, x) == 30 - sturm_count(T, -x)
 
 
+SHIFT_CASES = dict(
+    k=st.integers(1, 6),
+    kappa_frac=st.floats(0.0, 1.0, exclude_max=True),
+    n=st.integers(1, 90),
+    theta=st.floats(-1.0, 1.0),
+    picks=st.lists(
+        st.tuples(st.integers(0, 10**6), st.integers(-6, 6)), min_size=1, max_size=12
+    ),
+    spread=st.floats(0.0, 1.0),
+)
+
+
+def shifts_near_eigenvalues(k, kappa_frac, n, theta, picks, spread):
+    """A truncation and sorted shifts, each within a few ulps of one of its
+    eigenvalues or anywhere in its Gershgorin range."""
+    T = TridiagonalMatrix.truncation(SectorParams(k, int(kappa_frac * k)), n, theta=theta)
+    ev = np.linalg.eigvalsh(dense(T))
+    lo, hi = T.gershgorin()
+    xs = []
+    for index, ulps in picks:
+        x = float(ev[index % n])
+        step = np.inf if ulps > 0 else -np.inf
+        for _ in range(abs(ulps)):
+            x = float(np.nextafter(x, step))
+        xs.append(x)
+        xs.append(lo + (hi - lo) * ((index % 997) / 996.0) * spread)
+    return T, np.sort(np.array(xs))
+
+
 class TestSturmMonotone:
     @settings(max_examples=150, deadline=None, derandomize=True)
-    @given(
-        k=st.integers(1, 6),
-        kappa_frac=st.floats(0.0, 1.0, exclude_max=True),
-        n=st.integers(1, 90),
-        theta=st.floats(-1.0, 1.0),
-        picks=st.lists(
-            st.tuples(st.integers(0, 10**6), st.integers(-6, 6)), min_size=1, max_size=12
-        ),
-        spread=st.floats(0.0, 1.0),
-    )
+    @given(**SHIFT_CASES)
     def test_counts_monotone_in_shift(self, k, kappa_frac, n, theta, picks, spread):
         # the seeded bisection decides a midpoint without a count only
         # because the floating-point count never decreases as the shift grows;
         # shifts sit within a few ulps of eigenvalues and anywhere in range
-        T = TridiagonalMatrix.truncation(SectorParams(k, int(kappa_frac * k)), n, theta=theta)
-        ev = np.linalg.eigvalsh(dense(T))
-        lo, hi = T.gershgorin()
-        xs = []
-        for index, ulps in picks:
-            x = float(ev[index % n])
-            step = np.inf if ulps > 0 else -np.inf
-            for _ in range(abs(ulps)):
-                x = float(np.nextafter(x, step))
-            xs.append(x)
-            xs.append(lo + (hi - lo) * ((index % 997) / 996.0) * spread)
-        xs = np.sort(np.array(xs))
-        counts = _sturm_counts(T, xs)
+        T, xs = shifts_near_eigenvalues(k, kappa_frac, n, theta, picks, spread)
+        counts = reference_sturm_counts(T, xs)
         assert np.all(np.diff(counts) >= 0)
+        assert np.array_equal(_sturm_counts(T, xs), counts)
         assert np.array_equal(counts, [sturm_count(T, float(x)) for x in xs])
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(**SHIFT_CASES)
+    def test_scalar_and_vector_paths_agree(self, k, kappa_frac, n, theta, picks, spread):
+        # a shift's count must not depend on how many shifts share its pass:
+        # the replay counts each index in whatever pass it waits for
+        T, xs = shifts_near_eigenvalues(k, kappa_frac, n, theta, picks, spread)
+        alone = [int(_sturm_counts(T, xs[i : i + 1])[0]) for i in range(len(xs))]
+        lo, hi = T.gershgorin()
+        batch = np.concatenate([xs, np.linspace(lo, hi, spectra._SCALAR_SHIFTS + 1)])
+        assert len(batch) > spectra._SCALAR_SHIFTS
+        batched = _sturm_counts(T, batch)[: len(xs)]
+        reference = reference_sturm_counts(T, xs)
+        assert np.array_equal(alone, reference)
+        assert np.array_equal(batched, reference)
+
+    def test_paths_agree_on_extreme_pivots(self):
+        # off-diagonal squares that overflow (pivmin = inf) or underflow to 0,
+        # exact zero pivots and infinite shifts
+        cases = [
+            TridiagonalMatrix(diag=[0.0, 0.0, 0.0], offdiag=[1e160, 1.0]),
+            TridiagonalMatrix(diag=[1.0, -2.0, 0.5], offdiag=[1e-200, 3.0]),
+            TridiagonalMatrix(diag=[0.0, 0.0, 0.0, 0.0], offdiag=[1.0, 1e154, 1.0]),
+            TridiagonalMatrix.truncation(SectorParams(40, 0), 300),
+        ]
+        for T in cases:
+            xs = np.concatenate([T.diag, [0.0, -0.0, 1.0, -1.0, 1e300, -1e300, np.inf, -np.inf]])
+            xs = np.concatenate([xs, np.nextafter(xs, np.inf), np.nextafter(xs, -np.inf)])
+            batch = np.concatenate([xs, np.zeros(spectra._SCALAR_SHIFTS + 1)])
+            with np.errstate(over="ignore", invalid="ignore"):
+                reference = reference_sturm_counts(T, xs)
+                alone = [int(_sturm_counts(T, xs[i : i + 1])[0]) for i in range(len(xs))]
+                batched = _sturm_counts(T, batch)[: len(xs)]
+            assert np.array_equal(alone, reference)
+            assert np.array_equal(batched, reference)
 
 
 class TestEigenvaluesBisect:
@@ -308,10 +381,17 @@ class TestSeededBisection:
 
     def test_brackets_start_at_float_spacing(self):
         # |lambda| reaches ~1e66 at k = 40, where a tol/2 half-width rounds
-        # to a point; widening from there took 66 of 191 passes
+        # to a point; widening from there took 66 of 191 passes, and
+        # counting each index at its own step took the rest down to 10
         T = TridiagonalMatrix.truncation(SectorParams(40, 0), 300)
         report = eigenvalues_bisect(T, 1e-10)
-        assert report.sturm_passes < 191
+        assert report.sturm_passes <= 12
+
+    def test_replay_passes_at_large_lambda(self):
+        # k = 4, n = 1315 took 30 passes when every step that needed a count
+        # made one; counted per index it takes 12
+        T = TridiagonalMatrix.truncation(SectorParams(4, 0), 1315)
+        assert eigenvalues_bisect(T, 1e-10).sturm_passes <= 14
 
     def test_tol_below_float_spacing_returns(self):
         # |lambda| reaches 5.4e7, where adjacent doubles are 7.5e-9 > tol apart
