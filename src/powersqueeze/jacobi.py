@@ -26,11 +26,13 @@ from enum import Enum
 import numpy as np
 
 from ._compensated import comp_dot
+from .errors import NumericsError
 from .polynomials import hermite
 
 # integer products above this bit length cannot be converted to float;
 # the square root is then evaluated as exp of a log-domain sum
 _LOG_SWITCH_BITS = 1000
+_LOG_FLOAT_MAX = math.log(np.finfo(np.float64).max)
 
 _NEG_INF = float("-inf")
 
@@ -67,7 +69,7 @@ def off_diagonal(sector: SectorParams, m: int) -> float:
         return math.sqrt(prod)
     # log-domain fallback for huge m*k
     log_value = log_off_diagonal(sector, m)
-    if log_value > math.log(np.finfo(np.float64).max):
+    if log_value > _LOG_FLOAT_MAX:
         raise OverflowError(
             f"jacobi.off_diagonal: b_m overflows binary64 at m={m} "
             f"(sector k={sector.k}, kappa={sector.kappa})"
@@ -90,13 +92,27 @@ class OffDiagonalSequence:
 
     @classmethod
     def build(cls, sector: SectorParams, length: int) -> "OffDiagonalSequence":
+        """b_m = sqrt of the float product of its k factors.  The product
+        grows with m, so only a top run of entries can overflow; those take
+        the log-domain route of off_diagonal, and NumericsError is raised
+        when b_{length-1} itself exceeds binary64."""
         if length < 1:
             raise ValueError("length must be >= 1")
         m = np.arange(length, dtype=np.float64)
         prod = np.ones(length)
-        for p in range(sector.k):
-            prod *= m * sector.k + sector.kappa + 1 + p
-        return cls(sector, np.sqrt(prod))
+        with np.errstate(over="ignore"):
+            for p in range(sector.k):
+                prod *= m * sector.k + sector.kappa + 1 + p
+        values = np.sqrt(prod)
+        if math.isinf(values[-1]):
+            if log_off_diagonal(sector, length - 1) > _LOG_FLOAT_MAX:
+                raise NumericsError(
+                    f"jacobi.OffDiagonalSequence.build: b_m overflows binary64 at "
+                    f"m = {length - 1} (sector k={sector.k}, kappa={sector.kappa})"
+                )
+            for j in np.flatnonzero(np.isinf(prod)).tolist():
+                values[j] = off_diagonal(sector, j)
+        return cls(sector, values)
 
     def __len__(self) -> int:
         return len(self.values)

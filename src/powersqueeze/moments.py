@@ -9,6 +9,7 @@ integrates polynomially bounded functions to near machine accuracy.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -21,6 +22,13 @@ from .polynomials import weight_rho, weight_tail_coefficient
 
 _GL_ORDER = 16
 _MAX_REFINEMENTS = 12
+# Grids that do not depend on the integrand are kept for reuse: a moment
+# table or an orthonormality table integrates many functions on the same
+# (b, X, panels) grids.  Only grids up to _CACHED_PANELS panels are kept
+# (256 KiB each, 2 MiB in all), so a refinement run that climbs to
+# millions of points pins no memory.
+_GRID_CACHE_SIZE = 8
+_CACHED_PANELS = 1024
 _MOMENT_ORDER_CAP = 24  # Hankel conditioning cliff; see moments()
 
 
@@ -52,6 +60,32 @@ def _choose_cutoff(b: float, degree: int, coeff: float, tol: float) -> float:
     )
 
 
+@functools.cache
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    """The 16-point Gauss-Legendre nodes and weights on [-1, 1], read-only."""
+    nodes, weights = np.polynomial.legendre.leggauss(_GL_ORDER)
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
+
+
+def _panel_grid(b: float, X: float, panels: int) -> tuple[np.ndarray, float, np.ndarray]:
+    """Composite Gauss-Legendre points on [-X, X], the half panel width and
+    rho_b at the points; the arrays are read-only."""
+    nodes, _ = _gauss_legendre()
+    edges = np.linspace(-X, X, panels + 1)
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    half = 0.5 * (edges[1] - edges[0])
+    pts = (mid[:, None] + half * nodes[None, :]).ravel()
+    rho = weight_rho(b, pts)
+    pts.setflags(write=False)
+    rho.setflags(write=False)
+    return pts, half, rho
+
+
+_cached_panel_grid = functools.lru_cache(maxsize=_GRID_CACHE_SIZE)(_panel_grid)
+
+
 def integrate_weighted(f, b: float, tol: float, degree: int = 0) -> tuple[float, float]:
     """Integral of f(x) rho_b(x) dx over the real line, with error estimate.
 
@@ -74,15 +108,13 @@ def integrate_weighted(f, b: float, tol: float, degree: int = 0) -> tuple[float,
     X = _choose_cutoff(b, degree, coeff, tol)
     tail = _tail_bound(b, degree, X, coeff)
 
-    nodes, weights = np.polynomial.legendre.leggauss(_GL_ORDER)
+    _, weights = _gauss_legendre()
 
     def composite(panels: int) -> tuple[float, float]:
         """The composite rule and its sum of |contributions| (~ int |f| rho)."""
-        edges = np.linspace(-X, X, panels + 1)
-        mid = 0.5 * (edges[:-1] + edges[1:])
-        half = 0.5 * (edges[1] - edges[0])
-        pts = (mid[:, None] + half * nodes[None, :]).ravel()
-        vals = np.asarray(f(pts), dtype=np.float64) * weight_rho(b, pts)
+        grid = _cached_panel_grid if panels <= _CACHED_PANELS else _panel_grid
+        pts, half, rho = grid(b, X, panels)
+        vals = np.asarray(f(pts), dtype=np.float64) * rho
         contrib = (half * (vals.reshape(panels, _GL_ORDER) * weights[None, :])).ravel()
         # fixed summation order for byte-reproducible results; the
         # magnitude only scales a roundoff floor and needs no exact sum

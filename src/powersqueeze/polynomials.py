@@ -8,7 +8,10 @@ The degree-m family member P_m(x, b) is evaluated two ways:
         i^m sqrt((2b)_m / m!) 2F1(-m, b+ix; 2b; 2),
         carried out in exact rational complex arithmetic because the
         z = 2 argument cancels ~ 3^m before settling (double precision
-        is out of digits near m = 20);
+        is out of digits near m = 20).  The rationals are held as Python
+        integers: x and b over one power-of-two denominator, the sum by
+        Horner's rule as a Gaussian-integer numerator over an integer
+        denominator, rounded to binary64 once at the end;
   (ii)  the orthonormal three-term recursion
         x P_m = c_{m+1} P_{m+1} + c_m P_{m-1},
         c_m = sqrt(m (m + 2b - 1)) / 2,
@@ -71,50 +74,54 @@ def _ldexp(z: complex, exp2: int) -> complex:
 
 
 def _series_coefficient(b: float, m: int) -> float:
-    """sqrt((2b)_m / m!) as a float, from the exact rational ratio."""
-    q = Fraction(1)
-    bb = Fraction(b)
+    """sqrt((2b)_m / m!) as a float, from the exact integer ratio."""
+    bn, bd = Fraction(b).as_integer_ratio()
+    num = den = 1
     for j in range(m):
-        q *= (2 * bb + j) / (j + 1)
-    return math.sqrt(float(q))
+        num *= 2 * bn + j * bd
+        den *= (j + 1) * bd
+    return math.sqrt(num / den)
 
 
 def _pollaczek_series_exact(m: int, x: float, b: float) -> float:
-    """Route (i): exact rational evaluation of the terminating sum.
+    """Route (i): exact evaluation of the terminating sum in integers.
 
-    The inputs are binary floats, hence exact rationals, and the identity
-    "i^m times the sum is real" holds over the rationals; the imaginary
-    component must vanish identically and is asserted, not discarded.
+    The inputs are binary floats, hence x = X/D and b = B/D over one
+    power-of-two D.  The term ratio 2(j-m)(b+ix+j) / ((2b+j)(j+1)) is then
+    n_j/d_j with the Gaussian integer n_j = 2(j-m)(B+jD+iX) and the
+    positive integer d_j = (2B+jD)(j+1), and Horner's rule from the top,
+    T <- 1 + (n_j/d_j) T, keeps T = P/Q over Gaussian-integer P and integer
+    Q without a gcd.  The identity "i^m times the sum is real" holds
+    exactly, so the imaginary numerator must vanish identically and is
+    asserted, not discarded; the real part is rounded once, by the
+    correctly rounded int division.
     """
-    xf, bf = Fraction(x), Fraction(b)
-    sum_re, sum_im = Fraction(1), Fraction(0)
-    term_re, term_im = Fraction(1), Fraction(0)
-    for j in range(m):
-        # term *= (-m + j)(b + ix + j) * 2 / ((2b + j)(j + 1))
-        fac = Fraction(j - m)
-        pr, pi = fac * (bf + j), fac * xf
-        den = (2 * bf + j) * (j + 1)
-        term_re, term_im = (
-            (term_re * pr - term_im * pi) * 2 / den,
-            (term_re * pi + term_im * pr) * 2 / den,
-        )
-        sum_re += term_re
-        sum_im += term_im
+    xr, br = Fraction(x), Fraction(b)
+    D = math.lcm(xr.denominator, br.denominator)
+    X = xr.numerator * (D // xr.denominator)
+    B = br.numerator * (D // br.denominator)
+    p_re, p_im, q = 1, 0, 1
+    for j in range(m - 1, -1, -1):
+        s = 2 * (j - m)
+        n_re, n_im = s * (B + j * D), s * X
+        d = (2 * B + j * D) * (j + 1)
+        p_re, p_im = d * q + n_re * p_re - n_im * p_im, n_re * p_im + n_im * p_re
+        q *= d
     rot = m % 4  # multiply by i^m
     if rot == 0:
-        re, im = sum_re, sum_im
+        re, im = p_re, p_im
     elif rot == 1:
-        re, im = -sum_im, sum_re
+        re, im = -p_im, p_re
     elif rot == 2:
-        re, im = -sum_re, -sum_im
+        re, im = -p_re, -p_im
     else:
-        re, im = sum_im, -sum_re
+        re, im = p_im, -p_re
     if im != 0:
         raise NumericsError(
             f"polynomials.pollaczek: series imaginary part not identically zero "
             f"at m={m}, x={x!r}, b={b!r}"
         )
-    return float(re) * _series_coefficient(b, m)
+    return re / q * _series_coefficient(b, m)
 
 
 def _recursion_c(b: float, m: int) -> float:

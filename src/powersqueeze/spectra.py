@@ -46,6 +46,9 @@ class TridiagonalMatrix:
         object.__setattr__(self, "offdiag", np.asarray(self.offdiag, dtype=np.float64))
         if len(self.offdiag) != len(self.diag) - 1:
             raise ValueError("offdiag must have length n-1")
+        for name, entries in (("diagonal", self.diag), ("off-diagonal", self.offdiag)):
+            if not np.isfinite(entries).all():
+                raise ValueError(f"spectra.TridiagonalMatrix: non-finite {name} entry")
         if len(self.offdiag) and np.min(self.offdiag) <= 0.0:
             raise ValueError("off-diagonal entries must be strictly positive")
 
@@ -63,7 +66,7 @@ class TridiagonalMatrix:
             raise ValueError(f"n must be >= 1, got {n}")
         b = OffDiagonalSequence.build(sector, n).values
         diag = np.zeros(n)
-        diag[-1] = theta * b[n - 1]
+        diag[-1] = float(theta) * float(b[n - 1])  # an overflow is inf, not a warning
         return cls(diag=diag, offdiag=b[: n - 1])
 
     def gershgorin(self) -> tuple[float, float]:

@@ -37,6 +37,10 @@ from .jacobi import (
 _MAX_CUTOFF = 100_000
 _SQUARE_SUMMABLE_EXPONENT = -0.5 - 0.1  # decay strictly faster than 1/sqrt
 _CAUCHY_WINDOW = 0.10
+# the minimal solution's banded system has N = 100 M rows, so that its
+# contamination sqrt(M/N) is 10%; memory caps N at 2e6 (M <= 20000)
+_BANDED_OVERSIZE = 100
+_MAX_BANDED = 2_000_000
 # log of the smallest normal binary64; a normalized c_0 below it is lost
 _LOG_TINY = math.log(np.finfo(np.float64).tiny)
 
@@ -391,9 +395,12 @@ def residual_check(v: FockVector, params: SqueezeParams) -> float:
 class DeficiencyEvidence:
     """Count of independent square-summable solutions at lambda' = i.
 
-    count is None when the envelope fits were ambiguous (never a silent
-    guess).  Exponents are the fitted envelope slopes; minimal_exponent is
-    reported only when the decaying combination had to be constructed.
+    count is None when the envelope fits were ambiguous or the
+    contamination bound is not met (never a silent guess).  Exponents are
+    the fitted envelope slopes; minimal_exponent is reported only when the
+    decaying combination had to be constructed, and contamination_bound,
+    sqrt(M/N) for its banded system of N rows, with it.  The bound is met
+    at N >= 100 M, which holds up to M = 20000 (N is capped at 2e6).
     """
 
     sector: SectorParams
@@ -403,6 +410,7 @@ class DeficiencyEvidence:
     exponent_second: float | None
     minimal_exponent: float | None
     conclusive: bool
+    contamination_bound: float | None = None
 
 
 def _flagged(profile) -> bool:
@@ -414,24 +422,34 @@ def _flagged(profile) -> bool:
     )
 
 
-def _minimal_solution_profile(sector: SectorParams, M: int) -> tuple[float | None, bool, int]:
+def _minimal_solution_profile(sector: SectorParams, M: int, N: int) -> tuple[float | None, bool, int]:
     """Envelope exponent and Cauchy flag of the decaying solution at i.
 
     The minimal solution is aligned with (T_N - i)^{-1} e_0 for N >> M;
-    a banded solve with N = 100 M leaves contamination ~ sqrt(M/N) = 10%
-    at the top of the fit window, enough for a decade-scale slope.
+    the contamination ~ sqrt(M/N) at the top of the fit window is at most
+    10% at N >= 100 M, enough for a decade-scale slope.  The tridiagonal
+    system is solved by LAPACK zgtsv (Gaussian elimination with partial
+    pivoting), called on its three diagonals directly.
     """
-    import scipy.linalg  # loaded on first use: it doubles every CLI start
+    from scipy.linalg import lapack  # loaded on first use: it doubles every CLI start
 
-    N = min(100 * M, 2_000_000)
-    b = OffDiagonalSequence.build(sector, N).values
-    ab = np.zeros((3, N), dtype=np.complex128)
-    ab[0, 1:] = b[: N - 1]
-    ab[1, :] = -1j
-    ab[2, :-1] = b[: N - 1]
+    b = OffDiagonalSequence.build(sector, N).values[: N - 1]
+    if not np.isfinite(b).all():
+        raise NumericsError(
+            f"states.deficiency_evidence: non-finite off-diagonal in the "
+            f"banded system (N = {N})"
+        )
+    dl = b.astype(np.complex128)
+    du = dl.copy()
+    d = np.full(N, -1j)
     rhs = np.zeros(N, dtype=np.complex128)
     rhs[0] = 1.0
-    u = scipy.linalg.solve_banded((1, 1), ab, rhs)
+    _, _, _, u, info = lapack.zgtsv(dl, d, du, rhs, True, True, True, True)
+    if info != 0:
+        raise NumericsError(
+            f"states.deficiency_evidence: zgtsv returned info = {info} on the "
+            f"banded system (N = {N})"
+        )
     mag = np.abs(u[: M + 1])
     with np.errstate(divide="ignore"):
         log_abs = np.where(mag > 0.0, np.log(np.where(mag > 0.0, mag, 1.0)), -np.inf)
@@ -450,7 +468,9 @@ def deficiency_evidence(sector: SectorParams, M: int) -> DeficiencyEvidence:
     solution and neither is flagged, so the decaying combination is
     constructed separately and tested (count 1).  A solution is flagged
     when its envelope exponent is below -0.6 and its partial sums are
-    Cauchy across M/2 -> M within 10%.
+    Cauchy across M/2 -> M within 10%.  The constructed combination counts
+    only while its contamination bound sqrt(M/N) is at most 10%, that is
+    up to M = 20000; above it the evidence is not conclusive.
     """
     if M < 5000:
         raise ValueError(f"M must be >= 5000, got {M}")
@@ -469,11 +489,19 @@ def deficiency_evidence(sector: SectorParams, M: int) -> DeficiencyEvidence:
         return DeficiencyEvidence(
             sector, M, 1, prof_poly.exponent, prof_second.exponent, None, True
         )
-    min_exp, min_cauchy, min_count = _minimal_solution_profile(sector, M)
-    if min_count >= 20 and min_exp is not None and min_exp < _SQUARE_SUMMABLE_EXPONENT and min_cauchy:
+    N = min(_BANDED_OVERSIZE * M, _MAX_BANDED)
+    min_exp, min_cauchy, min_count = _minimal_solution_profile(sector, M, N)
+    bound = math.sqrt(M / N)
+    if (
+        N >= _BANDED_OVERSIZE * M
+        and min_count >= 20
+        and min_exp is not None
+        and min_exp < _SQUARE_SUMMABLE_EXPONENT
+        and min_cauchy
+    ):
         return DeficiencyEvidence(
-            sector, M, 1, prof_poly.exponent, prof_second.exponent, min_exp, True
+            sector, M, 1, prof_poly.exponent, prof_second.exponent, min_exp, True, bound
         )
     return DeficiencyEvidence(
-        sector, M, None, prof_poly.exponent, prof_second.exponent, min_exp, False
+        sector, M, None, prof_poly.exponent, prof_second.exponent, min_exp, False, bound
     )

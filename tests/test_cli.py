@@ -360,6 +360,20 @@ class TestValidationAndErrors:
         assert "Traceback" not in result.stderr
         assert result.stderr.startswith("error: states.")
 
+    def test_off_diagonal_overflow_names_source(self):
+        # b_m for k = 250 exceeds binary64 below m = 400
+        result = run_cli("spectrum", "--k", "250", "--n", "400", "--tol", "1e-9")
+        assert result.returncode == 1
+        assert result.stderr.startswith("error: jacobi.OffDiagonalSequence.build: ")
+        assert len(result.stderr.strip().splitlines()) == 1
+        assert "Warning" not in result.stderr
+
+    def test_overflowing_boundary_entry(self):
+        # theta * b_{n-1} overflows: refused as a non-finite diagonal
+        result = run_cli("extensions", "--k", "3", "--n", "60", "--theta", "1e308", "--theta", "0")
+        assert result.returncode == 1
+        assert result.stderr == "error: spectra.TridiagonalMatrix: non-finite diagonal entry\n"
+
     def test_out_into_missing_directory(self, tmp_path):
         out = tmp_path / "missing_dir" / "state.csv"
         result = run_cli("state", "--k", "1", "--nu", "0.5", "--lambda", "0", "--out", str(out))

@@ -1,12 +1,14 @@
 """Off-diagonals, commutator weights, and the three-term recursion solver."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from powersqueeze import (
     InitialKind,
+    NumericsError,
     OffDiagonalSequence,
     SectorParams,
     commutator_weight,
@@ -86,6 +88,32 @@ class TestOffDiagonal:
     def test_overflow_reports_index(self):
         with pytest.raises(OverflowError, match="m=1000000"):
             off_diagonal(SectorParams(5, 0), 10**0 * 1000000 * 10**117)
+
+    def test_sequence_products_past_binary64(self):
+        # k = 100: b_m^2 overflows binary64 from m = 12 on, b_m itself does not.
+        # Those entries take off_diagonal's log-domain route, without a
+        # warning; the entries below keep the float product's bits.
+        sector = SectorParams(100, 7)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = OffDiagonalSequence.build(sector, 200).values
+        m = np.arange(200, dtype=np.float64)
+        prod = np.ones(200)
+        with np.errstate(over="ignore"):
+            for p in range(100):
+                prod *= m * 100 + 7 + 1 + p
+        finite = np.isfinite(prod)
+        assert 0 < finite.sum() < 200
+        assert np.array_equal(values[finite], np.sqrt(prod[finite]))
+        assert [values[j] for j in np.flatnonzero(~finite)] == [
+            off_diagonal(sector, int(j)) for j in np.flatnonzero(~finite)
+        ]
+
+    def test_sequence_overflow_names_build(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericsError, match=r"^jacobi\.OffDiagonalSequence\.build: .*m = 399"):
+                OffDiagonalSequence.build(SectorParams(250, 0), 400)
 
 
 class TestCommutatorWeight:

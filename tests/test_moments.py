@@ -1,13 +1,16 @@
 """Quadrature, moments, Hankel positivity, coefficient recovery, determinacy."""
 
+import importlib
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import powersqueeze.polynomials
 from powersqueeze import (
     JacobiRecoveryError,
+    QuadratureError,
     SectorParams,
     Verdict,
     classify_determinacy,
@@ -18,6 +21,14 @@ from powersqueeze import (
     off_diagonal,
     pollaczek_table,
     weight_rho,
+)
+from powersqueeze.moments import (
+    _CACHED_PANELS,
+    _GL_ORDER,
+    _MAX_REFINEMENTS,
+    _cached_panel_grid,
+    _choose_cutoff,
+    _tail_bound,
 )
 
 
@@ -40,6 +51,120 @@ def exact_moment(b: float, order: int) -> Fraction:
                 new[pos - 1] = new.get(pos - 1, Fraction(0)) + w
         state = new
     return state.get(0, Fraction(0))
+
+
+def reference_integrate_weighted(f, b: float, tol: float, degree: int = 0) -> tuple[float, float]:
+    """Verbatim copy of `moments.integrate_weighted` as it was before it
+    kept the Gauss-Legendre rule and the (b, X, panels) grids: every call
+    builds both anew.  The oracle for the cached version's bits."""
+    if b <= 0:
+        raise ValueError(f"b must be > 0, got {b}")
+    if tol <= 0:
+        raise ValueError(f"tol must be > 0, got {tol}")
+
+    probe = np.linspace(-64.0, 64.0, 513)
+    denom = np.maximum(1.0, np.abs(probe) ** degree)
+    coeff = 2.0 * float(np.max(np.abs(np.asarray(f(probe), dtype=np.float64)) / denom))
+    coeff = max(coeff, 1e-12)
+    X = _choose_cutoff(b, degree, coeff, tol)
+    tail = _tail_bound(b, degree, X, coeff)
+
+    nodes, weights = np.polynomial.legendre.leggauss(_GL_ORDER)
+
+    def composite(panels: int) -> tuple[float, float]:
+        """The composite rule and its sum of |contributions| (~ int |f| rho)."""
+        edges = np.linspace(-X, X, panels + 1)
+        mid = 0.5 * (edges[:-1] + edges[1:])
+        half = 0.5 * (edges[1] - edges[0])
+        pts = (mid[:, None] + half * nodes[None, :]).ravel()
+        vals = np.asarray(f(pts), dtype=np.float64) * weight_rho(b, pts)
+        contrib = (half * (vals.reshape(panels, _GL_ORDER) * weights[None, :])).ravel()
+        # fixed summation order for byte-reproducible results; the
+        # magnitude only scales a roundoff floor and needs no exact sum
+        return math.fsum(contrib.tolist()), float(np.sum(np.abs(contrib)))
+
+    panels = max(8, int(math.ceil(X / 2.0)))
+    current, _ = composite(panels)
+    for _ in range(_MAX_REFINEMENTS):
+        panels *= 2
+        previous = current
+        current, magnitude = composite(panels)
+        delta = abs(current - previous)
+        # roundoff of the sum scales with int |f| rho, which for an odd
+        # integrand is far above the (vanishing) result itself
+        floor = 1e-14 * magnitude
+        if delta <= 0.5 * tol + floor:
+            return current, delta + tail + floor
+    raise QuadratureError(
+        f"moments.integrate_weighted: no convergence to {tol:g} after "
+        f"{_MAX_REFINEMENTS} refinements (last two estimates {previous!r}, "
+        f"{current!r})",
+        (previous, current),
+    )
+
+
+def _orthonormality_integrands(b: float, degree: int):
+    """(f, degree) for P_i P_j, i <= j <= degree, as a table is checked."""
+    for i in range(degree + 1):
+        for j in range(i, degree + 1):
+            yield (lambda x, i=i, j=j: pollaczek_table(j, x, b)[i] * pollaczek_table(j, x, b)[j]), i + j
+
+
+class TestGridCache:
+    """Kept grids give the uncached rule's bits, stay bounded and read-only."""
+
+    @pytest.mark.parametrize("b", [0.25, 0.75])
+    def test_bits_match_uncached_rule(self, b):
+        cases = [(lambda x, m=m: x**m, m) for m in range(25)]
+        cases += list(_orthonormality_integrands(b, 6))
+        cases += [(lambda x: np.cos(3.0 * x), 0), (lambda x: np.exp(-x * x) * x**3, 3)]
+        expected = [reference_integrate_weighted(f, b, tol, degree=d) for f, d in cases for tol in (1e-8, 1e-10)]
+        _cached_panel_grid.cache_clear()
+        for _ in range(2):  # cold, then warm
+            got = [integrate_weighted(f, b, tol, degree=d) for f, d in cases for tol in (1e-8, 1e-10)]
+            assert got == expected
+        assert _cached_panel_grid.cache_info().hits > 0
+
+    def test_failure_matches_uncached_rule(self):
+        def rough(x):
+            return 1.0 / (1e-8 + x * x)
+
+        with pytest.raises(QuadratureError) as ref:
+            reference_integrate_weighted(rough, 0.25, 1e-13)
+        with pytest.raises(QuadratureError) as got:
+            integrate_weighted(rough, 0.25, 1e-13)
+        assert str(got.value) == str(ref.value)
+        assert got.value.last_estimates == ref.value.last_estimates
+
+    def test_cache_is_bounded(self, monkeypatch):
+        # a refinement run to the cap keeps at most 8 grids, none of them
+        # above _CACHED_PANELS panels; larger grids are built and dropped
+        moments_module = importlib.import_module("powersqueeze.moments")
+        uncached = []
+        original = moments_module._panel_grid
+
+        def recording(b, X, panels):
+            uncached.append(panels)
+            return original(b, X, panels)
+
+        monkeypatch.setattr(moments_module, "_panel_grid", recording)
+        _cached_panel_grid.cache_clear()
+        with pytest.raises(QuadratureError):
+            integrate_weighted(lambda x: 1.0 / (1e-8 + x * x), 0.25, 1e-13)
+        info = _cached_panel_grid.cache_info()
+        assert info.maxsize == 8 and info.currsize <= 8
+        assert uncached and min(uncached) > _CACHED_PANELS
+        assert info.misses + len(uncached) == _MAX_REFINEMENTS + 1
+
+    def test_grid_arrays_are_read_only(self):
+        pts, half, rho = _cached_panel_grid(0.25, 20.0, 16)
+        assert pts.shape == rho.shape == (16 * _GL_ORDER,)
+        assert half == pytest.approx(20.0 / 16)
+        for array in (pts, rho):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 1.0
+        assert np.array_equal(rho, powersqueeze.polynomials.weight_rho(0.25, pts))
 
 
 class TestIntegrateWeighted:

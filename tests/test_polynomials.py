@@ -1,10 +1,13 @@
 """Pochhammer, Hermite, the orthonormal polynomial family, and the weight."""
 
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from powersqueeze import (
     gamma_abs_sq,
@@ -15,7 +18,8 @@ from powersqueeze import (
     pollaczek_table,
     weight_rho,
 )
-from powersqueeze.polynomials import _pollaczek_series_exact
+from powersqueeze.errors import NumericsError
+from powersqueeze.polynomials import _pollaczek_series_exact, _series_coefficient
 
 
 class TestPochhammer:
@@ -111,6 +115,97 @@ class TestPollaczek:
         for m in range(13):
             for j, x in enumerate(xs):
                 assert table[m, j] == pytest.approx(pollaczek(m, float(x), 0.75), rel=1e-13, abs=1e-14)
+
+
+def reference_series_coefficient(b: float, m: int) -> float:
+    """Verbatim copy of `polynomials._series_coefficient` as it was in
+    Fraction arithmetic; the oracle for the integer version's bits."""
+    q = Fraction(1)
+    bb = Fraction(b)
+    for j in range(m):
+        q *= (2 * bb + j) / (j + 1)
+    return math.sqrt(float(q))
+
+
+def reference_series_exact(m: int, x: float, b: float) -> float:
+    """Verbatim copy of `polynomials._pollaczek_series_exact` as it was in
+    Fraction arithmetic (term by term, a gcd at every step)."""
+    xf, bf = Fraction(x), Fraction(b)
+    sum_re, sum_im = Fraction(1), Fraction(0)
+    term_re, term_im = Fraction(1), Fraction(0)
+    for j in range(m):
+        # term *= (-m + j)(b + ix + j) * 2 / ((2b + j)(j + 1))
+        fac = Fraction(j - m)
+        pr, pi = fac * (bf + j), fac * xf
+        den = (2 * bf + j) * (j + 1)
+        term_re, term_im = (
+            (term_re * pr - term_im * pi) * 2 / den,
+            (term_re * pi + term_im * pr) * 2 / den,
+        )
+        sum_re += term_re
+        sum_im += term_im
+    rot = m % 4  # multiply by i^m
+    if rot == 0:
+        re, im = sum_re, sum_im
+    elif rot == 1:
+        re, im = -sum_im, sum_re
+    elif rot == 2:
+        re, im = -sum_re, -sum_im
+    else:
+        re, im = sum_im, -sum_re
+    if im != 0:
+        raise NumericsError(
+            f"polynomials.pollaczek: series imaginary part not identically zero "
+            f"at m={m}, x={x!r}, b={b!r}"
+        )
+    return float(re) * reference_series_coefficient(b, m)
+
+
+def _same_bits(a: float, b: float) -> bool:
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+SERIES_CASES = dict(
+    m=st.integers(0, 30),
+    x=st.one_of(
+        st.floats(-60.0, 60.0, allow_nan=False, allow_infinity=False),
+        st.floats(-1e-6, 1e-6, allow_nan=False, allow_infinity=False),
+    ),
+    # dyadic b = n / 2^e in (0, 64]
+    b=st.builds(lambda n, e: n / 2.0**e, st.integers(1, 2**20), st.integers(0, 20)),
+)
+
+
+class TestIntegerSeries:
+    """The integer Horner form of the series gives the Fraction form's bits."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(**SERIES_CASES)
+    def test_bits_match_fraction_series(self, m, x, b):
+        assert _same_bits(_pollaczek_series_exact(m, x, b), reference_series_exact(m, x, b))
+        assert _series_coefficient(b, m) == reference_series_coefficient(b, m)
+
+    @pytest.mark.parametrize("b", [0.25, 0.75, 1 / 3])
+    @pytest.mark.parametrize("x", [0.0, -0.0, 0.37, -1.5, 2.75, 10.0, 1e-300])
+    def test_bits_on_a_grid(self, x, b):
+        # 1/3 is a binary float too, with a 2^54 denominator
+        for m in range(31):
+            assert _same_bits(_pollaczek_series_exact(m, x, b), reference_series_exact(m, x, b))
+
+    @pytest.mark.parametrize("b", [0.25, 0.75])
+    @pytest.mark.parametrize("m", [0, 1, 2, 7, 12, 20, 29, 30])
+    def test_matches_mpmath_hypergeometric(self, m, b):
+        # P_m = i^m sqrt((2b)_m / m!) 2F1(-m, b + ix; 2b; 2) at 40 digits;
+        # the integer route rounds twice and multiplies once, a few ulp
+        if m % 2:  # odd in x; mpmath cannot pin an exact zero relatively
+            assert _same_bits(_pollaczek_series_exact(m, 0.0, b), 0.0)
+        with mpmath.workdps(40):
+            for x in (0.37, -1.5, 2.75, 10.0) if m % 2 else (0.0, 0.37, -1.5, 2.75, 10.0):
+                f = mpmath.hyp2f1(-m, b + 1j * x, 2 * b, 2)
+                coeff = mpmath.sqrt(mpmath.rf(2 * b, m) / mpmath.factorial(m))
+                expected = mpmath.re(1j**m * coeff * f)
+                value = _pollaczek_series_exact(m, x, b)
+                assert abs(value - expected) <= 4e-16 * abs(expected) + mpmath.mpf(10) ** -35
 
 
 def _product_formula_half(x: float, terms: int = 200_000) -> float:

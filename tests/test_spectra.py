@@ -330,6 +330,19 @@ class TestEigenvaluesBisect:
             ev = eigenvalues_bisect(T, 1e-11).eigenvalues
             assert float(np.min(np.diff(ev))) > 1e-6
 
+    @pytest.mark.parametrize(
+        "diag, offdiag, name",
+        [
+            ([0.0, 0.0, 0.0], [1.0, np.nan], "off-diagonal"),
+            ([0.0, 0.0, 0.0], [np.inf, 1.0], "off-diagonal"),
+            ([0.0, np.nan, 0.0], [1.0, 1.0], "diagonal"),
+            ([0.0, 0.0, -np.inf], [1.0, 1.0], "diagonal"),
+        ],
+    )
+    def test_non_finite_entries_are_refused(self, diag, offdiag, name):
+        with pytest.raises(ValueError, match=rf"^spectra\.TridiagonalMatrix: non-finite {name} entry$"):
+            TridiagonalMatrix(diag=diag, offdiag=offdiag)
+
     def test_one_by_one_matrix(self):
         T = TridiagonalMatrix(diag=[2.5], offdiag=[])
         report = eigenvalues_bisect(T, 1e-12)

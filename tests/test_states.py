@@ -19,6 +19,7 @@ from powersqueeze import (
     build_state,
     commutator_weight,
     deficiency_evidence,
+    OffDiagonalSequence,
     off_diagonal,
     pollaczek,
     residual_check,
@@ -310,6 +311,52 @@ class TestResidualCheck:
         assert residual_check(FockVector(vec.sector, c, vec.tail_estimate), params) > 1e-4
 
 
+def reference_minimal_solution_profile(sector: SectorParams, M: int, N: int):
+    """Verbatim copy of `states._minimal_solution_profile` as it was when it
+    built the (3, N) band for `scipy.linalg.solve_banded((1, 1), ...)`
+    (N was then computed inside as min(100 M, 2e6)); the oracle for the
+    direct zgtsv call's bits."""
+    import scipy.linalg
+
+    b = OffDiagonalSequence.build(sector, N).values
+    ab = np.zeros((3, N), dtype=np.complex128)
+    ab[0, 1:] = b[: N - 1]
+    ab[1, :] = -1j
+    ab[2, :-1] = b[: N - 1]
+    rhs = np.zeros(N, dtype=np.complex128)
+    rhs[0] = 1.0
+    u = scipy.linalg.solve_banded((1, 1), ab, rhs)
+    mag = np.abs(u[: M + 1])
+    with np.errstate(divide="ignore"):
+        log_abs = np.where(mag > 0.0, np.log(np.where(mag > 0.0, mag, 1.0)), -np.inf)
+    exponent, count = states.envelope_fit(log_abs, M // 10, M)
+    sums = np.cumsum(mag**2)
+    cauchy = (sums[M] - sums[M // 2]) / sums[M] < states._CAUCHY_WINDOW
+    return exponent, cauchy, count
+
+
+class TestMinimalSolution:
+    @pytest.mark.parametrize("k, kappa, M", [(1, 0, 5000), (2, 1, 5000), (2, 0, 7000), (3, 2, 5000)])
+    def test_bits_match_solve_banded(self, k, kappa, M):
+        sector = SectorParams(k, kappa)
+        N = min(100 * M, 2_000_000)
+        assert states._minimal_solution_profile(sector, M, N) == reference_minimal_solution_profile(
+            sector, M, N
+        )
+
+    def test_non_finite_off_diagonal_is_refused(self, monkeypatch):
+        class Overflowing:
+            @staticmethod
+            def build(sector, length):
+                values = np.full(length, 2.0)
+                values[-2] = np.inf
+                return OffDiagonalSequence(sector, values)
+
+        monkeypatch.setattr(states, "OffDiagonalSequence", Overflowing)
+        with pytest.raises(NumericsError, match=r"^states\."):
+            states._minimal_solution_profile(SectorParams(1, 0), 100, 10_000)
+
+
 class TestDeficiencyEvidence:
     def test_limit_point_k1(self):
         ev = deficiency_evidence(SectorParams(1, 0), 5000)
@@ -334,3 +381,16 @@ class TestDeficiencyEvidence:
     def test_minimum_m(self):
         with pytest.raises(ValueError):
             deficiency_evidence(SectorParams(3, 0), 1000)
+
+    def test_contamination_bound(self):
+        # N = min(100 M, 2e6): M = 20000 is the largest M with sqrt(M/N) <= 0.1
+        ev = deficiency_evidence(SectorParams(1, 0), 20_000)
+        assert ev.conclusive and ev.count == 1
+        assert ev.contamination_bound == 0.1
+        assert deficiency_evidence(SectorParams(3, 0), 5000).contamination_bound is None
+
+    def test_contamination_bound_fails_above_m_20000(self):
+        ev = deficiency_evidence(SectorParams(1, 0), 20_001)
+        assert not ev.conclusive and ev.count is None
+        assert ev.contamination_bound == math.sqrt(20_001 / 2_000_000) > 0.1
+        assert ev.minimal_exponent is not None and ev.minimal_exponent < -0.6
