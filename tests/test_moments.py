@@ -7,7 +7,6 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-import powersqueeze.polynomials
 from powersqueeze import (
     JacobiRecoveryError,
     QuadratureError,
@@ -105,9 +104,15 @@ def reference_integrate_weighted(f, b: float, tol: float, degree: int = 0) -> tu
 
 def _orthonormality_integrands(b: float, degree: int):
     """(f, degree) for P_i P_j, i <= j <= degree, as a table is checked."""
-    for i in range(degree + 1):
-        for j in range(i, degree + 1):
-            yield (lambda x, i=i, j=j: pollaczek_table(j, x, b)[i] * pollaczek_table(j, x, b)[j]), i + j
+
+    def product(i, j):
+        def f(x):
+            rows = pollaczek_table(j, x, b)
+            return rows[i] * rows[j]
+
+        return f
+
+    return [(product(i, j), i + j) for i in range(degree + 1) for j in range(i, degree + 1)]
 
 
 class TestGridCache:
@@ -116,7 +121,7 @@ class TestGridCache:
     @pytest.mark.parametrize("b", [0.25, 0.75])
     def test_bits_match_uncached_rule(self, b):
         cases = [(lambda x, m=m: x**m, m) for m in range(25)]
-        cases += list(_orthonormality_integrands(b, 6))
+        cases += _orthonormality_integrands(b, 6)
         cases += [(lambda x: np.cos(3.0 * x), 0), (lambda x: np.exp(-x * x) * x**3, 3)]
         expected = [reference_integrate_weighted(f, b, tol, degree=d) for f, d in cases for tol in (1e-8, 1e-10)]
         _cached_panel_grid.cache_clear()
@@ -125,20 +130,13 @@ class TestGridCache:
             assert got == expected
         assert _cached_panel_grid.cache_info().hits > 0
 
-    def test_failure_matches_uncached_rule(self):
+    def test_failure_matches_uncached_rule_and_keeps_cache_bounded(self, monkeypatch):
+        # a refinement run to the cap: the same QuadratureError as the
+        # uncached rule, and at most 8 kept grids, none of them above
+        # _CACHED_PANELS panels; larger grids are built and dropped
         def rough(x):
             return 1.0 / (1e-8 + x * x)
 
-        with pytest.raises(QuadratureError) as ref:
-            reference_integrate_weighted(rough, 0.25, 1e-13)
-        with pytest.raises(QuadratureError) as got:
-            integrate_weighted(rough, 0.25, 1e-13)
-        assert str(got.value) == str(ref.value)
-        assert got.value.last_estimates == ref.value.last_estimates
-
-    def test_cache_is_bounded(self, monkeypatch):
-        # a refinement run to the cap keeps at most 8 grids, none of them
-        # above _CACHED_PANELS panels; larger grids are built and dropped
         moments_module = importlib.import_module("powersqueeze.moments")
         uncached = []
         original = moments_module._panel_grid
@@ -147,10 +145,14 @@ class TestGridCache:
             uncached.append(panels)
             return original(b, X, panels)
 
+        with pytest.raises(QuadratureError) as ref:
+            reference_integrate_weighted(rough, 0.25, 1e-13)
         monkeypatch.setattr(moments_module, "_panel_grid", recording)
         _cached_panel_grid.cache_clear()
-        with pytest.raises(QuadratureError):
-            integrate_weighted(lambda x: 1.0 / (1e-8 + x * x), 0.25, 1e-13)
+        with pytest.raises(QuadratureError) as got:
+            integrate_weighted(rough, 0.25, 1e-13)
+        assert str(got.value) == str(ref.value)
+        assert got.value.last_estimates == ref.value.last_estimates
         info = _cached_panel_grid.cache_info()
         assert info.maxsize == 8 and info.currsize <= 8
         assert uncached and min(uncached) > _CACHED_PANELS
@@ -164,7 +166,7 @@ class TestGridCache:
             assert not array.flags.writeable
             with pytest.raises(ValueError):
                 array[0] = 1.0
-        assert np.array_equal(rho, powersqueeze.polynomials.weight_rho(0.25, pts))
+        assert np.array_equal(rho, weight_rho(0.25, pts))
 
 
 class TestIntegrateWeighted:
