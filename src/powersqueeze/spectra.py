@@ -3,24 +3,29 @@ matrices by Sturm-sequence bisection, seeded by LAPACK.
 
 Every eigenvalue is returned as the midpoint of a Sturm-count bisection
 bracket, with a fixed iteration count, so the result carries a bracket
-certificate and does not depend on the LAPACK build.  LAPACK
-(`scipy.linalg.eigh_tridiagonal`) only decides which Sturm counts need
-computing: one Sturm pass over the 2n shifts seed_j -/+ delta_j certifies a
-bracket [a_j, b_j] with count(a_j) <= j < count(b_j), widening delta_j
-where it does not (an index never certified bisects the whole Gershgorin
-range).  Each index then replays its own bisection steps in Python
-floats, and a midpoint not strictly inside both [a_j, b_j] and its own
-bracket [lo_j, hi_j] (certified the same way) is decided without a count:
-the floating-point Sturm count is monotone in the shift (Demmel, Dhillon &
-Ren, ETNA 3, 1995), so mid <= a_j gives count(mid) <= j and mid >= b_j
-gives count(mid) >= j + 1, the verdicts a count would give.  An index that
-needs a count waits for the others, and once every unfinished index waits
-one pass counts them all, so the passes number the most counts any one
-index needs.  A shift's count does not depend on the other shifts of its
-pass, so the midpoints are bit-identical to plain bisection.  A pass over
-many shifts runs the O(n) recurrence as n numpy steps over the shift
-vector; a pass over a few runs it per shift in Python floats, with the
-same IEEE operations in the same order.
+certificate and does not depend on the LAPACK build.  LAPACK (`dsterf`,
+eigenvalues only) only decides which Sturm counts need computing: one
+Sturm pass over the 2n shifts seed_j -/+ delta_j certifies a bracket
+[a_j, b_j] with count(a_j) <= j < count(b_j), widening delta_j where it
+does not (an index never certified, or every index when `dsterf` fails,
+bisects the whole Gershgorin range).  Each index then replays its own
+bisection steps in Python floats, and a midpoint not strictly inside both
+[a_j, b_j] and its own bracket [lo_j, hi_j] (certified the same way) is
+decided without a count: the floating-point Sturm count is monotone in the
+shift (Demmel, Dhillon & Ren, ETNA 3, 1995), so mid <= a_j gives
+count(mid) <= j and mid >= b_j gives count(mid) >= j + 1, the verdicts a
+count would give.  An index that needs a count waits for the others, and
+once every unfinished index waits one pass counts them all, so the passes
+number the most counts any one index needs.  A pass over many shifts also
+counts, for each waiting index, the next midpoint to need a count in each
+half of its bracket (a one-level lookahead), so about two counts are
+settled per pass; the counts of the last pass are looked up by shift
+before an index waits.  A shift's count does not depend on the other
+shifts of its pass, so the midpoints are bit-identical to plain bisection.
+A pass over many shifts runs the O(n) recurrence as n numpy steps over the
+shift vector, in preallocated buffers, replacing tiny pivots only on the
+steps that have one; a pass over a few runs it per shift in Python floats,
+with the same IEEE operations in the same order.
 """
 
 from __future__ import annotations
@@ -89,22 +94,27 @@ def _sturm_counts(T: TridiagonalMatrix, xs: np.ndarray) -> np.ndarray:
     Both paths make the same IEEE operations in the same order, so the
     counts do not depend on how many shifts share a pass.
     """
-    off_sq = T.offdiag**2
-    pivmin = np.finfo(np.float64).tiny * max(1.0, float(np.max(off_sq)) if len(off_sq) else 1.0)
+    diag, off_sq = T.diag.tolist(), (T.offdiag**2).tolist()
+    pivmin = np.finfo(np.float64).tiny * max(1.0, max(off_sq, default=1.0))
     if len(xs) <= _SCALAR_SHIFTS:
-        diag, off_sq = T.diag.tolist(), off_sq.tolist()
         return np.array(
             [_sturm_count_scalar(diag, off_sq, pivmin, x) for x in xs.tolist()],
             dtype=np.int64,
         )
-    d = T.diag[0] - xs
-    d = np.where(np.abs(d) < pivmin, -pivmin, d)
-    counts = (d < 0).astype(np.int64)
+    d = np.subtract(diag[0], xs)
+    quotient = np.empty_like(d)
+    small = np.empty(len(d), dtype=bool)
+    counts = np.zeros(len(d), dtype=np.int64)
     with np.errstate(divide="ignore", over="ignore"):
-        for i in range(1, T.n):
-            d = (T.diag[i] - xs) - off_sq[i - 1] / d
-            d = np.where(np.abs(d) < pivmin, -pivmin, d)
-            counts += d < 0
+        for i in range(T.n):
+            if i:
+                np.divide(off_sq[i - 1], d, out=quotient)
+                np.subtract(diag[i], xs, out=d)
+                np.subtract(d, quotient, out=d)
+            np.less(np.abs(d, out=quotient), pivmin, out=small)
+            if small.any():
+                d[small] = -pivmin
+            counts += np.less(d, 0.0, out=small)
     return counts
 
 
@@ -168,16 +178,13 @@ def _seed_brackets(
     and once that exceeds span they keep (-inf, inf).  Returns a, b and the
     Sturm passes spent.
     """
-    import scipy.linalg  # loaded on first use: it doubles every CLI start
+    from scipy.linalg import lapack  # loaded on first use: it doubles every CLI start
 
     n = T.n
     a = np.full(n, -np.inf)
     b = np.full(n, np.inf)
-    try:
-        seed = T.diag if n == 1 else scipy.linalg.eigh_tridiagonal(
-            T.diag, T.offdiag, eigvals_only=True
-        )
-    except np.linalg.LinAlgError:  # no seed: every index bisects the full range
+    seed, info = (T.diag, 0) if n == 1 else lapack.dsterf(T.diag, T.offdiag)
+    if info != 0:  # no seed: every index bisects the full range
         return a, b, 0
     eps = np.finfo(np.float64).eps
     delta = np.maximum(
@@ -198,47 +205,66 @@ def _seed_brackets(
     return a, b, passes
 
 
+def _advance(l: float, h: float, s: int, aj: float, bj: float) -> tuple[float, float, int]:
+    """Take the bisection steps of [l, h] that the brackets decide, up to s.
+
+    Stops with s == 0 or at a midpoint 0.5 (l + h) that needs a count.
+    """
+    while s > 0:
+        m = 0.5 * (l + h)
+        # [l, h] is certified as well: mid equals l or h once no double
+        # lies between them
+        if m >= h or m >= bj:  # at least j+1 eigenvalues below m
+            h = m
+        elif m <= l or m <= aj:
+            l = m
+        else:
+            break
+        s -= 1
+    return l, h, s
+
+
 def _replay(
     T: TridiagonalMatrix, glo: float, ghi: float, a: list, b: list, steps: int
 ) -> tuple[list, list, int]:
     """`steps` bisection steps from [glo, ghi] for every index, in Python floats.
 
-    An index takes the steps its brackets decide on its own; one whose
-    midpoint they do not decide waits, and once every unfinished index
-    waits, one pass counts them all.  Returns lo, hi and the passes.
+    An index takes the steps its brackets or the last pass's counts decide
+    on its own; one whose midpoint they do not decide waits, and once every
+    unfinished index waits, one pass counts them all.  A numpy pass also
+    counts, for each waiting index, the next midpoint to need a count in
+    each half of its bracket, so whichever half the count picks goes on
+    without waiting.  Returns lo, hi and the passes.
     """
     n = T.n
-    lo, hi, left, mids = [glo] * n, [ghi] * n, [steps] * n, [0.0] * n
+    lo, hi, left = [glo] * n, [ghi] * n, [steps] * n
     todo = range(n)
+    counted = {}  # shift -> count, from the last pass only
     passes = 0
     while True:
-        waiting = []
+        waiting, shifts = [], []
         for j in todo:
-            l, h, s, aj, bj = lo[j], hi[j], left[j], a[j], b[j]
-            while s > 0:
-                m = 0.5 * (l + h)
-                # [lo_j, hi_j] is certified as well: mid equals lo_j or hi_j
-                # once no double lies between them
-                if m >= h or m >= bj:  # at least j+1 eigenvalues below m
-                    h = m
-                elif m <= l or m <= aj:
-                    l = m
+            aj, bj = a[j], b[j]
+            l, h, s = _advance(lo[j], hi[j], left[j], aj, bj)
+            while s > 0 and (c := counted.get(m := 0.5 * (l + h))) is not None:
+                if c > j:  # at least j+1 eigenvalues below m
+                    l, h, s = _advance(l, m, s - 1, aj, bj)
                 else:
-                    waiting.append(j)
-                    mids[j] = m
-                    break
-                s -= 1
+                    l, h, s = _advance(m, h, s - 1, aj, bj)
             lo[j], hi[j], left[j] = l, h, s
+            if s > 0:
+                waiting.append(j)
+                shifts.append(m)
         if not waiting:
             return lo, hi, passes
-        counts = _sturm_counts(T, np.array([mids[j] for j in waiting]))
+        if len(waiting) > _SCALAR_SHIFTS:  # amortize the pass's numpy steps
+            for j, m in zip(waiting, shifts[: len(waiting)]):
+                for l, h in ((lo[j], m), (m, hi[j])):
+                    l, h, s = _advance(l, h, left[j] - 1, a[j], b[j])
+                    if s > 0:
+                        shifts.append(0.5 * (l + h))
+        counted = dict(zip(shifts, _sturm_counts(T, np.array(shifts)).tolist()))
         passes += 1
-        for j, count in zip(waiting, counts.tolist()):
-            if count > j:  # at least j+1 eigenvalues below mid
-                hi[j] = mids[j]
-            else:
-                lo[j] = mids[j]
-            left[j] -= 1
         todo = waiting
 
 
@@ -253,6 +279,8 @@ def eigenvalues_bisect(
     Where binary64 cannot resolve tol at |lambda_j| the bracket stops at
     two adjacent doubles, wider than tol.
     """
+    if not math.isfinite(tol):
+        raise ValueError(f"spectra.eigenvalues_bisect: tol must be finite, got {tol}")
     if tol <= 0:
         raise ValueError(f"tol must be > 0, got {tol}")
     n = T.n

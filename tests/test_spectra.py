@@ -214,6 +214,18 @@ def shifts_near_eigenvalues(k, kappa_frac, n, theta, picks, spread):
     return T, np.sort(np.array(xs))
 
 
+@st.composite
+def random_tridiagonal(draw):
+    """Entries log-uniform over 16 decades, signed on the diagonal; n up to
+    120, so that more than _SCALAR_SHIFTS indices wait on some passes."""
+    n = draw(st.integers(1, 120))
+    magnitudes = st.lists(st.floats(-8.0, 8.0), min_size=n, max_size=n)
+    signs = draw(st.lists(st.sampled_from((-1.0, 1.0)), min_size=n, max_size=n))
+    diag = [sign * 10.0**e for sign, e in zip(signs, draw(magnitudes))]
+    offdiag = [10.0**e for e in draw(magnitudes)[1:]]
+    return TridiagonalMatrix(diag=diag, offdiag=offdiag)
+
+
 class TestSturmMonotone:
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(**SHIFT_CASES)
@@ -343,6 +355,15 @@ class TestEigenvaluesBisect:
         with pytest.raises(ValueError, match=rf"^spectra\.TridiagonalMatrix: non-finite {name} entry$"):
             TridiagonalMatrix(diag=diag, offdiag=offdiag)
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf])
+    def test_non_finite_tol_is_refused(self, tol):
+        message = rf"^spectra\.eigenvalues_bisect: tol must be finite, got {tol}$"
+        T = TridiagonalMatrix.truncation(SectorParams(3, 0), 12)
+        with pytest.raises(ValueError, match=message):
+            eigenvalues_bisect(T, tol)
+        with pytest.raises(ValueError, match=message):
+            extension_sweep(SectorParams(3, 0), 60, [0.5], tol)
+
     def test_one_by_one_matrix(self):
         T = TridiagonalMatrix(diag=[2.5], offdiag=[])
         report = eigenvalues_bisect(T, 1e-12)
@@ -365,26 +386,45 @@ class TestSeededBisection:
     @pytest.mark.parametrize(
         "wrong_seed",
         [
-            lambda ev: ev[::-1] + 1.0,  # some certify after widening, some never
-            lambda ev: np.full_like(ev, np.nan),  # never certifies
-            None,  # LAPACK raises
+            lambda ev: (ev[::-1] + 1.0, 0),  # some certify after widening, some never
+            lambda ev: (np.full_like(ev, np.nan), 0),  # never certifies
+            lambda ev: (ev + 1.0, 1),  # LAPACK reports failure: info != 0
         ],
         ids=["reversed-shifted", "nan", "lapack-error"],
     )
     def test_bits_survive_a_wrong_seed(self, monkeypatch, wrong_seed):
-        real = scipy.linalg.eigh_tridiagonal
+        real = scipy.linalg.lapack.dsterf
+        calls = []
 
-        def fake(d, e, eigvals_only=False):
-            if wrong_seed is None:
-                raise np.linalg.LinAlgError("eigh_tridiagonal did not converge")
-            return wrong_seed(real(d, e, eigvals_only=True))
+        def fake(d, e):
+            calls.append(len(d))
+            return wrong_seed(real(d, e)[0])
 
-        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", fake)
+        monkeypatch.setattr(scipy.linalg.lapack, "dsterf", fake)
         for k in (1, 2, 3, 4):
             for kappa in range(k):
                 assert_bits_match_plain_bisection(
                     SectorParams(k, kappa), (2, 5, 41, 44), IDENTITY_THETAS, (1e-10,)
                 )
+        assert calls  # the seed really came from the fake
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(T=random_tridiagonal())
+    def test_bits_match_plain_bisection_on_random_matrices(self, T):
+        # well beyond sector truncations: clustered and widely graded
+        # spectra; the last tol is below the spacing of the largest doubles
+        lo, hi = T.gershgorin()
+        tols = (1e-9, 1e-12, 0.25 * math.ulp(max(-lo, hi)))
+        plain = plain_bisection_midpoints(T, tols)
+        for tol in tols:
+            assert np.array_equal(eigenvalues_bisect(T, tol).eigenvalues, plain[tol]), tol
+
+    def test_lapack_failure_seeds_nothing(self, monkeypatch):
+        # info != 0 leaves every index the whole range and spends no pass
+        monkeypatch.setattr(scipy.linalg.lapack, "dsterf", lambda d, e: (d + 1.0, 1))
+        T = TridiagonalMatrix.truncation(SectorParams(3, 0), 44)
+        a, b, passes = spectra._seed_brackets(T, 1e-10, 1e3)
+        assert np.all(a == -np.inf) and np.all(b == np.inf) and passes == 0
 
     def test_certificate_skips_passes(self):
         T = TridiagonalMatrix.truncation(SectorParams(2, 0), 41)
@@ -394,17 +434,19 @@ class TestSeededBisection:
 
     def test_brackets_start_at_float_spacing(self):
         # |lambda| reaches ~1e66 at k = 40, where a tol/2 half-width rounds
-        # to a point; widening from there took 66 of 191 passes, and
-        # counting each index at its own step took the rest down to 10
+        # to a point; widening from there took 66 of 191 passes, counting
+        # each index at its own step took the rest down to 10, and the
+        # lookahead midpoints to 6
         T = TridiagonalMatrix.truncation(SectorParams(40, 0), 300)
         report = eigenvalues_bisect(T, 1e-10)
-        assert report.sturm_passes <= 12
+        assert report.sturm_passes <= 6
 
     def test_replay_passes_at_large_lambda(self):
         # k = 4, n = 1315 took 30 passes when every step that needed a count
-        # made one; counted per index it takes 12
+        # made one; counted per index it takes 12, and 7 when a numpy pass
+        # also counts each waiting index's next midpoint in both halves
         T = TridiagonalMatrix.truncation(SectorParams(4, 0), 1315)
-        assert eigenvalues_bisect(T, 1e-10).sturm_passes <= 14
+        assert eigenvalues_bisect(T, 1e-10).sturm_passes <= 7
 
     def test_tol_below_float_spacing_returns(self):
         # |lambda| reaches 5.4e7, where adjacent doubles are 7.5e-9 > tol apart
