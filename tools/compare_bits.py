@@ -45,7 +45,7 @@ for k in {KS!r}:
                     except Exception as exc:
                         data = repr(exc).encode()
                     digest = hashlib.sha256(data).hexdigest()
-                    print(k, kappa, n, theta, tol, digest, flush=True)
+                    print(k, kappa, n, theta, tol, digest)
 """
 
 
@@ -74,35 +74,32 @@ def env_for(src: Path) -> dict:
 
 def main(argv: list[str]) -> int:
     if len(argv) != 1:
-        print(__doc__.strip().splitlines()[2].strip(), file=sys.stderr)
+        print("usage: python tools/compare_bits.py REV", file=sys.stderr)
         return 2
     rev = argv[0]
     with tempfile.TemporaryDirectory() as tmp:
-        archive = subprocess.run(
-            ["git", "-C", str(ROOT), "archive", rev, "src"], capture_output=True, check=False
-        )
+        tmp = Path(tmp)
+        archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev, "src"], capture_output=True)
         if archive.returncode != 0:
             print(f"git archive {rev} failed: {archive.stderr.decode().strip()}", file=sys.stderr)
             return 2
-        subprocess.run(["tar", "-x", "-C", tmp], input=archive.stdout, check=True)
-        trees = {rev: Path(tmp) / "src", "checkout": ROOT / "src"}
+        subprocess.run(["tar", "-x", "-C", str(tmp)], input=archive.stdout, check=True)
+        trees = {"rev": tmp / "src", "checkout": ROOT / "src"}
 
-        # both grids at once, one interpreter per tree
-        workers = {
-            name: subprocess.Popen(
-                [sys.executable, "-c", GRID_WORKER],
-                env=env_for(src), stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-            )
-            for name, src in trees.items()
-        }
+        # both grids at once, one interpreter per tree, each writing to a file
         grids = {}
-        for name, proc in workers.items():
-            out, err = proc.communicate()
+        for name, src in trees.items():
+            with open(tmp / f"{name}.grid", "w") as out:
+                grids[name] = subprocess.Popen(
+                    [sys.executable, "-c", GRID_WORKER], env=env_for(src), stdout=out,
+                    stderr=subprocess.PIPE, text=True,
+                )
+        for name, proc in grids.items():
+            err = proc.communicate()[1]
             if proc.returncode != 0:
                 print(f"grid worker for {name} failed:\n{err}", file=sys.stderr)
                 return 2
-            grids[name] = out.splitlines()
-        old, new = grids[rev], grids["checkout"]
+        old, new = ((tmp / f"{name}.grid").read_text().splitlines() for name in trees)
         differing = [(o, c) for o, c in zip(old, new) if o != c]
         if len(old) != len(new):
             differing.append((f"{len(old)} cases", f"{len(new)} cases"))
@@ -111,18 +108,17 @@ def main(argv: list[str]) -> int:
 
         commands = golden_commands()
         command_diffs = 0
-        for argv_ in commands:
-            runs = {
-                name: subprocess.run(
-                    [sys.executable, "-m", "powersqueeze.cli", *argv_],
-                    env=env_for(src), capture_output=True, check=False,
+        for command in commands:
+            o, c = (
+                subprocess.run(
+                    [sys.executable, "-m", "powersqueeze.cli", *command],
+                    env=env_for(src), capture_output=True,
                 )
-                for name, src in trees.items()
-            }
-            o, c = runs[rev], runs["checkout"]
+                for src in trees.values()
+            )
             if (o.stdout, o.stderr, o.returncode) != (c.stdout, c.stderr, c.returncode):
                 command_diffs += 1
-                print(f"command differs: {' '.join(argv_)}")
+                print(f"command differs: {' '.join(command)}")
 
     print(
         f"{len(differing)} of {len(old)} grid cases and {command_diffs} of "
