@@ -50,12 +50,14 @@ class TridiagonalMatrix:
         object.__setattr__(self, "diag", np.asarray(self.diag, dtype=np.float64))
         object.__setattr__(self, "offdiag", np.asarray(self.offdiag, dtype=np.float64))
         if len(self.offdiag) != len(self.diag) - 1:
-            raise ValueError("offdiag must have length n-1")
+            raise ValueError("spectra.TridiagonalMatrix: offdiag must have length n-1")
         for name, entries in (("diagonal", self.diag), ("off-diagonal", self.offdiag)):
             if not np.isfinite(entries).all():
                 raise ValueError(f"spectra.TridiagonalMatrix: non-finite {name} entry")
         if len(self.offdiag) and np.min(self.offdiag) <= 0.0:
-            raise ValueError("off-diagonal entries must be strictly positive")
+            raise ValueError(
+                "spectra.TridiagonalMatrix: off-diagonal entries must be strictly positive"
+            )
 
     @property
     def n(self) -> int:
@@ -68,7 +70,7 @@ class TridiagonalMatrix:
         """n x n truncation; theta != 0 puts theta * b_{n-1} in the last
         diagonal slot as a boundary-condition parameter."""
         if n < 1:
-            raise ValueError(f"n must be >= 1, got {n}")
+            raise ValueError(f"spectra.TridiagonalMatrix.truncation: n must be >= 1, got {n}")
         b = OffDiagonalSequence.build(sector, n).values
         diag = np.zeros(n)
         diag[-1] = float(theta) * float(b[n - 1])  # an overflow is inf, not a warning
@@ -282,7 +284,7 @@ def eigenvalues_bisect(
     if not math.isfinite(tol):
         raise ValueError(f"spectra.eigenvalues_bisect: tol must be finite, got {tol}")
     if tol <= 0:
-        raise ValueError(f"tol must be > 0, got {tol}")
+        raise ValueError(f"spectra.eigenvalues_bisect: tol must be > 0, got {tol}")
     n = T.n
     glo, ghi = T.gershgorin()
     span = max(ghi - glo, tol)
@@ -316,7 +318,7 @@ def extension_sweep(
 ) -> list[SpectrumReport]:
     """One spectrum per boundary parameter theta at truncation size n."""
     if n < 50:
-        raise ValueError(f"n must be >= 50, got {n}")
+        raise ValueError(f"spectra.extension_sweep: n must be >= 50, got {n}")
     reports = []
     for theta in thetas:
         T = TridiagonalMatrix.truncation(sector, n, theta=float(theta))
@@ -344,7 +346,7 @@ def strict_interlacing(small: np.ndarray, large: np.ndarray) -> bool:
     small = np.sort(small)
     large = np.sort(large)
     if len(large) != len(small) + 1:
-        raise ValueError("interlacing check needs sizes n and n+1")
+        raise ValueError("spectra.strict_interlacing: needs sizes n and n+1")
     return bool(np.all(large[:-1] < small) and np.all(small < large[1:]))
 
 
@@ -367,7 +369,7 @@ def spectrum_diagnostics(reports, window: float) -> SpectrumDiagnostics:
     """
     reports = list(reports)
     if len(reports) < 2:
-        raise ValueError("need at least two reports")
+        raise ValueError("spectra.spectrum_diagnostics: need at least two reports")
 
     spacing = math.inf
     for rep in reports:

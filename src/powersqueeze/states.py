@@ -38,7 +38,8 @@ _MAX_CUTOFF = 100_000
 _SQUARE_SUMMABLE_EXPONENT = -0.5 - 0.1  # decay strictly faster than 1/sqrt
 _CAUCHY_WINDOW = 0.10
 # the minimal solution's banded system has N = 100 M rows, so that its
-# contamination sqrt(M/N) is 10%; memory caps N at 2e6 (M <= 20000)
+# contamination sqrt(M/N) is 10%; memory caps N at 2e6 (M <= 20000),
+# where the real solve holds four float64 N-arrays (61 MiB)
 _BANDED_OVERSIZE = 100
 _MAX_BANDED = 2_000_000
 # log of the smallest normal binary64; a normalized c_0 below it is lost
@@ -427,9 +428,16 @@ def _minimal_solution_profile(sector: SectorParams, M: int, N: int) -> tuple[flo
 
     The minimal solution is aligned with (T_N - i)^{-1} e_0 for N >> M;
     the contamination ~ sqrt(M/N) at the top of the fit window is at most
-    10% at N >= 100 M, enough for a decade-scale slope.  The tridiagonal
-    system is solved by LAPACK zgtsv (Gaussian elimination with partial
-    pivoting), called on its three diagonals directly.
+    10% at N >= 100 M, enough for a decade-scale slope.
+
+    The system is solved in real arithmetic.  With u_m = (-i)^(m+1) w_m,
+    row m of (T_N - i) u = e_0 becomes b_{m-1} w_{m-1} - w_m - b_m w_{m+1}
+    = delta_{m0}, a real tridiagonal system solved by LAPACK dgtsv
+    (Gaussian elimination with partial pivoting) in place: b itself is
+    the sub-diagonal, so four float64 N-arrays are the whole cost.  In the
+    complex elimination every operand is purely real or purely imaginary,
+    so the pivots compare the same magnitudes and each complex operation
+    rounds as its one real counterpart; |u| and |w| have the same bits.
     """
     from scipy.linalg import lapack  # loaded on first use: it doubles every CLI start
 
@@ -439,18 +447,17 @@ def _minimal_solution_profile(sector: SectorParams, M: int, N: int) -> tuple[flo
             f"states.deficiency_evidence: non-finite off-diagonal in the "
             f"banded system (N = {N})"
         )
-    dl = b.astype(np.complex128)
-    du = dl.copy()
-    d = np.full(N, -1j)
-    rhs = np.zeros(N, dtype=np.complex128)
+    du = -b  # before dgtsv overwrites b, which no one else holds
+    d = np.full(N, -1.0)
+    rhs = np.zeros(N)
     rhs[0] = 1.0
-    _, _, _, u, info = lapack.zgtsv(dl, d, du, rhs, True, True, True, True)
+    _, _, _, w, info = lapack.dgtsv(b, d, du, rhs, True, True, True, True)
     if info != 0:
         raise NumericsError(
-            f"states.deficiency_evidence: zgtsv returned info = {info} on the "
+            f"states.deficiency_evidence: dgtsv returned info = {info} on the "
             f"banded system (N = {N})"
         )
-    mag = np.abs(u[: M + 1])
+    mag = np.abs(w[: M + 1])
     with np.errstate(divide="ignore"):
         log_abs = np.where(mag > 0.0, np.log(np.where(mag > 0.0, mag, 1.0)), -np.inf)
     exponent, count = envelope_fit(log_abs, M // 10, M)

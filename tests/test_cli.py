@@ -409,7 +409,8 @@ GOLDEN = Path(__file__).parent / "data"
 
 
 class TestGoldenBytes:
-    """Spectrum outputs pinned byte for byte; a speedup must not move them."""
+    """Spectrum and deficiency outputs pinned byte for byte; a speedup must
+    not move them."""
 
     @pytest.mark.parametrize(
         "name, argv",
@@ -422,6 +423,10 @@ class TestGoldenBytes:
             # the cases where counting per index changes the passes most
             ("spectrum_k4_n1315", ["spectrum", "--k", "4", "--n", "1315", "--tol", "1e-10"]),
             ("spectrum_k40_n300", ["spectrum", "--k", "40", "--n", "300", "--tol", "1e-10"]),
+            # count 1 through the minimal-solution solve, not the count-2 path
+            ("deficiency_k1_m5000", ["deficiency", "--k", "1", "--M", "5000"]),
+            ("deficiency_k2_kappa1_m5000",
+             ["deficiency", "--k", "2", "--kappa", "1", "--M", "5000"]),
         ],
     )
     @pytest.mark.parametrize("fmt", ["csv", "json"])

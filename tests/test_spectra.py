@@ -355,6 +355,32 @@ class TestEigenvaluesBisect:
         with pytest.raises(ValueError, match=rf"^spectra\.TridiagonalMatrix: non-finite {name} entry$"):
             TridiagonalMatrix(diag=diag, offdiag=offdiag)
 
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: TridiagonalMatrix(diag=[0.0, 0.0], offdiag=[1.0, 1.0]),
+             "TridiagonalMatrix: offdiag must have length n-1"),
+            (lambda: TridiagonalMatrix(diag=[0.0, 0.0], offdiag=[0.0]),
+             "TridiagonalMatrix: off-diagonal entries must be strictly positive"),
+            (lambda: TridiagonalMatrix.truncation(SectorParams(3, 0), 0),
+             "TridiagonalMatrix.truncation: n must be >= 1, got 0"),
+            (lambda: eigenvalues_bisect(TridiagonalMatrix(diag=[0.0], offdiag=[]), -1.0),
+             "eigenvalues_bisect: tol must be > 0, got -1.0"),
+            (lambda: extension_sweep(SectorParams(3, 0), 10, [0.0], 1e-9),
+             "extension_sweep: n must be >= 50, got 10"),
+            (lambda: strict_interlacing(np.zeros(2), np.zeros(2)),
+             "strict_interlacing: needs sizes n and n+1"),
+            (lambda: spectrum_diagnostics([], window=1.0),
+             "spectrum_diagnostics: need at least two reports"),
+        ],
+        ids=["length", "positivity", "truncation-n", "tol", "sweep-n", "interlacing",
+             "diagnostics"],
+    )
+    def test_errors_name_the_module(self, call, message):
+        with pytest.raises(ValueError, match=r"^spectra\.") as excinfo:
+            call()
+        assert str(excinfo.value) == f"spectra.{message}"
+
     @pytest.mark.parametrize("tol", [math.nan, math.inf])
     def test_non_finite_tol_is_refused(self, tol):
         message = rf"^spectra\.eigenvalues_bisect: tol must be finite, got {tol}$"

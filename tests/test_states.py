@@ -3,6 +3,7 @@ and the square-summable solution count."""
 
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -335,14 +336,64 @@ def reference_minimal_solution_profile(sector: SectorParams, M: int, N: int):
     return exponent, cauchy, count
 
 
+def reference_zgtsv_profile(sector: SectorParams, M: int, N: int):
+    """Verbatim copy of `states._minimal_solution_profile` as it was when it
+    called LAPACK zgtsv on the complex system (T_N - i) u = e_0; the oracle
+    for the real dgtsv solve's bits."""
+    from scipy.linalg import lapack
+
+    b = OffDiagonalSequence.build(sector, N).values[: N - 1]
+    if not np.isfinite(b).all():
+        raise NumericsError(
+            f"states.deficiency_evidence: non-finite off-diagonal in the "
+            f"banded system (N = {N})"
+        )
+    dl = b.astype(np.complex128)
+    du = dl.copy()
+    d = np.full(N, -1j)
+    rhs = np.zeros(N, dtype=np.complex128)
+    rhs[0] = 1.0
+    _, _, _, u, info = lapack.zgtsv(dl, d, du, rhs, True, True, True, True)
+    if info != 0:
+        raise NumericsError(
+            f"states.deficiency_evidence: zgtsv returned info = {info} on the "
+            f"banded system (N = {N})"
+        )
+    mag = np.abs(u[: M + 1])
+    with np.errstate(divide="ignore"):
+        log_abs = np.where(mag > 0.0, np.log(np.where(mag > 0.0, mag, 1.0)), -np.inf)
+    exponent, count = states.envelope_fit(log_abs, M // 10, M)
+    sums = np.cumsum(mag**2)
+    cauchy = (sums[M] - sums[M // 2]) / sums[M] < states._CAUCHY_WINDOW
+    return exponent, cauchy, count
+
+
 class TestMinimalSolution:
-    @pytest.mark.parametrize("k, kappa, M", [(1, 0, 5000), (2, 1, 5000), (2, 0, 7000), (3, 2, 5000)])
+    # (1, 0, 20000) and (2, 0, 12500) are the certificates benchmark's
+    # points; the first is the largest system, N = 2e6
+    @pytest.mark.parametrize(
+        "k, kappa, M",
+        [(1, 0, 5000), (2, 1, 5000), (2, 0, 7000), (3, 2, 5000), (1, 0, 20000), (2, 0, 12500)],
+    )
     def test_bits_match_solve_banded(self, k, kappa, M):
         sector = SectorParams(k, kappa)
         N = min(100 * M, 2_000_000)
-        assert states._minimal_solution_profile(sector, M, N) == reference_minimal_solution_profile(
-            sector, M, N
-        )
+        got = states._minimal_solution_profile(sector, M, N)
+        assert got == reference_minimal_solution_profile(sector, M, N)
+        assert got == reference_zgtsv_profile(sector, M, N)
+
+    def test_real_solve_peak_memory(self):
+        # b, du, d and the right-hand side: four float64 N-arrays (the
+        # complex solve peaked near nine).  A silent copy in the LAPACK
+        # wrapper or a complex temporary breaks the bound.
+        N = 2_000_000
+        tracemalloc.start()
+        try:
+            states._minimal_solution_profile(SectorParams(1, 0), 20_000, N)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.5 * 8 * N
 
     def test_non_finite_off_diagonal_is_refused(self, monkeypatch):
         class Overflowing:

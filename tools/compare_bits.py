@@ -1,15 +1,20 @@
-"""Check that a checkout computes the same eigenvalue bits as revision REV.
+"""Check that a checkout computes the same eigenvalue and deficiency bits as
+revision REV.
 
     python tools/compare_bits.py REV
 
 Exports REV's `src/` with `git archive` into a temporary directory.  Then,
-in fresh interpreters with each tree's `src/` on PYTHONPATH, it runs a fixed
-grid of `eigenvalues_bisect` cases and the CLI commands pinned by
+in fresh interpreters with each tree's `src/` on PYTHONPATH, it runs two
+fixed grids and the CLI commands pinned by
 `tests/test_cli.py::TestGoldenBytes`, under REV and under this checkout.
-A grid case compares the eigenvalue bytes and `max_bracket`, or the error
-raised; a command compares stdout, stderr and the exit code.  Prints each
-difference and a summary, and exits 1 if any byte differs.  Sturm pass
-counts are not compared: a change may take fewer passes to the same bits.
+A spectra grid case compares the `eigenvalues_bisect` eigenvalue bytes and
+`max_bracket`, or the error raised.  A deficiency grid case compares the
+repr of every `DeficiencyEvidence` field, or the error raised; M reaches
+20000, where the minimal solution's system has N = 2e6 rows, and 20001,
+past the contamination bound.  A command compares stdout, stderr and the
+exit code.  Prints each difference and a summary, and exits 1 if any byte
+differs.  Sturm pass counts are not compared: a change may take fewer
+passes to the same bits.
 """
 
 from __future__ import annotations
@@ -47,6 +52,27 @@ for k in {KS!r}:
                     digest = hashlib.sha256(data).hexdigest()
                     print(k, kappa, n, theta, tol, digest)
 """
+
+DEFICIENCY_KS = (1, 2, 3, 4)  # kappa in {0, k - 1}
+DEFICIENCY_MS = (5000, 12500, 20000, 20001)
+
+# The same for `deficiency_evidence`, with a digest of the repr of every
+# field (or of the error raised).
+DEFICIENCY_WORKER = f"""
+import dataclasses, hashlib
+from powersqueeze import SectorParams, deficiency_evidence
+for k in {DEFICIENCY_KS!r}:
+    for kappa in sorted({{0, k - 1}}):
+        for M in {DEFICIENCY_MS!r}:
+            try:
+                ev = deficiency_evidence(SectorParams(k, kappa), M)
+                data = repr([getattr(ev, f.name) for f in dataclasses.fields(ev)]).encode()
+            except Exception as exc:
+                data = repr(exc).encode()
+            print(k, kappa, M, hashlib.sha256(data).hexdigest())
+"""
+
+WORKERS = {"spectra": GRID_WORKER, "deficiency": DEFICIENCY_WORKER}
 
 
 def golden_commands() -> list[list[str]]:
@@ -86,25 +112,32 @@ def main(argv: list[str]) -> int:
         subprocess.run(["tar", "-x", "-C", str(tmp)], input=archive.stdout, check=True)
         trees = {"rev": tmp / "src", "checkout": ROOT / "src"}
 
-        # both grids at once, one interpreter per tree, each writing to a file
-        grids = {}
-        for name, src in trees.items():
-            with open(tmp / f"{name}.grid", "w") as out:
-                grids[name] = subprocess.Popen(
-                    [sys.executable, "-c", GRID_WORKER], env=env_for(src), stdout=out,
-                    stderr=subprocess.PIPE, text=True,
-                )
-        for name, proc in grids.items():
+        # every grid at once, one interpreter per grid and tree, each writing
+        # to a file
+        procs = {}
+        for grid, worker in WORKERS.items():
+            for name, src in trees.items():
+                with open(tmp / f"{grid}.{name}", "w") as out:
+                    procs[grid, name] = subprocess.Popen(
+                        [sys.executable, "-c", worker], env=env_for(src), stdout=out,
+                        stderr=subprocess.PIPE, text=True,
+                    )
+        for (grid, name), proc in procs.items():
             err = proc.communicate()[1]
             if proc.returncode != 0:
-                print(f"grid worker for {name} failed:\n{err}", file=sys.stderr)
+                print(f"{grid} grid worker for {name} failed:\n{err}", file=sys.stderr)
                 return 2
-        old, new = ((tmp / f"{name}.grid").read_text().splitlines() for name in trees)
-        differing = [(o, c) for o, c in zip(old, new) if o != c]
-        if len(old) != len(new):
-            differing.append((f"{len(old)} cases", f"{len(new)} cases"))
-        for o, c in differing:
-            print(f"grid differs:\n  {rev}: {o}\n  checkout: {c}")
+        summary = []
+        differing = 0
+        for grid in WORKERS:
+            old, new = ((tmp / f"{grid}.{name}").read_text().splitlines() for name in trees)
+            diffs = [(o, c) for o, c in zip(old, new) if o != c]
+            if len(old) != len(new):
+                diffs.append((f"{len(old)} cases", f"{len(new)} cases"))
+            for o, c in diffs:
+                print(f"{grid} grid differs:\n  {rev}: {o}\n  checkout: {c}")
+            summary.append(f"{len(diffs)} of {len(old)} {grid} grid cases")
+            differing += len(diffs)
 
         commands = golden_commands()
         command_diffs = 0
@@ -121,8 +154,8 @@ def main(argv: list[str]) -> int:
                 print(f"command differs: {' '.join(command)}")
 
     print(
-        f"{len(differing)} of {len(old)} grid cases and {command_diffs} of "
-        f"{len(commands)} commands differ from {rev}"
+        f"{', '.join(summary)} and {command_diffs} of {len(commands)} commands "
+        f"differ from {rev}"
     )
     return 1 if differing or command_diffs else 0
 
