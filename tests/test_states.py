@@ -386,6 +386,8 @@ class TestMinimalSolution:
         # b, du, d and the right-hand side: four float64 N-arrays (the
         # complex solve peaked near nine).  A silent copy in the LAPACK
         # wrapper or a complex temporary breaks the bound.
+        import scipy.linalg  # noqa: F401  imported untraced: the import allocates too
+
         N = 2_000_000
         tracemalloc.start()
         try:
