@@ -19,6 +19,7 @@ representable.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -46,20 +47,26 @@ class SectorParams:
 
     def __post_init__(self):
         if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
+            raise ValueError(f"jacobi.SectorParams: k must be >= 1, got {self.k}")
         if not 0 <= self.kappa < self.k:
-            raise ValueError(f"kappa must lie in [0, {self.k - 1}], got {self.kappa}")
+            raise ValueError(
+                f"jacobi.SectorParams: kappa must lie in [0, {self.k - 1}], got {self.kappa}"
+            )
 
 
 def off_diagonal_squared(sector: SectorParams, m: int) -> int:
     """Exact integer product (mk+kappa+1)...(mk+kappa+k) = b_m**2."""
     if m < 0:
-        raise ValueError(f"m must be >= 0, got {m}")
-    start = m * sector.k + sector.kappa + 1
-    prod = 1
-    for factor in range(start, start + sector.k):
-        prod *= factor
-    return prod
+        raise ValueError(f"jacobi.off_diagonal_squared: m must be >= 0, got {m}")
+    return math.perm(m * sector.k + sector.kappa + sector.k, sector.k)
+
+
+def off_diagonal_squares(sector: SectorParams, length: int) -> list[int]:
+    """b_0**2 .. b_{length-1}**2 as exact integers, as off_diagonal_squared
+    gives them, built without a Python loop."""
+    k = sector.k
+    top = sector.kappa + k
+    return list(map(math.perm, range(top, top + length * k, k), itertools.repeat(k)))
 
 
 def off_diagonal(sector: SectorParams, m: int) -> float:
@@ -97,7 +104,9 @@ class OffDiagonalSequence:
         the log-domain route of off_diagonal, and NumericsError is raised
         when b_{length-1} itself exceeds binary64."""
         if length < 1:
-            raise ValueError("length must be >= 1")
+            raise ValueError(
+                f"jacobi.OffDiagonalSequence.build: length must be >= 1, got {length}"
+            )
         m = np.arange(length, dtype=np.float64)
         prod = np.ones(length)
         with np.errstate(over="ignore"):
@@ -126,9 +135,9 @@ def commutator_weight(k: int, n: int) -> int:
     practical n, k.
     """
     if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+        raise ValueError(f"jacobi.commutator_weight: k must be >= 1, got {k}")
     if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
+        raise ValueError(f"jacobi.commutator_weight: n must be >= 0, got {n}")
     return math.perm(n + k, k) - math.perm(n, k)
 
 
@@ -180,7 +189,7 @@ def solve_recursion(
     digits), in a frame rescaled by the running log-magnitude.
     """
     if M < 1:
-        raise ValueError(f"M must be >= 1, got {M}")
+        raise ValueError(f"jacobi.solve_recursion: M must be >= 1, got {M}")
     lam = complex(lambda_prime)
     b = OffDiagonalSequence.build(sector, M).values
 
@@ -195,7 +204,7 @@ def solve_recursion(
     elif kind is InitialKind.SECOND:
         dirs[1], logs[1] = 1.0, -math.log(b[0])
     else:
-        raise ValueError(f"unknown initial kind: {kind!r}")
+        raise ValueError(f"jacobi.solve_recursion: unknown initial kind: {kind!r}")
 
     max_res = 0.0
     for m in range(1, M):
@@ -258,23 +267,27 @@ def envelope_fit(log_abs: np.ndarray, lo: int, hi: int) -> tuple[float | None, i
     Only local maxima of |f_m| enter the fit, which skips the near-zero
     nodes of oscillatory solutions; monotone (node-free) sequences have no
     interior maxima, so the fit then falls back to every finite point.
-    Returns (slope, number of points); slope is None below 2 points.
+    A local maximum is a finite entry at or above both neighbours, the
+    right neighbour of the last entry counting as -inf; the selection is
+    done with array masks.  Returns (slope, number of points); slope is
+    None below 2 points.
     """
     lo = max(lo, 1)
-    idx = []
-    for i in range(lo, hi + 1):
-        v = log_abs[i]
-        if v == _NEG_INF:
-            continue
-        left = log_abs[i - 1]
-        right = log_abs[i + 1] if i + 1 < len(log_abs) else _NEG_INF
-        if v >= left and v >= right:
-            idx.append(i)
+    if hi < lo:
+        return None, 0
+    if hi >= len(log_abs):
+        raise IndexError(f"jacobi.envelope_fit: hi = {hi} is past the end ({len(log_abs)})")
+    v = log_abs[lo : hi + 1]
+    left = log_abs[lo - 1 : hi]
+    right = np.append(v[1:], log_abs[hi + 1] if hi + 1 < len(log_abs) else _NEG_INF)
+    finite = v != _NEG_INF
+    idx = np.flatnonzero(finite & (v >= left) & (v >= right))
     if len(idx) < 20:
-        idx = [i for i in range(lo, hi + 1) if log_abs[i] != _NEG_INF]
+        idx = np.flatnonzero(finite)
     if len(idx) < 2:
         return None, len(idx)
-    xs = np.log(np.array(idx, dtype=np.float64))
+    idx += lo
+    xs = np.log(idx.astype(np.float64))
     ys = log_abs[idx]
     slope = np.polyfit(xs, ys, 1)[0]
     return float(slope), len(idx)
@@ -297,7 +310,7 @@ def growth_profile(
     flagged not-ok when fewer than 20 envelope points exist there.
     """
     if M < 100:
-        raise ValueError(f"M must be >= 100, got {M}")
+        raise ValueError(f"jacobi.growth_profile: M must be >= 100, got {M}")
     sol = solve_recursion(sector, lambda_prime, M, kind)
     lps = log_partial_sums_of_squares(sol.log_abs)
     exponent, count = envelope_fit(sol.log_abs, M // 10, M)

@@ -13,11 +13,13 @@ import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import islice
+from operator import gt, mul
 
 import numpy as np
 
 from .errors import JacobiRecoveryError, NumericsError, QuadratureError
-from .jacobi import OffDiagonalSequence, SectorParams, off_diagonal_squared
+from .jacobi import OffDiagonalSequence, SectorParams, off_diagonal_squares
 from .polynomials import weight_rho, weight_tail_coefficient
 
 _GL_ORDER = 16
@@ -97,9 +99,9 @@ def integrate_weighted(f, b: float, tol: float, degree: int = 0) -> tuple[float,
     documented cap raises QuadratureError carrying the last two estimates.
     """
     if b <= 0:
-        raise ValueError(f"b must be > 0, got {b}")
+        raise ValueError(f"moments.integrate_weighted: b must be > 0, got {b}")
     if tol <= 0:
-        raise ValueError(f"tol must be > 0, got {tol}")
+        raise ValueError(f"moments.integrate_weighted: tol must be > 0, got {tol}")
 
     probe = np.linspace(-64.0, 64.0, 513)
     denom = np.maximum(1.0, np.abs(probe) ** degree)
@@ -160,7 +162,9 @@ def moments(b: float, up_to: int, tol: float) -> MomentSequence:
     cap fails loudly instead of silently losing digits.
     """
     if not 0 <= up_to <= _MOMENT_ORDER_CAP:
-        raise ValueError(f"up_to must be in [0, {_MOMENT_ORDER_CAP}], got {up_to}")
+        raise ValueError(
+            f"moments.moments: up_to must be in [0, {_MOMENT_ORDER_CAP}], got {up_to}"
+        )
     vals = np.empty(up_to + 1)
     errs = np.empty(up_to + 1)
     for m in range(up_to + 1):
@@ -231,12 +235,13 @@ def moments_to_jacobi(s, n: int) -> JacobiCoefficients:
     way by construction).
     """
     if not 1 <= n <= 8:
-        raise ValueError(f"n must be in [1, 8], got {n}")
+        raise ValueError(f"moments.moments_to_jacobi: n must be in [1, 8], got {n}")
     vals, _ = _as_moment_arrays(s)
     size = n + 2
     if len(vals) < 2 * size - 1:
         raise ValueError(
-            f"need moments through order {2 * size - 2}, got only {len(vals) - 1}"
+            f"moments.moments_to_jacobi: need moments through order {2 * size - 2}, "
+            f"got only {len(vals) - 1}"
         )
     R = np.zeros((0, 0))
     for order in range(1, size + 1):
@@ -282,7 +287,11 @@ class DeterminacyVerdict:
     bound for the partial sums (from b_m <= ((m+2)k)^(k/2)), certifying
     divergence; tail_upper is then infinite.  log_concave_from is the
     smallest index from which b_{m-1} b_{m+1} <= b_m^2 held for every
-    checked m (verified in exact integer arithmetic).
+    checked m, 1 <= m <= M (None when it fails at m = M).  The check is
+    exact: p_m = b_m^2 is the integer (mk+kappa+k)!/(mk+kappa)!, and
+    p_{m-1} p_{m+1} is compared with p_m^2 in one streamed pass over the
+    paired products; the last failing m is searched for only when some m
+    fails, which the sector products never do.
     """
 
     k: int
@@ -293,6 +302,25 @@ class DeterminacyVerdict:
     tail_upper: float
     lower_bound: float
     log_concave_from: int | None
+
+
+def _log_concave_from(prods: list[int]) -> int | None:
+    """The smallest index from which p_{m-1} p_{m+1} <= p_m^2 holds for
+    every m up to M = len(prods) - 2, in exact integer arithmetic; None
+    when it fails at m = M itself.
+
+    One pass over lazily paired products decides whether any m fails, so
+    no bytecode runs per m and no product list is kept; only then does a
+    second scan look for the last failing m.
+    """
+    M = len(prods) - 2
+    outer = map(mul, prods, islice(prods, 2, None))  # p_{m-1} p_{m+1}, m = 1..M
+    inner = map(mul, islice(prods, 1, M + 1), islice(prods, 1, M + 1))  # p_m^2
+    if not any(map(gt, outer, inner)):
+        return 1
+    for m in range(M, 0, -1):
+        if prods[m - 1] * prods[m + 1] > prods[m] * prods[m]:
+            return m + 1 if m < M else None
 
 
 def classify_determinacy(k: int, kappa: int, M: int) -> DeterminacyVerdict:
@@ -307,7 +335,7 @@ def classify_determinacy(k: int, kappa: int, M: int) -> DeterminacyVerdict:
     """
     sector = SectorParams(k, kappa)
     if M < 1000:
-        raise ValueError(f"M must be >= 1000, got {M}")
+        raise ValueError(f"moments.classify_determinacy: M must be >= 1000, got {M}")
 
     b = OffDiagonalSequence.build(sector, M + 1).values
     partial = math.fsum((1.0 / b).tolist())
@@ -327,13 +355,7 @@ def classify_determinacy(k: int, kappa: int, M: int) -> DeterminacyVerdict:
         if partial < lower * (1.0 - 1e-12):
             raise AssertionError("divergence lower bound exceeded the partial sum")
 
-    # exact integer log-concavity sweep: p_{m-1} p_{m+1} <= p_m^2
-    prods = [off_diagonal_squared(sector, m) for m in range(M + 2)]
-    log_concave_from: int | None = 1
-    for m in range(M, 0, -1):
-        if prods[m - 1] * prods[m + 1] > prods[m] * prods[m]:
-            log_concave_from = m + 1 if m < M else None
-            break
+    log_concave_from = _log_concave_from(off_diagonal_squares(sector, M + 2))
 
     if k >= 3:
         if log_concave_from is None:

@@ -36,7 +36,7 @@ _CROSS_CHECK_TOL = 1e-8
 def pochhammer(a: complex, m: int) -> complex:
     """Rising factorial (a)_m = a (a+1) ... (a+m-1); (a)_0 = 1."""
     if m < 0:
-        raise ValueError(f"m must be >= 0, got {m}")
+        raise ValueError(f"polynomials.pochhammer: m must be >= 0, got {m}")
     result = complex(1.0)
     for j in range(m):
         result *= a + j
@@ -52,7 +52,7 @@ def hermite(n: int, x: complex) -> complex:
     OverflowError) is safe.  Real x gives a float.
     """
     if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
+        raise ValueError(f"polynomials.hermite: n must be >= 0, got {n}")
     if n == 0:
         return 1.0
     h_prev, h = 1.0, 2.0 * x
@@ -145,9 +145,9 @@ def pollaczek(m: int, x: float, b: float) -> float:
     NumericsError (it would signal an implementation bug, not bad data).
     """
     if m < 0:
-        raise ValueError(f"m must be >= 0, got {m}")
+        raise ValueError(f"polynomials.pollaczek: m must be >= 0, got {m}")
     if b <= 0:
-        raise ValueError(f"b must be > 0, got {b}")
+        raise ValueError(f"polynomials.pollaczek: b must be > 0, got {b}")
     value = _pollaczek_recursion(m, float(x), b)
     if m <= _CROSS_CHECK_LIMIT:
         oracle = _pollaczek_series_exact(m, float(x), b)
@@ -208,7 +208,7 @@ def log_gamma_complex(z: complex) -> complex:
     """
     z = complex(z)
     if z.real <= 0.0:
-        raise ValueError(f"Re z must be > 0, got {z!r}")
+        raise ValueError(f"polynomials.log_gamma_complex: Re z must be > 0, got {z!r}")
     return complex(_log_gamma_b_ix(z.real, z.imag))
 
 
@@ -232,7 +232,7 @@ def _log_gamma_b_ix(b: float, x) -> np.ndarray:
 def gamma_abs_sq(b: float, x):
     """|Gamma(b + ix)|^2 = exp(2 Re log Gamma(b + ix)); scalar or array x."""
     if b <= 0:
-        raise ValueError(f"b must be > 0, got {b}")
+        raise ValueError(f"polynomials.gamma_abs_sq: b must be > 0, got {b}")
     arr = np.asarray(x, dtype=np.float64)
     out = np.exp(2.0 * _log_gamma_b_ix(b, arr).real)
     return float(out) if np.isscalar(x) or arr.ndim == 0 else out

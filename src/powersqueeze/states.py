@@ -67,7 +67,7 @@ class SqueezeParams:
     def lambda_prime(self) -> complex:
         """lambda / (mu t) with t the principal root of nu/mu; nu != 0."""
         if self.nu == 0:
-            raise ValueError("lambda' is singular at nu = 0")
+            raise ValueError("states.SqueezeParams.lambda_prime: lambda' is singular at nu = 0")
         return self.lam / (self.mu * self.branch_t())
 
     def branch_t(self) -> complex:
@@ -176,9 +176,11 @@ def build_state(params: SqueezeParams, tol: float) -> FockVector:
     - |lambda|/mu >= 3 b_cap, where |c_m| grows to the cap (_grows_to_cap).
     """
     if params.nu == 0:
-        raise ValueError("nu = 0 has no squeeze branch; use build_power_coherent")
+        raise ValueError(
+            "states.build_state: nu = 0 has no squeeze branch; use build_power_coherent"
+        )
     if not 0.0 < tol <= 1e-4:
-        raise ValueError(f"tol must lie in (0, 1e-4], got {tol}")
+        raise ValueError(f"states.build_state: tol must lie in (0, 1e-4], got {tol}")
     try:
         t = params.branch_t()
     except NumericsError:  # mu overflows
@@ -218,7 +220,7 @@ def build_power_coherent(sector: SectorParams, lam: complex, tol: float) -> Fock
     the normalized c_0 underflows (|lam| above about 37.6 at k = 1).
     """
     if not 0.0 < tol <= 1e-4:
-        raise ValueError(f"tol must lie in (0, 1e-4], got {tol}")
+        raise ValueError(f"states.build_power_coherent: tol must lie in (0, 1e-4], got {tol}")
     lam = complex(lam)
     if lam == 0:
         return FockVector(sector, np.array([1.0 + 0.0j]), 0.0)
@@ -252,7 +254,9 @@ def _raise(w: np.ndarray, b: np.ndarray) -> np.ndarray:
 def apply_power_lowering(v: FockVector, k: int) -> FockVector:
     """a^k v (unnormalized): slot m receives b_m c_{m+1}."""
     if k != v.sector.k:
-        raise ValueError(f"operator power {k} does not match sector k={v.sector.k}")
+        raise ValueError(
+            f"states.apply_power_lowering: operator power {k} does not match sector k={v.sector.k}"
+        )
     c = v.coefficients
     b = OffDiagonalSequence.build(v.sector, len(c)).values
     return FockVector(v.sector, _lower(c, b), v.tail_estimate)
@@ -261,7 +265,9 @@ def apply_power_lowering(v: FockVector, k: int) -> FockVector:
 def apply_power_raising(v: FockVector, k: int) -> FockVector:
     """a+^k v (unnormalized): slot m receives b_{m-1} c_{m-1}; one slot longer."""
     if k != v.sector.k:
-        raise ValueError(f"operator power {k} does not match sector k={v.sector.k}")
+        raise ValueError(
+            f"states.apply_power_raising: operator power {k} does not match sector k={v.sector.k}"
+        )
     b = OffDiagonalSequence.build(v.sector, len(v.coefficients)).values
     return FockVector(v.sector, _raise(_padded(v, 1), b), v.tail_estimate)
 
@@ -307,7 +313,9 @@ class SRReport:
 def sr_report(v: FockVector, k: int) -> SRReport:
     """Schrodinger-Robertson variance report for the state v."""
     if k != v.sector.k:
-        raise ValueError(f"operator power {k} does not match sector k={v.sector.k}")
+        raise ValueError(
+            f"states.sr_report: operator power {k} does not match sector k={v.sector.k}"
+        )
     sector = v.sector
     c = _padded(v, 2)
     L = len(c)
@@ -368,7 +376,7 @@ def residual_check(v: FockVector, params: SqueezeParams) -> float:
     vanishes on an eigenstate).
     """
     if params.sector != v.sector:
-        raise ValueError("params sector does not match the vector sector")
+        raise ValueError("states.residual_check: params sector does not match the vector sector")
     mu, nu, lam = params.mu, complex(params.nu), complex(params.lam)
     c = _padded(v, 1)
     L = len(c)
@@ -438,6 +446,19 @@ def _minimal_solution_profile(sector: SectorParams, M: int, N: int) -> tuple[flo
     complex elimination every operand is purely real or purely imaginary,
     so the pivots compare the same magnitudes and each complex operation
     rounds as its one real counterpart; |u| and |w| have the same bits.
+
+    The right-hand side is 2^s e_0 rather than e_0, and the M + 1 entries
+    the fit reads are scaled back by 2^-s, exactly for normal numbers.
+    Unscaled, the decaying tail of w leaves the normal range near
+    m = 5e5 at k = 1 (N = 2e6), and most of the solve runs on subnormal
+    operands.  A power-of-two scale changes no rounding while operands
+    stay normal, and the deep tail only seeds the back substitution, whose
+    start is forgotten long before m = M (backwards, the minimal solution
+    dominates); so w[:M+1] keeps its bits, as checked for k = 1..6, every
+    kappa and M up to 20000.  The resolvent bound
+    |u_m| <= ||(T_N - i)^{-1}|| <= 1 of the real symmetric T_N, with
+    2^s max b <= 2^1000, keeps every entry and product of the
+    elimination finite.
     """
     from scipy.linalg import lapack  # loaded on first use: it doubles every CLI start
 
@@ -449,15 +470,16 @@ def _minimal_solution_profile(sector: SectorParams, M: int, N: int) -> tuple[flo
         )
     du = -b  # before dgtsv overwrites b, which no one else holds
     d = np.full(N, -1.0)
+    scale = 1000 - math.frexp(float(b.max()))[1]  # 2^scale * max b <= 2^1000
     rhs = np.zeros(N)
-    rhs[0] = 1.0
+    rhs[0] = math.ldexp(1.0, scale)
     _, _, _, w, info = lapack.dgtsv(b, d, du, rhs, True, True, True, True)
     if info != 0:
         raise NumericsError(
             f"states.deficiency_evidence: dgtsv returned info = {info} on the "
             f"banded system (N = {N})"
         )
-    mag = np.abs(w[: M + 1])
+    mag = np.abs(np.ldexp(w[: M + 1], -scale))
     with np.errstate(divide="ignore"):
         log_abs = np.where(mag > 0.0, np.log(np.where(mag > 0.0, mag, 1.0)), -np.inf)
     exponent, count = envelope_fit(log_abs, M // 10, M)
@@ -480,7 +502,7 @@ def deficiency_evidence(sector: SectorParams, M: int) -> DeficiencyEvidence:
     up to M = 20000; above it the evidence is not conclusive.
     """
     if M < 5000:
-        raise ValueError(f"M must be >= 5000, got {M}")
+        raise ValueError(f"states.deficiency_evidence: M must be >= 5000, got {M}")
     prof_poly = growth_profile(sector, 1j, M, InitialKind.POLYNOMIAL)
     prof_second = growth_profile(sector, 1j, M, InitialKind.SECOND)
     if not (prof_poly.fit_ok and prof_second.fit_ok):

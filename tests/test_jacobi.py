@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from powersqueeze import (
     InitialKind,
@@ -19,7 +21,7 @@ from powersqueeze import (
     off_diagonal_squared,
     solve_recursion,
 )
-from powersqueeze.jacobi import envelope_fit, log_partial_sums_of_squares
+from powersqueeze.jacobi import envelope_fit, log_partial_sums_of_squares, off_diagonal_squares
 
 
 class TestSectorParams:
@@ -56,6 +58,14 @@ class TestOffDiagonal:
                 n0 = m * k + kappa + 1
                 assert exact == math.prod(range(n0, n0 + k))
                 assert off_diagonal(sector, m) ** 2 == pytest.approx(exact, rel=1e-14)
+
+    @pytest.mark.parametrize("k, kappa", [(1, 0), (2, 1), (3, 2), (6, 0)])
+    def test_squares_list_matches_one_by_one(self, k, kappa):
+        sector = SectorParams(k, kappa)
+        assert off_diagonal_squares(sector, 300) == [
+            off_diagonal_squared(sector, m) for m in range(300)
+        ]
+        assert off_diagonal_squares(sector, 0) == []
 
     def test_strictly_increasing(self):
         seq = OffDiagonalSequence.build(SectorParams(3, 1), 500).values
@@ -282,3 +292,113 @@ class TestGrowthProfile:
     def test_min_m(self):
         with pytest.raises(ValueError):
             growth_profile(SectorParams(1, 0), 0.0, 50)
+
+
+_NEG_INF = float("-inf")
+
+
+def reference_envelope_fit(log_abs: np.ndarray, lo: int, hi: int):
+    """Verbatim copy of `jacobi.envelope_fit` as it was when it selected the
+    local maxima in a Python loop; the oracle for the array-mask selection."""
+    lo = max(lo, 1)
+    idx = []
+    for i in range(lo, hi + 1):
+        v = log_abs[i]
+        if v == _NEG_INF:
+            continue
+        left = log_abs[i - 1]
+        right = log_abs[i + 1] if i + 1 < len(log_abs) else _NEG_INF
+        if v >= left and v >= right:
+            idx.append(i)
+    if len(idx) < 20:
+        idx = [i for i in range(lo, hi + 1) if log_abs[i] != _NEG_INF]
+    if len(idx) < 2:
+        return None, len(idx)
+    xs = np.log(np.array(idx, dtype=np.float64))
+    ys = log_abs[idx]
+    slope = np.polyfit(xs, ys, 1)[0]
+    return float(slope), len(idx)
+
+
+@st.composite
+def envelope_windows(draw):
+    """A log|f| array with -inf holes, ties and plateaus (few distinct
+    values), and a window [lo, hi] inside it; lo = 0 and hi = len - 1 come
+    up often."""
+    # Hypothesis draws short lists unless told a size: long ones are
+    # needed for 20 maxima
+    n = draw(st.one_of(st.integers(2, 30), st.integers(40, 200)))
+    values = draw(
+        st.lists(
+            st.one_of(
+                st.sampled_from([_NEG_INF, -1.0, 0.0, 0.5, 2.0]),
+                st.floats(-40.0, 40.0),
+            ),
+            min_size=n,
+            max_size=n,
+        )
+    )
+    lo = draw(st.one_of(st.just(0), st.just(1), st.integers(0, n - 1)))
+    hi = draw(st.one_of(st.just(n - 1), st.just(n - 2), st.integers(lo, n - 1)))
+    return np.array(values), lo, hi
+
+
+class TestEnvelopeFitSelection:
+    """The array-mask maxima selection gives the loop's slope bits and count."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(envelope_windows())
+    # plateau: every point is a maximum; zigzags: 19, 20 and 40 maxima,
+    # the last one at the end of the array or just inside the window; a
+    # plateau of ties at every peak; monotone and all -inf: the fallbacks
+    @example((np.zeros(50), 0, 49))
+    @example((np.tile([0.0, 1.0], 19), 1, 37))
+    @example((np.tile([0.0, 1.0], 20), 1, 39))
+    @example((np.tile([0.0, 1.0], 40), 1, 79))
+    @example((np.tile([0.0, 1.0], 40), 1, 76))
+    @example((np.tile([0.0, 1.0, 1.0, 0.5], 12), 0, 47))
+    @example((np.tile([1.0, _NEG_INF, 0.5], 30), 0, 89))
+    @example((np.linspace(-5.0, 5.0, 60), 3, 59))
+    @example((np.full(30, _NEG_INF), 0, 29))
+    def test_bits_match_loop(self, case):
+        log_abs, lo, hi = case
+        got = envelope_fit(log_abs, lo, hi)
+        assert repr(got) == repr(reference_envelope_fit(log_abs, lo, hi))
+
+    @pytest.mark.parametrize("k, kappa, lam", [(1, 0, 1j), (2, 1, 1j), (3, 0, 1j), (2, 0, 1.5)])
+    def test_bits_match_loop_on_solutions(self, k, kappa, lam):
+        for kind in InitialKind:
+            log_abs = solve_recursion(SectorParams(k, kappa), lam, 5000, kind).log_abs
+            assert repr(envelope_fit(log_abs, 500, 5000)) == repr(
+                reference_envelope_fit(log_abs, 500, 5000)
+            )
+
+    def test_window_past_the_end_is_refused(self):
+        with pytest.raises(IndexError, match=r"^jacobi\.envelope_fit: "):
+            envelope_fit(np.zeros(10), 2, 10)
+
+
+class TestErrorsNameTheModule:
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: SectorParams(0, 0), "jacobi.SectorParams: k must be >= 1, got 0"),
+            (lambda: SectorParams(2, 2), "jacobi.SectorParams: kappa must lie in [0, 1], got 2"),
+            (lambda: off_diagonal_squared(SectorParams(1, 0), -1),
+             "jacobi.off_diagonal_squared: m must be >= 0, got -1"),
+            (lambda: OffDiagonalSequence.build(SectorParams(1, 0), 0),
+             "jacobi.OffDiagonalSequence.build: length must be >= 1, got 0"),
+            (lambda: commutator_weight(0, 3), "jacobi.commutator_weight: k must be >= 1, got 0"),
+            (lambda: commutator_weight(2, -1), "jacobi.commutator_weight: n must be >= 0, got -1"),
+            (lambda: solve_recursion(SectorParams(1, 0), 0.5, 0),
+             "jacobi.solve_recursion: M must be >= 1, got 0"),
+            (lambda: growth_profile(SectorParams(1, 0), 0.5, 50),
+             "jacobi.growth_profile: M must be >= 100, got 50"),
+        ],
+        ids=["k", "kappa", "squared-m", "build-length", "commutator-k", "commutator-n",
+             "recursion-M", "growth-M"],
+    )
+    def test_errors_name_the_module(self, call, message):
+        with pytest.raises(ValueError, match=r"^jacobi\.[\w.]+: ") as excinfo:
+            call()
+        assert str(excinfo.value) == message

@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from powersqueeze import (
     JacobiRecoveryError,
@@ -27,8 +29,10 @@ from powersqueeze.moments import (
     _MAX_REFINEMENTS,
     _cached_panel_grid,
     _choose_cutoff,
+    _log_concave_from,
     _tail_bound,
 )
+from powersqueeze.jacobi import off_diagonal_squares
 
 
 def exact_moment(b: float, order: int) -> Fraction:
@@ -298,6 +302,63 @@ class TestMomentsToJacobi:
             moments_to_jacobi([1.0, 0.0, 1.0], 3)
 
 
+def reference_log_concave_from(prods: list[int]) -> int | None:
+    """Verbatim copy of the sweep in `moments.classify_determinacy` as it
+    was when it compared the products one m at a time; the oracle for
+    `_log_concave_from`."""
+    M = len(prods) - 2
+    log_concave_from: int | None = 1
+    for m in range(M, 0, -1):
+        if prods[m - 1] * prods[m + 1] > prods[m] * prods[m]:
+            log_concave_from = m + 1 if m < M else None
+            break
+    return log_concave_from
+
+
+def _broken_sector_products(m_broken: int, M: int = 60) -> list[int]:
+    """p_0..p_{M+1} of the k = 3, kappa = 1 sector with p_{m_broken+1}
+    multiplied by 10^6, so log-concavity fails at m_broken (and at
+    m_broken + 2, the next m that reads that entry as p_{m-1})."""
+    prods = off_diagonal_squares(SectorParams(3, 1), M + 2)
+    prods[m_broken + 1] *= 10**6
+    return prods
+
+
+class TestLogConcaveSweep:
+    """The streamed sweep gives the per-m loop's answer, also where
+    log-concavity breaks, which the sector products never do."""
+
+    @pytest.mark.parametrize(
+        "prods, expected",
+        [
+            (off_diagonal_squares(SectorParams(3, 1), 62), 1),
+            # p_0 large: only m = 1 reads it
+            ([10**9, *off_diagonal_squares(SectorParams(3, 1), 62)[1:]], 2),
+            (_broken_sector_products(30), 33),
+            (_broken_sector_products(58), None),  # also fails at m = M = 60
+            (_broken_sector_products(59), 60),
+            (_broken_sector_products(60), None),  # m = M: no certificate
+            ([1, 1, 1], 1),  # equality holds: 1 * 1 <= 1^2
+            ([1, 1, 2], None),  # M = 1 fails
+        ],
+        ids=["sector", "m-1", "interior", "M-2", "M-1", "M", "equal", "M-is-1"],
+    )
+    def test_matches_loop(self, prods, expected):
+        assert _log_concave_from(prods) == expected
+        assert reference_log_concave_from(prods) == expected
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.lists(st.integers(1, 10**40), min_size=3, max_size=40))
+    def test_matches_loop_on_random_sequences(self, prods):
+        assert _log_concave_from(prods) == reference_log_concave_from(prods)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 5, 6])
+    def test_sector_products_are_log_concave(self, k):
+        for kappa in {0, k - 1}:
+            prods = off_diagonal_squares(SectorParams(k, kappa), 2002)
+            assert _log_concave_from(prods) == reference_log_concave_from(prods) == 1
+
+
 class TestClassifyDeterminacy:
     @pytest.mark.parametrize("M", [1000, 10000])
     def test_verdicts(self, M):
@@ -330,3 +391,26 @@ class TestClassifyDeterminacy:
     def test_minimum_m(self):
         with pytest.raises(ValueError):
             classify_determinacy(3, 0, 500)
+
+
+class TestErrorsNameTheModule:
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: moments(-1.0, 4, 1e-8), "moments.integrate_weighted: b must be > 0, got -1.0"),
+            (lambda: integrate_weighted(np.cos, 0.25, 0.0),
+             "moments.integrate_weighted: tol must be > 0, got 0.0"),
+            (lambda: moments(0.25, 25, 1e-8), "moments.moments: up_to must be in [0, 24], got 25"),
+            (lambda: moments_to_jacobi(np.ones(30), 9),
+             "moments.moments_to_jacobi: n must be in [1, 8], got 9"),
+            (lambda: moments_to_jacobi(np.ones(5), 2),
+             "moments.moments_to_jacobi: need moments through order 6, got only 4"),
+            (lambda: classify_determinacy(3, 0, 500),
+             "moments.classify_determinacy: M must be >= 1000, got 500"),
+        ],
+        ids=["b", "tol", "up-to", "jacobi-n", "jacobi-order", "classify-M"],
+    )
+    def test_errors_name_the_module(self, call, message):
+        with pytest.raises(ValueError, match=r"^moments\.\w+: ") as excinfo:
+            call()
+        assert str(excinfo.value) == message

@@ -277,3 +277,23 @@ class TestWeight:
             arr = gamma_abs_sq(b, xs)
             for x, v in zip(xs, arr):
                 assert v == pytest.approx(gamma_abs_sq(b, float(x)), rel=1e-13)
+
+
+class TestErrorsNameTheModule:
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: pollaczek(-1, 0.5, 0.25), "polynomials.pollaczek: m must be >= 0, got -1"),
+            (lambda: pollaczek(3, 0.5, 0.0), "polynomials.pollaczek: b must be > 0, got 0.0"),
+            (lambda: pochhammer(0.5, -2), "polynomials.pochhammer: m must be >= 0, got -2"),
+            (lambda: hermite(-1, 0.5), "polynomials.hermite: n must be >= 0, got -1"),
+            (lambda: log_gamma_complex(-1 + 2j),
+             "polynomials.log_gamma_complex: Re z must be > 0, got (-1+2j)"),
+            (lambda: gamma_abs_sq(-0.5, 1.0), "polynomials.gamma_abs_sq: b must be > 0, got -0.5"),
+        ],
+        ids=["pollaczek-m", "pollaczek-b", "pochhammer", "hermite", "log-gamma", "gamma-abs-sq"],
+    )
+    def test_errors_name_the_module(self, call, message):
+        with pytest.raises(ValueError, match=r"^polynomials\.\w+: ") as excinfo:
+            call()
+        assert str(excinfo.value) == message

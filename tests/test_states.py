@@ -447,3 +447,36 @@ class TestDeficiencyEvidence:
         assert not ev.conclusive and ev.count is None
         assert ev.contamination_bound == math.sqrt(20_001 / 2_000_000) > 0.1
         assert ev.minimal_exponent is not None and ev.minimal_exponent < -0.6
+
+
+class TestErrorsNameTheModule:
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: deficiency_evidence(SectorParams(1, 0), 1000),
+             "states.deficiency_evidence: M must be >= 5000, got 1000"),
+            (lambda: SqueezeParams(SectorParams(1, 0), 0.0, 1.0).lambda_prime(),
+             "states.SqueezeParams.lambda_prime: lambda' is singular at nu = 0"),
+            (lambda: build_state(SqueezeParams(SectorParams(1, 0), 0.0, 1.0), 1e-10),
+             "states.build_state: nu = 0 has no squeeze branch; use build_power_coherent"),
+            (lambda: build_state(SqueezeParams(SectorParams(1, 0), 0.3, 1.0), 0.5),
+             "states.build_state: tol must lie in (0, 1e-4], got 0.5"),
+            (lambda: build_power_coherent(SectorParams(1, 0), 1.0, 0.5),
+             "states.build_power_coherent: tol must lie in (0, 1e-4], got 0.5"),
+            (lambda: apply_power_lowering(basis_vector(SectorParams(2, 0), 3), 3),
+             "states.apply_power_lowering: operator power 3 does not match sector k=2"),
+            (lambda: apply_power_raising(basis_vector(SectorParams(2, 0), 3), 1),
+             "states.apply_power_raising: operator power 1 does not match sector k=2"),
+            (lambda: sr_report(basis_vector(SectorParams(2, 0), 3), 4),
+             "states.sr_report: operator power 4 does not match sector k=2"),
+            (lambda: residual_check(
+                basis_vector(SectorParams(2, 0), 3), SqueezeParams(SectorParams(2, 1), 0.3, 1.0)),
+             "states.residual_check: params sector does not match the vector sector"),
+        ],
+        ids=["deficiency-M", "lambda-prime", "nu-zero", "state-tol", "coherent-tol",
+             "lowering", "raising", "sr-report", "residual"],
+    )
+    def test_errors_name_the_module(self, call, message):
+        with pytest.raises(ValueError, match=r"^states\.[\w.]+: ") as excinfo:
+            call()
+        assert str(excinfo.value) == message

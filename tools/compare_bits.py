@@ -1,17 +1,19 @@
-"""Check that a checkout computes the same eigenvalue and deficiency bits as
-revision REV.
+"""Check that a checkout computes the same eigenvalue, deficiency and
+determinacy bits as revision REV.
 
     python tools/compare_bits.py REV
 
 Exports REV's `src/` with `git archive` into a temporary directory.  Then,
-in fresh interpreters with each tree's `src/` on PYTHONPATH, it runs two
+in fresh interpreters with each tree's `src/` on PYTHONPATH, it runs three
 fixed grids and the CLI commands pinned by
 `tests/test_cli.py::TestGoldenBytes`, under REV and under this checkout.
 A spectra grid case compares the `eigenvalues_bisect` eigenvalue bytes and
 `max_bracket`, or the error raised.  A deficiency grid case compares the
 repr of every `DeficiencyEvidence` field, or the error raised; M reaches
 20000, where the minimal solution's system has N = 2e6 rows, and 20001,
-past the contamination bound.  A command compares stdout, stderr and the
+past the contamination bound.  A classify grid case compares the repr of
+every `DeterminacyVerdict` field, or the error raised, for k = 1..6 and
+M up to 1e5.  A command compares stdout, stderr and the
 exit code.  Prints each difference and a summary, and exits 1 if any byte
 differs.  Sturm pass counts are not compared: a change may take fewer
 passes to the same bits.
@@ -72,7 +74,25 @@ for k in {DEFICIENCY_KS!r}:
             print(k, kappa, M, hashlib.sha256(data).hexdigest())
 """
 
-WORKERS = {"spectra": GRID_WORKER, "deficiency": DEFICIENCY_WORKER}
+CLASSIFY_KS = (1, 2, 3, 4, 5, 6)  # kappa in {0, k - 1}
+CLASSIFY_MS = (1000, 10_000, 100_000)
+
+# The same for `classify_determinacy` and its `DeterminacyVerdict`.
+CLASSIFY_WORKER = f"""
+import dataclasses, hashlib
+from powersqueeze import classify_determinacy
+for k in {CLASSIFY_KS!r}:
+    for kappa in sorted({{0, k - 1}}):
+        for M in {CLASSIFY_MS!r}:
+            try:
+                v = classify_determinacy(k, kappa, M)
+                data = repr([getattr(v, f.name) for f in dataclasses.fields(v)]).encode()
+            except Exception as exc:
+                data = repr(exc).encode()
+            print(k, kappa, M, hashlib.sha256(data).hexdigest())
+"""
+
+WORKERS = {"spectra": GRID_WORKER, "deficiency": DEFICIENCY_WORKER, "classify": CLASSIFY_WORKER}
 
 
 def golden_commands() -> list[list[str]]:
