@@ -55,42 +55,38 @@ for k in {KS!r}:
                     print(k, kappa, n, theta, tol, digest)
 """
 
-DEFICIENCY_KS = (1, 2, 3, 4)  # kappa in {0, k - 1}
-DEFICIENCY_MS = (5000, 12500, 20000, 20001)
 
-# The same for `deficiency_evidence`, with a digest of the repr of every
-# field (or of the error raised).
-DEFICIENCY_WORKER = f"""
+def fields_worker(imports: str, call: str, ks: tuple, ms: tuple) -> str:
+    """Code for a fresh interpreter: one line per case (k, kappa, M), with
+    kappa in {0, k - 1}, and a digest of the repr of every field of the
+    dataclass that `call` returns (or of the error raised)."""
+    return f"""
 import dataclasses, hashlib
-from powersqueeze import SectorParams, deficiency_evidence
-for k in {DEFICIENCY_KS!r}:
+{imports}
+for k in {ks!r}:
     for kappa in sorted({{0, k - 1}}):
-        for M in {DEFICIENCY_MS!r}:
+        for M in {ms!r}:
             try:
-                ev = deficiency_evidence(SectorParams(k, kappa), M)
-                data = repr([getattr(ev, f.name) for f in dataclasses.fields(ev)]).encode()
+                r = {call}
+                data = repr([getattr(r, f.name) for f in dataclasses.fields(r)]).encode()
             except Exception as exc:
                 data = repr(exc).encode()
             print(k, kappa, M, hashlib.sha256(data).hexdigest())
 """
 
-CLASSIFY_KS = (1, 2, 3, 4, 5, 6)  # kappa in {0, k - 1}
-CLASSIFY_MS = (1000, 10_000, 100_000)
 
-# The same for `classify_determinacy` and its `DeterminacyVerdict`.
-CLASSIFY_WORKER = f"""
-import dataclasses, hashlib
-from powersqueeze import classify_determinacy
-for k in {CLASSIFY_KS!r}:
-    for kappa in sorted({{0, k - 1}}):
-        for M in {CLASSIFY_MS!r}:
-            try:
-                v = classify_determinacy(k, kappa, M)
-                data = repr([getattr(v, f.name) for f in dataclasses.fields(v)]).encode()
-            except Exception as exc:
-                data = repr(exc).encode()
-            print(k, kappa, M, hashlib.sha256(data).hexdigest())
-"""
+DEFICIENCY_WORKER = fields_worker(
+    "from powersqueeze import SectorParams, deficiency_evidence",
+    "deficiency_evidence(SectorParams(k, kappa), M)",
+    ks=(1, 2, 3, 4),
+    ms=(5000, 12500, 20000, 20001),
+)
+CLASSIFY_WORKER = fields_worker(
+    "from powersqueeze import classify_determinacy",
+    "classify_determinacy(k, kappa, M)",
+    ks=(1, 2, 3, 4, 5, 6),
+    ms=(1000, 10_000, 100_000),
+)
 
 WORKERS = {"spectra": GRID_WORKER, "deficiency": DEFICIENCY_WORKER, "classify": CLASSIFY_WORKER}
 
