@@ -19,7 +19,6 @@ representable.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -59,14 +58,6 @@ def off_diagonal_squared(sector: SectorParams, m: int) -> int:
     if m < 0:
         raise ValueError(f"jacobi.off_diagonal_squared: m must be >= 0, got {m}")
     return math.perm(m * sector.k + sector.kappa + sector.k, sector.k)
-
-
-def off_diagonal_squares(sector: SectorParams, length: int) -> list[int]:
-    """b_0**2 .. b_{length-1}**2 as exact integers, as off_diagonal_squared
-    gives them, built without a Python loop."""
-    k = sector.k
-    top = sector.kappa + k
-    return list(map(math.perm, range(top, top + length * k, k), itertools.repeat(k)))
 
 
 def off_diagonal(sector: SectorParams, m: int) -> float:

@@ -13,13 +13,13 @@ import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from itertools import islice
+from itertools import compress, islice, repeat
 from operator import gt, mul
 
 import numpy as np
 
 from .errors import JacobiRecoveryError, NumericsError, QuadratureError
-from .jacobi import OffDiagonalSequence, SectorParams, off_diagonal_squares
+from .jacobi import OffDiagonalSequence, SectorParams
 from .polynomials import weight_rho, weight_tail_coefficient
 
 _GL_ORDER = 16
@@ -290,8 +290,8 @@ class DeterminacyVerdict:
     checked m, 1 <= m <= M (None when it fails at m = M).  The check is
     exact: p_m = b_m^2 is the integer (mk+kappa+k)!/(mk+kappa)!, and
     p_{m-1} p_{m+1} is compared with p_m^2 in one streamed pass over the
-    paired products; the last failing m is searched for only when some m
-    fails, which the sector products never do.
+    paired products, which also finds the last failing m; the sector
+    products never fail.
     """
 
     k: int
@@ -309,18 +309,14 @@ def _log_concave_from(prods: list[int]) -> int | None:
     every m up to M = len(prods) - 2, in exact integer arithmetic; None
     when it fails at m = M itself.
 
-    One pass over lazily paired products decides whether any m fails, so
-    no bytecode runs per m and no product list is kept; only then does a
-    second scan look for the last failing m.
+    One pass over lazily paired products finds the last failing m, so no
+    bytecode runs per m and no product list is kept.
     """
     M = len(prods) - 2
     outer = map(mul, prods, islice(prods, 2, None))  # p_{m-1} p_{m+1}, m = 1..M
     inner = map(mul, islice(prods, 1, M + 1), islice(prods, 1, M + 1))  # p_m^2
-    if not any(map(gt, outer, inner)):
-        return 1
-    for m in range(M, 0, -1):
-        if prods[m - 1] * prods[m + 1] > prods[m] * prods[m]:
-            return m + 1 if m < M else None
+    last = max(compress(range(1, M + 1), map(gt, outer, inner)), default=0)
+    return 1 if not last else (last + 1 if last < M else None)
 
 
 def classify_determinacy(k: int, kappa: int, M: int) -> DeterminacyVerdict:
@@ -355,7 +351,11 @@ def classify_determinacy(k: int, kappa: int, M: int) -> DeterminacyVerdict:
         if partial < lower * (1.0 - 1e-12):
             raise AssertionError("divergence lower bound exceeded the partial sum")
 
-    log_concave_from = _log_concave_from(off_diagonal_squares(sector, M + 2))
+    # p_m = b_m^2 = perm(mk + kappa + k, k) for m = 0..M+1, as
+    # jacobi.off_diagonal_squared gives it, without a call per m
+    top = kappa + k
+    prods = list(map(math.perm, range(top, top + (M + 2) * k, k), repeat(k)))
+    log_concave_from = _log_concave_from(prods)
 
     if k >= 3:
         if log_concave_from is None:

@@ -455,7 +455,14 @@ def _minimal_solution_profile(sector: SectorParams, M: int, N: int) -> tuple[flo
     stay normal, and the deep tail only seeds the back substitution, whose
     start is forgotten long before m = M (backwards, the minimal solution
     dominates); so w[:M+1] keeps its bits, as checked for k = 1..6, every
-    kappa and M up to 20000.  The resolvent bound
+    kappa and M up to 20000.  That holds only while the unscaled w[:M+1]
+    stays normal, and only k = 1 leaves that range: at N = 2e6 the
+    unscaled w is subnormal from m = 497702, and the two solves differ from
+    m = 497013 on.  Above that M (N stays 2e6, and the evidence is not
+    conclusive past M = 20000) the top of the window is rounded once from a
+    normal-range solve instead of carried through subnormal operands, so
+    minimal_exponent differs from the unscaled solve's: at M = 600000 it is
+    -361.75 against -42.88.  The resolvent bound
     |u_m| <= ||(T_N - i)^{-1}|| <= 1 of the real symmetric T_N, with
     2^s max b <= 2^1000, keeps every entry and product of the
     elimination finite.

@@ -346,6 +346,33 @@ class TestValidationAndErrors:
         assert len(result.stderr.strip().splitlines()) == 1
         assert "Traceback" not in result.stderr
 
+    @pytest.mark.parametrize(
+        "k, kappa, reason",
+        [
+            (0, 0, "jacobi.SectorParams: k must be >= 1, got 0"),
+            (2, 2, "jacobi.SectorParams: kappa must lie in [0, 1], got 2"),
+        ],
+        ids=["k", "kappa"],
+    )
+    def test_state_json_with_invalid_sector(self, tmp_path, k, kappa, reason):
+        # the library's message, module and operation included, is the reason
+        path = tmp_path / "bad_sector.json"
+        document = {
+            "config": {
+                "k": k,
+                "kappa": kappa,
+                "nu": {"re": 0.5, "im": 0.0},
+                "lambda": {"re": 1.0, "im": 0.0},
+            },
+            "results": {"coefficients": [{"m": 0, "re": 1.0, "im": 0.0}]},
+            "diagnostics": {"tail_estimate": 0.0},
+        }
+        path.write_text(json.dumps(document))
+        result = run_cli("verify-sr", str(path))
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr == f"invalid flags: cannot read state JSON {str(path)!r}: {reason}\n"
+
     def test_state_json_with_overflowing_mu(self, tmp_path):
         # mu = sqrt(1 + |nu|^2) overflows binary64 above |nu| ~ 1.3e154
         path = tmp_path / "state.json"

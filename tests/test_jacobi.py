@@ -21,7 +21,7 @@ from powersqueeze import (
     off_diagonal_squared,
     solve_recursion,
 )
-from powersqueeze.jacobi import envelope_fit, log_partial_sums_of_squares, off_diagonal_squares
+from powersqueeze.jacobi import envelope_fit, log_partial_sums_of_squares
 
 
 class TestSectorParams:
@@ -58,14 +58,6 @@ class TestOffDiagonal:
                 n0 = m * k + kappa + 1
                 assert exact == math.prod(range(n0, n0 + k))
                 assert off_diagonal(sector, m) ** 2 == pytest.approx(exact, rel=1e-14)
-
-    @pytest.mark.parametrize("k, kappa", [(1, 0), (2, 1), (3, 2), (6, 0)])
-    def test_squares_list_matches_one_by_one(self, k, kappa):
-        sector = SectorParams(k, kappa)
-        assert off_diagonal_squares(sector, 300) == [
-            off_diagonal_squared(sector, m) for m in range(300)
-        ]
-        assert off_diagonal_squares(sector, 0) == []
 
     def test_strictly_increasing(self):
         seq = OffDiagonalSequence.build(SectorParams(3, 1), 500).values

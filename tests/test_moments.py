@@ -32,7 +32,7 @@ from powersqueeze.moments import (
     _log_concave_from,
     _tail_bound,
 )
-from powersqueeze.jacobi import off_diagonal_squares
+from powersqueeze.jacobi import off_diagonal_squared
 
 
 def exact_moment(b: float, order: int) -> Fraction:
@@ -315,11 +315,17 @@ def reference_log_concave_from(prods: list[int]) -> int | None:
     return log_concave_from
 
 
+def sector_products(k: int, kappa: int, length: int) -> list[int]:
+    """p_0..p_{length-1}, p_m = b_m^2, one m at a time."""
+    sector = SectorParams(k, kappa)
+    return [off_diagonal_squared(sector, m) for m in range(length)]
+
+
 def _broken_sector_products(m_broken: int, M: int = 60) -> list[int]:
     """p_0..p_{M+1} of the k = 3, kappa = 1 sector with p_{m_broken+1}
     multiplied by 10^6, so log-concavity fails at m_broken (and at
     m_broken + 2, the next m that reads that entry as p_{m-1})."""
-    prods = off_diagonal_squares(SectorParams(3, 1), M + 2)
+    prods = sector_products(3, 1, M + 2)
     prods[m_broken + 1] *= 10**6
     return prods
 
@@ -331,9 +337,9 @@ class TestLogConcaveSweep:
     @pytest.mark.parametrize(
         "prods, expected",
         [
-            (off_diagonal_squares(SectorParams(3, 1), 62), 1),
+            (sector_products(3, 1, 62), 1),
             # p_0 large: only m = 1 reads it
-            ([10**9, *off_diagonal_squares(SectorParams(3, 1), 62)[1:]], 2),
+            ([10**9, *sector_products(3, 1, 62)[1:]], 2),
             (_broken_sector_products(30), 33),
             (_broken_sector_products(58), None),  # also fails at m = M = 60
             (_broken_sector_products(59), 60),
@@ -355,7 +361,7 @@ class TestLogConcaveSweep:
     @pytest.mark.parametrize("k", [1, 2, 3, 5, 6])
     def test_sector_products_are_log_concave(self, k):
         for kappa in {0, k - 1}:
-            prods = off_diagonal_squares(SectorParams(k, kappa), 2002)
+            prods = sector_products(k, kappa, 2002)
             assert _log_concave_from(prods) == reference_log_concave_from(prods) == 1
 
 

@@ -10,8 +10,9 @@ fixed grids and the CLI commands pinned by
 A spectra grid case compares the `eigenvalues_bisect` eigenvalue bytes and
 `max_bracket`, or the error raised.  A deficiency grid case compares the
 repr of every `DeficiencyEvidence` field, or the error raised; M reaches
-20000, where the minimal solution's system has N = 2e6 rows, and 20001,
-past the contamination bound.  A classify grid case compares the repr of
+20000, where the minimal solution's system has N = 2e6 rows, 20001, past
+the contamination bound, and 600000 at k = 1, past the subnormal onset of
+the unscaled solve.  A classify grid case compares the repr of
 every `DeterminacyVerdict` field, or the error raised, for k = 1..6 and
 M up to 1e5.  A command compares stdout, stderr and the
 exit code.  Prints each difference and a summary, and exits 1 if any byte
@@ -56,36 +57,39 @@ for k in {KS!r}:
 """
 
 
-def fields_worker(imports: str, call: str, ks: tuple, ms: tuple) -> str:
+def sector_grid(ks: tuple, ms: tuple) -> list[tuple[int, int, int]]:
+    """The cases (k, kappa, M) for k in ks, kappa in {0, k - 1}, M in ms."""
+    return [(k, kappa, M) for k in ks for kappa in sorted({0, k - 1}) for M in ms]
+
+
+def fields_worker(imports: str, call: str, cases: list) -> str:
     """Code for a fresh interpreter: one line per case (k, kappa, M), with
-    kappa in {0, k - 1}, and a digest of the repr of every field of the
-    dataclass that `call` returns (or of the error raised)."""
+    a digest of the repr of every field of the dataclass that `call`
+    returns (or of the error raised)."""
     return f"""
 import dataclasses, hashlib
 {imports}
-for k in {ks!r}:
-    for kappa in sorted({{0, k - 1}}):
-        for M in {ms!r}:
-            try:
-                r = {call}
-                data = repr([getattr(r, f.name) for f in dataclasses.fields(r)]).encode()
-            except Exception as exc:
-                data = repr(exc).encode()
-            print(k, kappa, M, hashlib.sha256(data).hexdigest())
+for k, kappa, M in {cases!r}:
+    try:
+        r = {call}
+        data = repr([getattr(r, f.name) for f in dataclasses.fields(r)]).encode()
+    except Exception as exc:
+        data = repr(exc).encode()
+    print(k, kappa, M, hashlib.sha256(data).hexdigest())
 """
 
 
+# (1, 0, 600000) lies past the k = 1 subnormal onset of the unscaled
+# minimal-solution solve (m = 497702 at N = 2e6)
 DEFICIENCY_WORKER = fields_worker(
     "from powersqueeze import SectorParams, deficiency_evidence",
     "deficiency_evidence(SectorParams(k, kappa), M)",
-    ks=(1, 2, 3, 4),
-    ms=(5000, 12500, 20000, 20001),
+    sector_grid((1, 2, 3, 4), (5000, 12500, 20000, 20001)) + [(1, 0, 600_000)],
 )
 CLASSIFY_WORKER = fields_worker(
     "from powersqueeze import classify_determinacy",
     "classify_determinacy(k, kappa, M)",
-    ks=(1, 2, 3, 4, 5, 6),
-    ms=(1000, 10_000, 100_000),
+    sector_grid((1, 2, 3, 4, 5, 6), (1000, 10_000, 100_000)),
 )
 
 WORKERS = {"spectra": GRID_WORKER, "deficiency": DEFICIENCY_WORKER, "classify": CLASSIFY_WORKER}
