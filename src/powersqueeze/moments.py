@@ -310,7 +310,7 @@ def _log_concave_from(prods: list[int]) -> int | None:
     when it fails at m = M itself.
 
     One pass over lazily paired products finds the last failing m, so no
-    bytecode runs per m and no product list is kept.
+    bytecode runs per m and the paired products are never stored.
     """
     M = len(prods) - 2
     outer = map(mul, prods, islice(prods, 2, None))  # p_{m-1} p_{m+1}, m = 1..M
