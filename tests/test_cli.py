@@ -436,12 +436,28 @@ GOLDEN = Path(__file__).parent / "data"
 
 
 class TestGoldenBytes:
-    """Spectrum and deficiency outputs pinned byte for byte; a speedup must
-    not move them."""
+    """The outputs of every command pinned byte for byte; a speedup or a
+    rewrite of the CLI must not move them."""
 
     @pytest.mark.parametrize(
         "name, argv",
         [
+            ("state_k2_nu05",
+             ["state", "--k", "2", "--kappa", "0", "--nu", "0.5", "--lambda", "0", "--tol", "1e-10"]),
+            # nu = 0: the power-coherent route
+            ("state_k1_nu0_lambda13",
+             ["state", "--k", "1", "--nu", "0", "--lambda", "1.3", "--tol", "1e-10"]),
+            ("verify_sr_k2",
+             ["verify-sr", "--k", "2", "--nu", "0.5i", "--lambda", "1+1i", "--tol", "1e-10"]),
+            # tail_upper_bound is inf in CSV and null in JSON
+            ("classify_k2_m1000", ["classify", "--k", "2", "--M", "1000"]),
+            ("classify_k3_m10000", ["classify", "--k", "3", "--M", "10000"]),
+            ("moments_b025_m12", ["moments", "--b", "0.25", "--M", "12", "--tol", "1e-10"]),
+            ("pollaczek_b025_m30", ["pollaczek", "--b", "0.25", "--M", "30", "--lambda", "0.5"]),
+            ("spectrum_k2_n8_ell", ["spectrum", "--k", "2", "--n", "8", "--tol", "1e-10", "--ell"]),
+            # one theta: no cross gap, null in JSON
+            ("extensions_k3_n60_theta05",
+             ["extensions", "--k", "3", "--n", "60", "--theta", "0.5", "--tol", "1e-9"]),
             ("spectrum_k1_n5", ["spectrum", "--k", "1", "--n", "5", "--tol", "1e-10"]),
             ("spectrum_k3_n400", ["spectrum", "--k", "3", "--n", "400"]),
             ("extensions_k3_n400",
