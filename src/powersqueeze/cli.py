@@ -19,7 +19,7 @@ import numpy as np
 from .errors import NumericsError
 from .jacobi import SectorParams
 from .moments import classify_determinacy, moments
-from .polynomials import pollaczek
+from .polynomials import _CROSS_CHECK_LIMIT as _POLLACZEK_CHECKED, pollaczek, pollaczek_table
 from .spectra import TridiagonalMatrix, eigenvalues_bisect, extension_sweep, nearest_distance
 from .states import (
     FockVector,
@@ -34,6 +34,14 @@ from .states import (
 
 class _UsageError(Exception):
     """Flag validation failure; printed as a one-line reason, exit 2."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a parse error as a _UsageError instead of a usage block and
+    an exit; add_subparsers gives every subcommand parser this class."""
+
+    def error(self, message):
+        raise _UsageError(message)
 
 
 def _fmt(x: float) -> str:
@@ -83,27 +91,36 @@ def _render_json(obj, indent: int = 0) -> str:
     return _json_scalar(obj)
 
 
+def _csv_cell(cell) -> str:
+    if cell is None:
+        return ""
+    if isinstance(cell, str):
+        return cell
+    if isinstance(cell, bool):
+        return "true" if cell else "false"
+    if isinstance(cell, (int, np.integer)):
+        return str(int(cell))
+    return _fmt(cell)
+
+
 def _render_csv(schema: str, header: list[str], rows) -> str:
     lines = [f"#schema={schema}/1", ",".join(header)]
-    for row in rows:
-        cells = []
-        for cell in row:
-            if cell is None:
-                cells.append("")
-            elif isinstance(cell, str):
-                cells.append(cell)
-            elif isinstance(cell, (int, np.integer)):
-                cells.append(str(int(cell)))
-            else:
-                cells.append(_fmt(cell))
-        lines.append(",".join(cells))
+    lines.extend(",".join(_csv_cell(cell) for cell in row) for row in rows)
     return "\n".join(lines) + "\n"
 
 
-def _emit(args, document: dict, schema: str, header: list[str], rows) -> None:
+def _emit(
+    args, config: dict, results, diagnostics: dict, schema: str, header: list[str], rows=None
+) -> None:
+    """Write the {config, results, diagnostics} document as JSON, or the rows
+    as CSV; without rows, one row is read from config and results by name."""
     if args.format == "json":
+        document = {"config": config, "results": results, "diagnostics": diagnostics}
         text = _render_json(document) + "\n"
     else:
+        if rows is None:
+            fields = {**config, **results}
+            rows = [[fields[name] for name in header]]
         text = _render_csv(schema, header, rows)
     if args.out:
         try:
@@ -112,10 +129,6 @@ def _emit(args, document: dict, schema: str, header: list[str], rows) -> None:
             raise _UsageError(f"cannot write --out {args.out!r}: {exc.strerror}") from None
     else:
         sys.stdout.write(text)
-
-
-def _complex_doc(z: complex) -> dict:
-    return {"re": z.real, "im": z.imag}
 
 
 def _sector(args) -> SectorParams:
@@ -132,15 +145,27 @@ def _check_tol(tol: float) -> float:
     return tol
 
 
-# ---------------------------------------------------------------------------
-# subcommands
+def _check_b(b: float | None) -> None:
+    if b is None or not 0.0 < b < math.inf:
+        raise _UsageError(f"--b must be a positive finite weight parameter, got {b}")
 
 
-def _cmd_state(args) -> None:
+def _state_config(params: SqueezeParams) -> dict:
+    return {
+        "k": params.sector.k,
+        "kappa": params.sector.kappa,
+        "nu": {"re": params.nu.real, "im": params.nu.imag},
+        "lambda": {"re": params.lam.real, "im": params.lam.imag},
+    }
+
+
+def _state_from_flags(args) -> tuple[FockVector, SqueezeParams, dict]:
+    """The state that --k, --kappa, --nu, --lambda and --tol name, its
+    parameters and its config; nu = 0 takes the power-coherent route."""
     sector = _sector(args)
     tol = _check_tol(args.tol)
     if args.nu is None or args.lam is None:
-        raise _UsageError("state needs both --nu and --lambda")
+        raise _UsageError(f"{args.command} needs both --nu and --lambda")
     nu = _parse_complex(args.nu)
     lam = _parse_complex(args.lam)
     params = SqueezeParams(sector, nu, lam)
@@ -148,29 +173,29 @@ def _cmd_state(args) -> None:
         vec = build_power_coherent(sector, lam, tol)
     else:
         vec = build_state(params, tol)
-    residual = residual_check(vec, params)
-    config = {
-        "command": "state",
-        "k": sector.k,
-        "kappa": sector.kappa,
-        "nu": _complex_doc(nu),
-        "lambda": _complex_doc(lam),
-        "tol": tol,
+    config = {"command": args.command, **_state_config(params), "tol": tol}
+    return vec, params, config
+
+
+# ---------------------------------------------------------------------------
+# subcommands
+
+
+def _cmd_state(args) -> None:
+    vec, params, config = _state_from_flags(args)
+    results = {
+        "coefficients": [
+            {"m": m, "re": c.real, "im": c.imag} for m, c in enumerate(vec.coefficients)
+        ],
+        "cutoff": vec.cutoff,
     }
-    coeffs = [
-        {"m": m, "re": c.real, "im": c.imag} for m, c in enumerate(vec.coefficients)
-    ]
-    document = {
-        "config": config,
-        "results": {"coefficients": coeffs, "cutoff": vec.cutoff},
-        "diagnostics": {
-            "tail_estimate": vec.tail_estimate,
-            "residual": residual,
-            "mu": params.mu,
-        },
+    diagnostics = {
+        "tail_estimate": vec.tail_estimate,
+        "residual": residual_check(vec, params),
+        "mu": params.mu,
     }
     rows = [(m, c.real, c.imag) for m, c in enumerate(vec.coefficients)]
-    _emit(args, document, "state", ["m", "re_c", "im_c"], rows)
+    _emit(args, config, results, diagnostics, "state", ["m", "re_c", "im_c"], rows)
 
 
 def _cmd_spectrum(args) -> None:
@@ -180,30 +205,24 @@ def _cmd_spectrum(args) -> None:
         raise _UsageError(f"--n must be >= 1, got {args.n}")
     if args.ell and sector.k != 2:
         raise _UsageError("--ell converts to the quarter-scaled variable; needs --k 2")
-    T = TridiagonalMatrix.truncation(sector, args.n)
-    report = eigenvalues_bisect(T, tol)
+    report = eigenvalues_bisect(TridiagonalMatrix.truncation(sector, args.n), tol)
     config = {
         "command": "spectrum",
         "k": sector.k,
         "kappa": sector.kappa,
         "n": args.n,
         "tol": tol,
-        "ell": bool(args.ell),
+        "ell": args.ell,
     }
     results = {"eigenvalues": list(report.eigenvalues)}
+    diagnostics = {"bisect_tol": report.bisect_tol, "n": report.n}
+    schema, header = "spectrum", ["rank", "eigenvalue"]
+    rows = list(enumerate(report.eigenvalues))
     if args.ell:
         results["ell"] = [e / 4.0 for e in report.eigenvalues]
-    document = {
-        "config": config,
-        "results": results,
-        "diagnostics": {"bisect_tol": report.bisect_tol, "n": report.n},
-    }
-    if args.ell:
-        rows = [(r, e, e / 4.0) for r, e in enumerate(report.eigenvalues)]
-        _emit(args, document, "spectrum-ell", ["rank", "eigenvalue", "ell"], rows)
-    else:
-        rows = list(enumerate(report.eigenvalues))
-        _emit(args, document, "spectrum", ["rank", "eigenvalue"], rows)
+        schema, header = "spectrum-ell", [*header, "ell"]
+        rows = [(r, e, e / 4.0) for r, e in rows]
+    _emit(args, config, results, diagnostics, schema, header, rows)
 
 
 def _cmd_extensions(args) -> None:
@@ -224,27 +243,21 @@ def _cmd_extensions(args) -> None:
         "theta": sorted(thetas),
         "tol": tol,
     }
-    cross = None
-    if len(reports) > 1:
-        gaps = []
-        for i, a in enumerate(reports):
-            for b in reports[i + 1 :]:
-                gaps.append(float(np.min(nearest_distance(b.eigenvalues, a.central(5)))))
-        cross = min(gaps)
-    document = {
-        "config": config,
-        "results": [
-            {"theta": rep.boundary_theta, "eigenvalues": list(rep.eigenvalues)}
-            for rep in reports
-        ],
-        "diagnostics": {"cross_theta_min_gap_central5": cross},
-    }
+    gaps = [
+        float(np.min(nearest_distance(b.eigenvalues, a.central(5))))
+        for i, a in enumerate(reports)
+        for b in reports[i + 1 :]
+    ]
+    results = [
+        {"theta": rep.boundary_theta, "eigenvalues": list(rep.eigenvalues)} for rep in reports
+    ]
+    diagnostics = {"cross_theta_min_gap_central5": min(gaps, default=None)}
     rows = [
         (rep.boundary_theta, rank, e)
         for rep in reports
         for rank, e in enumerate(rep.eigenvalues)
     ]
-    _emit(args, document, "extensions", ["theta", "rank", "eigenvalue"], rows)
+    _emit(args, config, results, diagnostics, "extensions", ["theta", "rank", "eigenvalue"], rows)
 
 
 def _cmd_classify(args) -> None:
@@ -258,32 +271,14 @@ def _cmd_classify(args) -> None:
         "kappa": sector.kappa,
         "M": args.M,
     }
-    document = {
-        "config": config,
-        "results": {
-            "verdict": verdict.verdict.value,
-            "partial_sum": verdict.partial_sum,
-            "tail_upper_bound": None
-            if math.isinf(verdict.tail_upper)
-            else verdict.tail_upper,
-            "reciprocal_sum_divergent": math.isinf(verdict.tail_upper),
-            "divergence_lower_bound": verdict.lower_bound,
-            "log_concave_from": verdict.log_concave_from,
-        },
-        "diagnostics": {},
+    results = {
+        "verdict": verdict.verdict.value,
+        "partial_sum": verdict.partial_sum,
+        "tail_upper_bound": verdict.tail_upper,
+        "reciprocal_sum_divergent": math.isinf(verdict.tail_upper),
+        "divergence_lower_bound": verdict.lower_bound,
+        "log_concave_from": verdict.log_concave_from,
     }
-    rows = [
-        (
-            verdict.k,
-            verdict.kappa,
-            verdict.M,
-            verdict.verdict.value,
-            verdict.partial_sum,
-            verdict.tail_upper,
-            verdict.lower_bound,
-            verdict.log_concave_from,
-        )
-    ]
     header = [
         "k",
         "kappa",
@@ -294,12 +289,7 @@ def _cmd_classify(args) -> None:
         "divergence_lower_bound",
         "log_concave_from",
     ]
-    _emit(args, document, "classify", header, rows)
-
-
-def _check_b(b: float | None) -> None:
-    if b is None or not 0.0 < b < math.inf:
-        raise _UsageError(f"--b must be a positive finite weight parameter, got {b}")
+    _emit(args, config, results, {}, "classify", header)
 
 
 def _cmd_moments(args) -> None:
@@ -309,18 +299,9 @@ def _cmd_moments(args) -> None:
     tol = _check_tol(args.tol)
     seq = moments(args.b, args.M, tol)
     config = {"command": "moments", "b": args.b, "M": args.M, "tol": tol}
-    document = {
-        "config": config,
-        "results": {
-            "moments": [
-                {"m": m, "value": v, "quad_error": e}
-                for m, (v, e) in enumerate(zip(seq.values, seq.quad_error))
-            ]
-        },
-        "diagnostics": {},
-    }
     rows = [(m, v, e) for m, (v, e) in enumerate(zip(seq.values, seq.quad_error))]
-    _emit(args, document, "moments", ["m", "value", "quad_error"], rows)
+    results = {"moments": [{"m": m, "value": v, "quad_error": e} for m, v, e in rows]}
+    _emit(args, config, results, {}, "moments", ["m", "value", "quad_error"], rows)
 
 
 def _cmd_pollaczek(args) -> None:
@@ -333,14 +314,17 @@ def _cmd_pollaczek(args) -> None:
     if point.imag != 0.0:
         raise _UsageError("--lambda must be real for pollaczek (the argument x)")
     x = point.real
-    values = [pollaczek(m, x, args.b) for m in range(args.M + 1)]
+    # one pass for all degrees, overflowing to inf and nan as silently as pollaczek()
+    with np.errstate(over="ignore", invalid="ignore"):
+        table = pollaczek_table(args.M, np.array([x]), args.b)[:, 0]
+    # pollaczek() for the degrees it cross-checks against the exact series
+    rows = [
+        (m, pollaczek(m, x, args.b) if m <= _POLLACZEK_CHECKED else float(v))
+        for m, v in enumerate(table)
+    ]
     config = {"command": "pollaczek", "b": args.b, "M": args.M, "x": x}
-    document = {
-        "config": config,
-        "results": {"values": [{"m": m, "value": v} for m, v in enumerate(values)]},
-        "diagnostics": {},
-    }
-    _emit(args, document, "pollaczek", ["m", "value"], list(enumerate(values)))
+    results = {"values": [{"m": m, "value": v} for m, v in rows]}
+    _emit(args, config, results, {}, "pollaczek", ["m", "value"], rows)
 
 
 def _load_state_json(path: str) -> tuple[FockVector, SqueezeParams]:
@@ -368,37 +352,12 @@ def _load_state_json(path: str) -> tuple[FockVector, SqueezeParams]:
 def _cmd_verify_sr(args) -> None:
     if args.state_json:
         vec, params = _load_state_json(args.state_json)
-        config = {
-            "command": "verify-sr",
-            "state_json": args.state_json,
-            "k": params.sector.k,
-            "kappa": params.sector.kappa,
-            "nu": _complex_doc(params.nu),
-            "lambda": _complex_doc(params.lam),
-        }
+        config = {"command": "verify-sr", "state_json": args.state_json, **_state_config(params)}
+    elif args.nu is None or args.lam is None:
+        raise _UsageError("verify-sr needs either a state JSON path or --nu and --lambda")
     else:
-        if args.nu is None or args.lam is None:
-            raise _UsageError("verify-sr needs either a state JSON path or --nu and --lambda")
-        sector = _sector(args)
-        tol = _check_tol(args.tol)
-        nu = _parse_complex(args.nu)
-        lam = _parse_complex(args.lam)
-        params = SqueezeParams(sector, nu, lam)
-        vec = (
-            build_power_coherent(sector, lam, tol)
-            if nu == 0
-            else build_state(params, tol)
-        )
-        config = {
-            "command": "verify-sr",
-            "k": sector.k,
-            "kappa": sector.kappa,
-            "nu": _complex_doc(nu),
-            "lambda": _complex_doc(lam),
-            "tol": tol,
-        }
+        vec, params, config = _state_from_flags(args)
     report = sr_report(vec, params.sector.k)
-    residual = residual_check(vec, params)
     results = {
         "var_a": report.var_a,
         "var_b": report.var_b,
@@ -409,24 +368,9 @@ def _cmd_verify_sr(args) -> None:
         "gap": report.gap,
         "gap_over_rhs": report.gap / report.rhs if report.rhs > 0 else None,
     }
-    document = {
-        "config": config,
-        "results": results,
-        "diagnostics": {"residual": residual, "cutoff": vec.cutoff},
-    }
+    diagnostics = {"residual": residual_check(vec, params), "cutoff": vec.cutoff}
     header = ["var_a", "var_b", "cov_ab", "commutator_expectation", "lhs", "rhs", "gap"]
-    rows = [
-        (
-            report.var_a,
-            report.var_b,
-            report.cov_ab,
-            report.commutator_expectation,
-            report.lhs,
-            report.rhs,
-            report.gap,
-        )
-    ]
-    _emit(args, document, "verify-sr", header, rows)
+    _emit(args, config, results, diagnostics, "verify-sr", header)
 
 
 def _cmd_deficiency(args) -> None:
@@ -440,111 +384,67 @@ def _cmd_deficiency(args) -> None:
         "kappa": sector.kappa,
         "M": args.M,
     }
-    document = {
-        "config": config,
-        "results": {
-            "count_square_summable": evidence.count,
-            "exponent_polynomial": evidence.exponent_polynomial,
-            "exponent_second": evidence.exponent_second,
-            "minimal_exponent": evidence.minimal_exponent,
-            "conclusive": evidence.conclusive,
-        },
-        "diagnostics": {},
+    results = {
+        "count_square_summable": evidence.count,
+        "exponent_polynomial": evidence.exponent_polynomial,
+        "exponent_second": evidence.exponent_second,
+        "minimal_exponent": evidence.minimal_exponent,
+        "conclusive": evidence.conclusive,
     }
-    header = [
-        "count_square_summable",
-        "exponent_polynomial",
-        "exponent_second",
-        "minimal_exponent",
-        "conclusive",
-    ]
-    rows = [
-        (
-            evidence.count,
-            evidence.exponent_polynomial,
-            evidence.exponent_second,
-            evidence.minimal_exponent,
-            str(evidence.conclusive).lower(),
-        )
-    ]
-    _emit(args, document, "deficiency", header, rows)
+    _emit(args, config, results, {}, "deficiency", list(results))
 
 
 # ---------------------------------------------------------------------------
 # argument wiring
 
+# the flags beyond the common five, as (name, add_argument keywords)
+_N = ("--n", {"type": int, "required": True})
+_THETA = ("--theta", {"type": float, "action": "append", "default": None})
+_B = ("--b", {"type": float, "default": None})
+_M = ("--M", {"type": int, "default": 10000})
+_NU = ("--nu", {"type": str, "default": None})
+_LAMBDA = ("--lambda", {"dest": "lam", "type": str, "default": None})
+_ELL = ("--ell", {"action": "store_true"})
+_STATE_JSON = ("state_json", {"nargs": "?", "default": None})
+
+# command: (handler, help, extra flags in the order they are added)
+_COMMANDS = {
+    "state": (_cmd_state, "build one squeezed state", [_NU, _LAMBDA]),
+    "spectrum": (_cmd_spectrum, "eigenvalues of the plain truncation", [_N, _ELL]),
+    "extensions": (_cmd_extensions, "boundary-parameter spectrum sweep", [_N, _THETA]),
+    "classify": (_cmd_classify, "determined vs limit-circle certificates", [_M]),
+    "moments": (_cmd_moments, "weight moments with error estimates", [_B, _M]),
+    "pollaczek": (_cmd_pollaczek, "orthonormal polynomial values", [_B, _M, _NU, _LAMBDA]),
+    "verify-sr": (_cmd_verify_sr, "uncertainty report for a state", [_NU, _LAMBDA, _STATE_JSON]),
+    "deficiency": (_cmd_deficiency, "square-summable solution count at i", [_M]),
+}
+
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="powersqueeze",
         description="Power-squeezed states, sector Jacobi spectra, and moment diagnostics",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, *, n=False, theta=False, b=False, big_m=False, state=False, ell=False):
+    for name, (handler, help_text, extra) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--k", type=int, default=1)
         p.add_argument("--kappa", type=int, default=0)
         p.add_argument("--tol", type=float, default=1e-10)
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--out", type=str, default=None)
-        if n:
-            p.add_argument("--n", type=int, required=True)
-        if theta:
-            p.add_argument("--theta", type=float, action="append", default=None)
-        if b:
-            p.add_argument("--b", type=float, default=None)
-        if big_m:
-            p.add_argument("--M", type=int, default=10000)
-        if state:
-            p.add_argument("--nu", type=str, default=None)
-            p.add_argument("--lambda", dest="lam", type=str, default=None)
-        if ell:
-            p.add_argument("--ell", action="store_true")
-
-    p = sub.add_parser("state", help="build one squeezed state")
-    common(p, state=True)
-    p.set_defaults(func=_cmd_state)
-
-    p = sub.add_parser("spectrum", help="eigenvalues of the plain truncation")
-    common(p, n=True, ell=True)
-    p.set_defaults(func=_cmd_spectrum)
-
-    p = sub.add_parser("extensions", help="boundary-parameter spectrum sweep")
-    common(p, n=True, theta=True)
-    p.set_defaults(func=_cmd_extensions)
-
-    p = sub.add_parser("classify", help="determined vs limit-circle certificates")
-    common(p, big_m=True)
-    p.set_defaults(func=_cmd_classify)
-
-    p = sub.add_parser("moments", help="weight moments with error estimates")
-    common(p, b=True, big_m=True)
-    p.set_defaults(func=_cmd_moments)
-
-    p = sub.add_parser("pollaczek", help="orthonormal polynomial values")
-    common(p, b=True, big_m=True, state=True)
-    p.set_defaults(func=_cmd_pollaczek)
-
-    p = sub.add_parser("verify-sr", help="uncertainty report for a state")
-    common(p, state=True)
-    p.add_argument("state_json", nargs="?", default=None)
-    p.set_defaults(func=_cmd_verify_sr)
-
-    p = sub.add_parser("deficiency", help="square-summable solution count at i")
-    common(p, big_m=True)
-    p.set_defaults(func=_cmd_deficiency)
-
+        for flag, options in extra:
+            p.add_argument(flag, **options)
+        p.set_defaults(func=handler)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code) if exc.code is not None else 0
-    try:
+        args = _build_parser().parse_args(argv)
         args.func(args)
+    except SystemExit as exc:  # --help
+        return int(exc.code) if exc.code is not None else 0
     except _UsageError as exc:
         print(f"invalid flags: {exc}", file=sys.stderr)
         return 2

@@ -13,12 +13,10 @@ import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from itertools import compress, islice, repeat
-from operator import gt, mul
 
 import numpy as np
 
-from .errors import JacobiRecoveryError, NumericsError, QuadratureError
+from .errors import JacobiRecoveryError, QuadratureError
 from .jacobi import OffDiagonalSequence, SectorParams
 from .polynomials import weight_rho, weight_tail_coefficient
 
@@ -285,13 +283,20 @@ class DeterminacyVerdict:
     remainder via b_m >= (mk)^(k/2) and integral comparison, certifying
     convergence.  For k <= 2, lower_bound is a closed-form divergent lower
     bound for the partial sums (from b_m <= ((m+2)k)^(k/2)), certifying
-    divergence; tail_upper is then infinite.  log_concave_from is the
-    smallest index from which b_{m-1} b_{m+1} <= b_m^2 held for every
-    checked m, 1 <= m <= M (None when it fails at m = M).  The check is
-    exact: p_m = b_m^2 is the integer (mk+kappa+k)!/(mk+kappa)!, and
-    p_{m-1} p_{m+1} is compared with p_m^2 in one streamed pass over the
-    paired products, which also finds the last failing m; the sector
-    products never fail.
+    divergence; tail_upper is then infinite.
+
+    log_concave_from is the smallest index from which b_{m-1} b_{m+1} <
+    b_m^2 holds for every m, and it is 1 in every sector, by proof rather
+    than by a sweep.  p_m = b_m^2 is the product of the k factors
+    f_j(m) = mk + kappa + j, j = 1..k, each linear in m with slope k, so
+    f_j(m-1) f_j(m+1) = f_j(m)^2 - k^2 < f_j(m)^2.  For m >= 1 every
+    factor is at least f_j(0) = kappa + j >= 1, so the k inequalities
+    multiply to p_{m-1} p_{m+1} < p_m^2.  For k >= 3 the limit-circle verdict is then
+    Berezanskii's criterion: log-concave off-diagonals with a convergent
+    sum of 1/b_m and a bounded (here zero) diagonal make the Jacobi matrix
+    limit-circle and the moment problem indeterminate (Yu. M. Berezanskii,
+    Expansions in Eigenfunctions of Selfadjoint Operators, AMS 1968,
+    ch. VII).
     """
 
     k: int
@@ -301,22 +306,7 @@ class DeterminacyVerdict:
     partial_sum: float
     tail_upper: float
     lower_bound: float
-    log_concave_from: int | None
-
-
-def _log_concave_from(prods: list[int]) -> int | None:
-    """The smallest index from which p_{m-1} p_{m+1} <= p_m^2 holds for
-    every m up to M = len(prods) - 2, in exact integer arithmetic; None
-    when it fails at m = M itself.
-
-    One pass over lazily paired products finds the last failing m, so no
-    bytecode runs per m and the paired products are never stored.
-    """
-    M = len(prods) - 2
-    outer = map(mul, prods, islice(prods, 2, None))  # p_{m-1} p_{m+1}, m = 1..M
-    inner = map(mul, islice(prods, 1, M + 1), islice(prods, 1, M + 1))  # p_m^2
-    last = max(compress(range(1, M + 1), map(gt, outer, inner)), default=0)
-    return 1 if not last else (last + 1 if last < M else None)
+    log_concave_from: int
 
 
 def classify_determinacy(k: int, kappa: int, M: int) -> DeterminacyVerdict:
@@ -325,9 +315,10 @@ def classify_determinacy(k: int, kappa: int, M: int) -> DeterminacyVerdict:
     The reciprocal off-diagonal sum converges iff k/2 > 1 by integral
     comparison against (mk)^(-k/2) from above and ((m+2)k)^(-k/2) from
     below; k = 1, 2 are certified divergent (determined), k >= 3 certified
-    convergent, which together with log-concavity gives the limit-circle
-    verdict.  Certificates are recomputed at the given M; verdicts are
-    M-stable by construction.
+    convergent, which together with the proven log-concavity gives the
+    limit-circle verdict (Berezanskii's criterion; see DeterminacyVerdict).
+    Certificates are recomputed at the given M; verdicts are M-stable by
+    construction.
     """
     sector = SectorParams(k, kappa)
     if M < 1000:
@@ -351,29 +342,13 @@ def classify_determinacy(k: int, kappa: int, M: int) -> DeterminacyVerdict:
         if partial < lower * (1.0 - 1e-12):
             raise AssertionError("divergence lower bound exceeded the partial sum")
 
-    # p_m = b_m^2 = perm(mk + kappa + k, k) for m = 0..M+1, as
-    # jacobi.off_diagonal_squared gives it, without a call per m
-    top = kappa + k
-    prods = list(map(math.perm, range(top, top + (M + 2) * k, k), repeat(k)))
-    log_concave_from = _log_concave_from(prods)
-
-    if k >= 3:
-        if log_concave_from is None:
-            raise NumericsError(
-                "moments.classify_determinacy: reciprocal sum certified "
-                "convergent but log-concavity did not hold; no certificate"
-            )
-        verdict = Verdict.LIMIT_CIRCLE
-    else:
-        verdict = Verdict.DETERMINED
-
     return DeterminacyVerdict(
         k=k,
         kappa=kappa,
         M=M,
-        verdict=verdict,
+        verdict=Verdict.LIMIT_CIRCLE if k >= 3 else Verdict.DETERMINED,
         partial_sum=partial,
         tail_upper=tail_upper,
         lower_bound=lower,
-        log_concave_from=log_concave_from,
+        log_concave_from=1,  # proven; see DeterminacyVerdict
     )

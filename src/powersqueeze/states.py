@@ -506,7 +506,9 @@ def deficiency_evidence(sector: SectorParams, M: int) -> DeficiencyEvidence:
     when its envelope exponent is below -0.6 and its partial sums are
     Cauchy across M/2 -> M within 10%.  The constructed combination counts
     only while its contamination bound sqrt(M/N) is at most 10%, that is
-    up to M = 20000; above it the evidence is not conclusive.
+    up to M = 20000; above it the evidence is not conclusive.  From
+    M = 2e6 on, where the N rows cannot hold the fit window, the
+    combination is not constructed and minimal_exponent is None.
     """
     if M < 5000:
         raise ValueError(f"states.deficiency_evidence: M must be >= 5000, got {M}")
@@ -526,6 +528,10 @@ def deficiency_evidence(sector: SectorParams, M: int) -> DeficiencyEvidence:
             sector, M, 1, prof_poly.exponent, prof_second.exponent, None, True
         )
     N = min(_BANDED_OVERSIZE * M, _MAX_BANDED)
+    if N <= M:  # the fit window [M/10, M] lies past the end of the solution
+        return DeficiencyEvidence(
+            sector, M, None, prof_poly.exponent, prof_second.exponent, None, False
+        )
     min_exp, min_cauchy, min_count = _minimal_solution_profile(sector, M, N)
     bound = math.sqrt(M / N)
     if (

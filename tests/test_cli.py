@@ -1,5 +1,7 @@
 """Command-line interface: schemas, determinism, round-trips, exit codes."""
 
+import contextlib
+import io
 import json
 import math
 import subprocess
@@ -9,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from powersqueeze import (
     SectorParams,
@@ -408,6 +412,105 @@ class TestValidationAndErrors:
         assert len(result.stderr.strip().splitlines()) == 1
         assert str(out) in result.stderr
 
+    @pytest.mark.parametrize(
+        "argv, reason",
+        [
+            (["spectrum", "--k", "1", "--n", "abc"], "argument --n: invalid int value: 'abc'"),
+            (["frobnicate"], "argument command: invalid choice: 'frobnicate' (choose from "),
+            (["spectrum", "--k", "1", "--n", "5", "--frob"], "unrecognized arguments: --frob"),
+            ([], "the following arguments are required: command"),
+        ],
+        ids=["bad-int", "unknown-command", "unknown-flag", "no-command"],
+    )
+    def test_parser_errors_are_one_line(self, capsys, argv, reason):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"invalid flags: {reason}")
+        assert len(captured.err.splitlines()) == 1
+
+    def test_help_exits_0(self, capsys):
+        assert main(["spectrum", "--help"]) == 0
+        assert capsys.readouterr().out.startswith("usage: powersqueeze spectrum")
+
+
+# Flag values around each validator's edge, for TestContractProperty.
+# Hypothesis draws bounded integers at their ends far more often than
+# inside, so the edges are list entries, and a repeated value is drawn
+# more often: some of the flag sets are then valid.
+_VALUES = {
+    "--k": st.sampled_from([1, 2, 3, 4, 5, 0]),
+    "--kappa": st.sampled_from([0, 1, 2, 3, 4, 5, -1]),
+    "--n": st.sampled_from([1, 5, 50, 80, 49, 0, -1]),
+    # 100 overflows Gamma(2b): exit 1
+    "--b": st.sampled_from(["0.25", "0.75", "-1", "inf", "nan", "100"]),
+    "--tol": st.sampled_from(["1e-10", "1e-10", "0", "1e-3", "nan"]),
+    # exit 1: mu overflows at nu = 1e200, lambda = 1e300 reaches the cutoff
+    # cap, and theta = 1e308 overflows the boundary entry
+    "--nu": st.sampled_from(["0", "0.5", "1+1i", "-0.3i", "abc", "inf", "1e400", "1e200"]),
+    "--lambda": st.sampled_from(["0", "1.3", "1+1i", "-2", "abc", "inf", "nan", "1e300"]),
+    "--theta": st.sampled_from(["0", "0.5", "-1", "nan", "inf", "abc", "1e308"]),
+    "--format": st.sampled_from(["csv", "json"]),
+}
+_COMMON = ["--k", "--kappa", "--tol", "--format"]
+# the flags each command reads besides the common ones; these are left
+# out only now and then
+_EXTRA = {
+    "state": ["--nu", "--lambda"],
+    "spectrum": ["--n"],
+    "extensions": ["--n", "--theta", "--theta"],
+    "classify": ["--M"],
+    "moments": ["--b", "--M"],
+    "pollaczek": ["--b", "--M", "--lambda"],
+    "verify-sr": ["--nu", "--lambda"],
+    "deficiency": ["--M"],
+}
+# --M at each command's floor and just below it (moments: also its cap)
+_M_VALUES = {
+    "classify": [999, 1000],
+    "moments": [-1, 0, 4, 24, 25],
+    "pollaczek": [-1, 0, 30],
+    "deficiency": [4999, 5000],
+}
+_RARELY = st.sampled_from([False] * 7 + [True])
+
+
+@st.composite
+def cli_argv(draw) -> list[str]:
+    command = draw(st.sampled_from(sorted(_EXTRA)))
+    argv = [command]
+    for flag in _COMMON:
+        if draw(st.booleans()):
+            argv.append(f"{flag}={draw(_VALUES[flag])}")
+    for flag in _EXTRA[command]:
+        if not draw(_RARELY):
+            values = st.sampled_from(_M_VALUES[command]) if flag == "--M" else _VALUES[flag]
+            argv.append(f"{flag}={draw(values)}")
+    if command == "verify-sr" and draw(_RARELY):
+        argv.append("missing_state.json")
+    if draw(_RARELY):
+        argv.append(draw(st.sampled_from(["--frob", "--b=0.25", "extra"])))
+    return argv
+
+
+class TestContractProperty:
+    """Over generated flag sets, the CLI exits 0, 1 or 2, writes exactly one
+    stderr line when it exits 1 or 2, and never raises."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(cli_argv())
+    def test_exit_codes_and_one_line_errors(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
+        if code == 0:
+            assert out.getvalue()
+        else:
+            assert out.getvalue() == ""
+            assert len(err.getvalue().splitlines()) == 1
+
 
 class TestStartup:
     def test_scipy_linalg_loads_only_when_called(self, tmp_path):
@@ -443,7 +546,8 @@ class TestGoldenBytes:
         "name, argv",
         [
             ("state_k2_nu05",
-             ["state", "--k", "2", "--kappa", "0", "--nu", "0.5", "--lambda", "0", "--tol", "1e-10"]),
+             ["state", "--k", "2", "--kappa", "0", "--nu", "0.5", "--lambda", "0",
+              "--tol", "1e-10"]),
             # nu = 0: the power-coherent route
             ("state_k1_nu0_lambda13",
              ["state", "--k", "1", "--nu", "0", "--lambda", "1.3", "--tol", "1e-10"]),

@@ -6,8 +6,6 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from powersqueeze import (
     JacobiRecoveryError,
@@ -29,7 +27,6 @@ from powersqueeze.moments import (
     _MAX_REFINEMENTS,
     _cached_panel_grid,
     _choose_cutoff,
-    _log_concave_from,
     _tail_bound,
 )
 from powersqueeze.jacobi import off_diagonal_squared
@@ -302,67 +299,32 @@ class TestMomentsToJacobi:
             moments_to_jacobi([1.0, 0.0, 1.0], 3)
 
 
-def reference_log_concave_from(prods: list[int]) -> int | None:
-    """Verbatim copy of the sweep in `moments.classify_determinacy` as it
-    was when it compared the products one m at a time; the oracle for
-    `_log_concave_from`."""
-    M = len(prods) - 2
-    log_concave_from: int | None = 1
-    for m in range(M, 0, -1):
-        if prods[m - 1] * prods[m + 1] > prods[m] * prods[m]:
-            log_concave_from = m + 1 if m < M else None
-            break
-    return log_concave_from
-
-
-def sector_products(k: int, kappa: int, length: int) -> list[int]:
-    """p_0..p_{length-1}, p_m = b_m^2, one m at a time."""
+def log_concave_from_exact(k: int, kappa: int, M: int) -> int | None:
+    """The smallest index from which p_{m-1} p_{m+1} < p_m^2 holds for
+    every m up to M, with p_m = b_m^2 the exact integers of
+    `off_diagonal_squared`; None when it fails at m = M.  The oracle for
+    the proof behind `DeterminacyVerdict.log_concave_from`."""
     sector = SectorParams(k, kappa)
-    return [off_diagonal_squared(sector, m) for m in range(length)]
+    p = [off_diagonal_squared(sector, m) for m in range(M + 2)]
+    failing = [m for m in range(1, M + 1) if p[m - 1] * p[m + 1] >= p[m] * p[m]]
+    if not failing:
+        return 1
+    return failing[-1] + 1 if failing[-1] < M else None
 
 
-def _broken_sector_products(m_broken: int, M: int = 60) -> list[int]:
-    """p_0..p_{M+1} of the k = 3, kappa = 1 sector with p_{m_broken+1}
-    multiplied by 10^6, so log-concavity fails at m_broken (and at
-    m_broken + 2, the next m that reads that entry as p_{m-1})."""
-    prods = sector_products(3, 1, M + 2)
-    prods[m_broken + 1] *= 10**6
-    return prods
+class TestLogConcavityProof:
+    """b_{m-1} b_{m+1} < b_m^2 for every m >= 1 is proven, not swept, in
+    `classify_determinacy`; exact integers check the proof."""
 
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_every_sector(self, k):
+        for kappa in range(k):
+            assert log_concave_from_exact(k, kappa, 20000) == 1
+            assert classify_determinacy(k, kappa, 1000).log_concave_from == 1
 
-class TestLogConcaveSweep:
-    """The streamed sweep gives the per-m loop's answer, also where
-    log-concavity breaks, which the sector products never do."""
-
-    @pytest.mark.parametrize(
-        "prods, expected",
-        [
-            (sector_products(3, 1, 62), 1),
-            # p_0 large: only m = 1 reads it
-            ([10**9, *sector_products(3, 1, 62)[1:]], 2),
-            (_broken_sector_products(30), 33),
-            (_broken_sector_products(58), None),  # also fails at m = M = 60
-            (_broken_sector_products(59), 60),
-            (_broken_sector_products(60), None),  # m = M: no certificate
-            ([1, 1, 1], 1),  # equality holds: 1 * 1 <= 1^2
-            ([1, 1, 2], None),  # M = 1 fails
-        ],
-        ids=["sector", "m-1", "interior", "M-2", "M-1", "M", "equal", "M-is-1"],
-    )
-    def test_matches_loop(self, prods, expected):
-        assert _log_concave_from(prods) == expected
-        assert reference_log_concave_from(prods) == expected
-
-    @settings(max_examples=200, deadline=None, derandomize=True)
-    @given(st.lists(st.integers(1, 10**40), min_size=3, max_size=40))
-    def test_matches_loop_on_random_sequences(self, prods):
-        assert _log_concave_from(prods) == reference_log_concave_from(prods)
-
-    @pytest.mark.parametrize("k", [1, 2, 3, 5, 6])
-    def test_sector_products_are_log_concave(self, k):
-        for kappa in {0, k - 1}:
-            prods = sector_products(k, kappa, 2002)
-            assert _log_concave_from(prods) == reference_log_concave_from(prods) == 1
+    def test_workload_sector_to_1e5(self):
+        assert log_concave_from_exact(5, 2, 100_000) == 1
+        assert classify_determinacy(5, 2, 100_000).log_concave_from == 1
 
 
 class TestClassifyDeterminacy:

@@ -448,6 +448,15 @@ class TestDeficiencyEvidence:
         assert ev.contamination_bound == math.sqrt(20_001 / 2_000_000) > 0.1
         assert ev.minimal_exponent is not None and ev.minimal_exponent < -0.6
 
+    def test_fit_window_past_the_banded_system(self, monkeypatch):
+        # N = min(100 M, cap) <= M: the window [M/10, M] would read past
+        # w[N - 1]; met at M >= 2e6 with the real cap, here at M = 5000
+        monkeypatch.setattr(states, "_MAX_BANDED", 5000)
+        ev = deficiency_evidence(SectorParams(1, 0), 5000)
+        assert not ev.conclusive and ev.count is None
+        assert ev.minimal_exponent is None and ev.contamination_bound is None
+        assert ev.exponent_polynomial is not None
+
 
 class TestErrorsNameTheModule:
     @pytest.mark.parametrize(
