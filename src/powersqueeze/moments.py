@@ -291,12 +291,12 @@ class DeterminacyVerdict:
     f_j(m) = mk + kappa + j, j = 1..k, each linear in m with slope k, so
     f_j(m-1) f_j(m+1) = f_j(m)^2 - k^2 < f_j(m)^2.  For m >= 1 every
     factor is at least f_j(0) = kappa + j >= 1, so the k inequalities
-    multiply to p_{m-1} p_{m+1} < p_m^2.  For k >= 3 the limit-circle verdict is then
-    Berezanskii's criterion: log-concave off-diagonals with a convergent
-    sum of 1/b_m and a bounded (here zero) diagonal make the Jacobi matrix
-    limit-circle and the moment problem indeterminate (Yu. M. Berezanskii,
-    Expansions in Eigenfunctions of Selfadjoint Operators, AMS 1968,
-    ch. VII).
+    multiply to p_{m-1} p_{m+1} < p_m^2.  For k >= 3 the limit-circle
+    verdict is then Berezanskii's criterion: log-concave off-diagonals with
+    a convergent sum of 1/b_m and a bounded (here zero) diagonal make the
+    Jacobi matrix limit-circle and the moment problem indeterminate
+    (Yu. M. Berezanskii, Expansions in Eigenfunctions of Selfadjoint
+    Operators, AMS 1968, ch. VII).
     """
 
     k: int
