@@ -183,10 +183,9 @@ def _state_from_flags(args) -> tuple[FockVector, SqueezeParams, dict]:
 
 def _cmd_state(args) -> None:
     vec, params, config = _state_from_flags(args)
+    rows = [(m, c.real, c.imag) for m, c in enumerate(vec.coefficients)]
     results = {
-        "coefficients": [
-            {"m": m, "re": c.real, "im": c.imag} for m, c in enumerate(vec.coefficients)
-        ],
+        "coefficients": [{"m": m, "re": re, "im": im} for m, re, im in rows],
         "cutoff": vec.cutoff,
     }
     diagnostics = {
@@ -194,7 +193,6 @@ def _cmd_state(args) -> None:
         "residual": residual_check(vec, params),
         "mu": params.mu,
     }
-    rows = [(m, c.real, c.imag) for m, c in enumerate(vec.coefficients)]
     _emit(args, config, results, diagnostics, "state", ["m", "re_c", "im_c"], rows)
 
 

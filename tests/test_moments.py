@@ -312,12 +312,12 @@ def log_concave_from_exact(k: int, kappa: int, M: int) -> int | None:
     return failing[-1] + 1 if failing[-1] < M else None
 
 
-class TestLogConcavityProof:
+class TestLogConcaveSweep:
     """b_{m-1} b_{m+1} < b_m^2 for every m >= 1 is proven, not swept, in
-    `classify_determinacy`; exact integers check the proof."""
+    `classify_determinacy`; an exact integer sweep here checks the proof."""
 
     @pytest.mark.parametrize("k", range(1, 9))
-    def test_every_sector(self, k):
+    def test_sector_products_are_log_concave(self, k):
         for kappa in range(k):
             assert log_concave_from_exact(k, kappa, 20000) == 1
             assert classify_determinacy(k, kappa, 1000).log_concave_from == 1
