@@ -545,6 +545,18 @@ class TestGoldenBytes:
     @pytest.mark.parametrize(
         "name, argv",
         [
+            ("spectrum_k1_n5", ["spectrum", "--k", "1", "--n", "5", "--tol", "1e-10"]),
+            ("spectrum_k3_n400", ["spectrum", "--k", "3", "--n", "400"]),
+            ("extensions_k3_n400",
+             ["extensions", "--k", "3", "--kappa", "0", "--n", "400",
+              "--theta", "0", "--theta", "0.5", "--tol", "1e-9"]),
+            # the cases where counting per index changes the passes most
+            ("spectrum_k4_n1315", ["spectrum", "--k", "4", "--n", "1315", "--tol", "1e-10"]),
+            ("spectrum_k40_n300", ["spectrum", "--k", "40", "--n", "300", "--tol", "1e-10"]),
+            # count 1 through the minimal-solution solve, not the count-2 path
+            ("deficiency_k1_m5000", ["deficiency", "--k", "1", "--M", "5000"]),
+            ("deficiency_k2_kappa1_m5000",
+             ["deficiency", "--k", "2", "--kappa", "1", "--M", "5000"]),
             ("state_k2_nu05",
              ["state", "--k", "2", "--kappa", "0", "--nu", "0.5", "--lambda", "0",
               "--tol", "1e-10"]),
@@ -562,18 +574,6 @@ class TestGoldenBytes:
             # one theta: no cross gap, null in JSON
             ("extensions_k3_n60_theta05",
              ["extensions", "--k", "3", "--n", "60", "--theta", "0.5", "--tol", "1e-9"]),
-            ("spectrum_k1_n5", ["spectrum", "--k", "1", "--n", "5", "--tol", "1e-10"]),
-            ("spectrum_k3_n400", ["spectrum", "--k", "3", "--n", "400"]),
-            ("extensions_k3_n400",
-             ["extensions", "--k", "3", "--kappa", "0", "--n", "400",
-              "--theta", "0", "--theta", "0.5", "--tol", "1e-9"]),
-            # the cases where counting per index changes the passes most
-            ("spectrum_k4_n1315", ["spectrum", "--k", "4", "--n", "1315", "--tol", "1e-10"]),
-            ("spectrum_k40_n300", ["spectrum", "--k", "40", "--n", "300", "--tol", "1e-10"]),
-            # count 1 through the minimal-solution solve, not the count-2 path
-            ("deficiency_k1_m5000", ["deficiency", "--k", "1", "--M", "5000"]),
-            ("deficiency_k2_kappa1_m5000",
-             ["deficiency", "--k", "2", "--kappa", "1", "--M", "5000"]),
         ],
     )
     @pytest.mark.parametrize("fmt", ["csv", "json"])
