@@ -405,7 +405,8 @@ _LAMBDA = ("--lambda", {"dest": "lam", "type": str, "default": None})
 _ELL = ("--ell", {"action": "store_true"})
 _STATE_JSON = ("state_json", {"nargs": "?", "default": None})
 
-# command: (handler, help, extra flags in the order they are added)
+# command: (handler, help, extra flags in the order they are added); pollaczek
+# reads only --lambda of the state flags but has always accepted --nu too
 _COMMANDS = {
     "state": (_cmd_state, "build one squeezed state", [_NU, _LAMBDA]),
     "spectrum": (_cmd_spectrum, "eigenvalues of the plain truncation", [_N, _ELL]),
