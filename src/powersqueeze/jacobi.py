@@ -230,17 +230,42 @@ def solve_recursion(
 
 @dataclass(frozen=True)
 class GrowthProfile:
-    """Partial sums of |f_m|^2 (in log form) and a power-law envelope fit."""
+    """Partial sums of |f_m|^2 (in log form) and a power-law envelope fit.
+
+    kind is None for a solution that is not one of the fundamental pair,
+    such as the minimal solution at lambda' = i.
+    """
 
     sector: SectorParams
     lambda_prime: complex
-    kind: InitialKind
+    kind: InitialKind | None
     M: int
     log_abs: np.ndarray
     log_partial_sums: np.ndarray
     exponent: float | None
     envelope_count: int
     fit_ok: bool
+
+    @classmethod
+    def from_log_abs(
+        cls, sector: SectorParams, lambda_prime: complex, kind: InitialKind | None, log_abs
+    ) -> "GrowthProfile":
+        """Profile of log|f_0..f_M|: the exponent is fitted over the final
+        decade m in [M/10, M], and the fit is flagged not-ok when fewer
+        than 20 envelope points exist there."""
+        M = len(log_abs) - 1
+        exponent, count = envelope_fit(log_abs, M // 10, M)
+        return cls(
+            sector=sector,
+            lambda_prime=complex(lambda_prime),
+            kind=kind,
+            M=M,
+            log_abs=log_abs,
+            log_partial_sums=log_partial_sums_of_squares(log_abs),
+            exponent=exponent,
+            envelope_count=count,
+            fit_ok=count >= 20,
+        )
 
     def partial_sum(self, m: int) -> float:
         return math.exp(self.log_partial_sums[m])
@@ -295,27 +320,11 @@ def growth_profile(
     M: int,
     kind: InitialKind = InitialKind.POLYNOMIAL,
 ) -> GrowthProfile:
-    """Solve to M and report partial sums plus the envelope exponent.
-
-    The exponent is fitted over the final decade m in [M/10, M]; the fit is
-    flagged not-ok when fewer than 20 envelope points exist there.
-    """
+    """Solve to M and profile the solution (GrowthProfile.from_log_abs)."""
     if M < 100:
         raise ValueError(f"jacobi.growth_profile: M must be >= 100, got {M}")
     sol = solve_recursion(sector, lambda_prime, M, kind)
-    lps = log_partial_sums_of_squares(sol.log_abs)
-    exponent, count = envelope_fit(sol.log_abs, M // 10, M)
-    return GrowthProfile(
-        sector=sector,
-        lambda_prime=complex(lambda_prime),
-        kind=kind,
-        M=M,
-        log_abs=sol.log_abs,
-        log_partial_sums=lps,
-        exponent=exponent,
-        envelope_count=count,
-        fit_ok=count >= 20,
-    )
+    return GrowthProfile.from_log_abs(sector, lambda_prime, kind, sol.log_abs)
 
 
 # ---------------------------------------------------------------------------

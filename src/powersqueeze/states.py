@@ -24,11 +24,11 @@ import numpy as np
 
 from .errors import NumericsError
 from .jacobi import (
+    GrowthProfile,
     InitialKind,
     OffDiagonalSequence,
     SectorParams,
     commutator_weight,
-    envelope_fit,
     growth_profile,
     log_off_diagonal,
     solve_recursion,
@@ -406,10 +406,11 @@ class DeficiencyEvidence:
 
     count is None when the envelope fits were ambiguous or the
     contamination bound is not met (never a silent guess).  Exponents are
-    the fitted envelope slopes; minimal_exponent is reported only when the
-    decaying combination had to be constructed, and contamination_bound,
-    sqrt(M/N) for its banded system of N rows, with it.  The bound is met
-    at N >= 100 M, which holds up to M = 20000 (N is capped at 2e6).
+    the fitted envelope slopes.  When neither fundamental solution is
+    square-summable, contamination_bound is sqrt(M/N) for the minimal
+    solution's banded system of N = min(100 M, 2e6) rows; the bound is met
+    at N = 100 M, that is up to M = 20000, and only there is the minimal
+    solution built and minimal_exponent reported.
     """
 
     sector: SectorParams
@@ -422,17 +423,18 @@ class DeficiencyEvidence:
     contamination_bound: float | None = None
 
 
-def _flagged(profile) -> bool:
+def _flagged(profile: GrowthProfile) -> bool:
+    """Square-summable: a fitted envelope exponent below -0.6 and partial
+    sums that are Cauchy across M/2 -> M within 10%."""
     return (
         profile.fit_ok
-        and profile.exponent is not None
         and profile.exponent < _SQUARE_SUMMABLE_EXPONENT
         and profile.cauchy_ratio() < _CAUCHY_WINDOW
     )
 
 
-def _minimal_solution_profile(sector: SectorParams, M: int, N: int) -> tuple[float | None, bool, int]:
-    """Envelope exponent and Cauchy flag of the decaying solution at i.
+def _minimal_solution_profile(sector: SectorParams, M: int, N: int) -> GrowthProfile:
+    """Growth profile over m = 0..M of the decaying solution at i.
 
     The minimal solution is aligned with (T_N - i)^{-1} e_0 for N >> M;
     the contamination ~ sqrt(M/N) at the top of the fit window is at most
@@ -448,21 +450,14 @@ def _minimal_solution_profile(sector: SectorParams, M: int, N: int) -> tuple[flo
     rounds as its one real counterpart; |u| and |w| have the same bits.
 
     The right-hand side is 2^s e_0 rather than e_0, and the M + 1 entries
-    the fit reads are scaled back by 2^-s, exactly for normal numbers.
+    the profile reads are scaled back by 2^-s, exactly for normal numbers.
     Unscaled, the decaying tail of w leaves the normal range near
     m = 5e5 at k = 1 (N = 2e6), and most of the solve runs on subnormal
     operands.  A power-of-two scale changes no rounding while operands
     stay normal, and the deep tail only seeds the back substitution, whose
     start is forgotten long before m = M (backwards, the minimal solution
     dominates); so w[:M+1] keeps its bits, as checked for k = 1..6, every
-    kappa and M up to 20000.  That holds only while the unscaled w[:M+1]
-    stays normal, and only k = 1 leaves that range: at N = 2e6 the
-    unscaled w is subnormal from m = 497702, and the two solves differ from
-    m = 497013 on.  Above that M (N stays 2e6, and the evidence is not
-    conclusive past M = 20000) the top of the window is rounded once from a
-    normal-range solve instead of carried through subnormal operands, so
-    minimal_exponent differs from the unscaled solve's: at M = 600000 it is
-    -361.75 against -42.88.  The resolvent bound
+    kappa and M up to 20000.  The resolvent bound
     |u_m| <= ||(T_N - i)^{-1}|| <= 1 of the real symmetric T_N, with
     2^s max b <= 2^1000, keeps every entry and product of the
     elimination finite.
@@ -486,64 +481,39 @@ def _minimal_solution_profile(sector: SectorParams, M: int, N: int) -> tuple[flo
             f"states.deficiency_evidence: dgtsv returned info = {info} on the "
             f"banded system (N = {N})"
         )
-    mag = np.abs(np.ldexp(w[: M + 1], -scale))
     with np.errstate(divide="ignore"):
-        log_abs = np.where(mag > 0.0, np.log(np.where(mag > 0.0, mag, 1.0)), -np.inf)
-    exponent, count = envelope_fit(log_abs, M // 10, M)
-    sums = np.cumsum(mag**2)
-    cauchy = (sums[M] - sums[M // 2]) / sums[M] < _CAUCHY_WINDOW
-    return exponent, cauchy, count
+        log_abs = np.log(np.abs(np.ldexp(w[: M + 1], -scale)))
+    return GrowthProfile.from_log_abs(sector, 1j, None, log_abs)
 
 
 def deficiency_evidence(sector: SectorParams, M: int) -> DeficiencyEvidence:
     """How many solutions are square-summable at spectral point i.
 
-    Both fundamental solutions are profiled; two flags mean the full
-    two-dimensional solution space is square-summable (count 2).  In the
-    one-dimensional case the fundamental solutions align with the dominant
-    solution and neither is flagged, so the decaying combination is
-    constructed separately and tested (count 1).  A solution is flagged
-    when its envelope exponent is below -0.6 and its partial sums are
-    Cauchy across M/2 -> M within 10%.  The constructed combination counts
-    only while its contamination bound sqrt(M/N) is at most 10%, that is
-    up to M = 20000; above it the evidence is not conclusive.  From
-    M = 2e6 on, where the N rows cannot hold the fit window, the
-    combination is not constructed and minimal_exponent is None.
+    Both fundamental solutions are profiled, and each flagged one counts
+    (_flagged); two flags mean the full two-dimensional solution space is
+    square-summable (count 2).  In the one-dimensional case the
+    fundamental solutions align with the dominant solution and neither is
+    flagged, so the decaying combination is constructed separately and
+    tested the same way (count 1).  It is constructed only while its
+    contamination bound sqrt(M/N) is at most 10%, that is up to
+    M = 20000; above it minimal_exponent is None and the evidence is not
+    conclusive.
     """
     if M < 5000:
         raise ValueError(f"states.deficiency_evidence: M must be >= 5000, got {M}")
-    prof_poly = growth_profile(sector, 1j, M, InitialKind.POLYNOMIAL)
-    prof_second = growth_profile(sector, 1j, M, InitialKind.SECOND)
-    if not (prof_poly.fit_ok and prof_second.fit_ok):
-        return DeficiencyEvidence(
-            sector, M, None, prof_poly.exponent, prof_second.exponent, None, False
-        )
-    flags = (_flagged(prof_poly), _flagged(prof_second))
-    if all(flags):
-        return DeficiencyEvidence(
-            sector, M, 2, prof_poly.exponent, prof_second.exponent, None, True
-        )
-    if any(flags):
-        return DeficiencyEvidence(
-            sector, M, 1, prof_poly.exponent, prof_second.exponent, None, True
-        )
+    poly = growth_profile(sector, 1j, M, InitialKind.POLYNOMIAL)
+    second = growth_profile(sector, 1j, M, InitialKind.SECOND)
+    exponents = (poly.exponent, second.exponent)
+    if not (poly.fit_ok and second.fit_ok):
+        return DeficiencyEvidence(sector, M, None, *exponents, None, False)
+    count = _flagged(poly) + _flagged(second)
+    if count:
+        return DeficiencyEvidence(sector, M, count, *exponents, None, True)
     N = min(_BANDED_OVERSIZE * M, _MAX_BANDED)
-    if N <= M:  # the fit window [M/10, M] lies past the end of the solution
-        return DeficiencyEvidence(
-            sector, M, None, prof_poly.exponent, prof_second.exponent, None, False
-        )
-    min_exp, min_cauchy, min_count = _minimal_solution_profile(sector, M, N)
     bound = math.sqrt(M / N)
-    if (
-        N >= _BANDED_OVERSIZE * M
-        and min_count >= 20
-        and min_exp is not None
-        and min_exp < _SQUARE_SUMMABLE_EXPONENT
-        and min_cauchy
-    ):
-        return DeficiencyEvidence(
-            sector, M, 1, prof_poly.exponent, prof_second.exponent, min_exp, True, bound
-        )
-    return DeficiencyEvidence(
-        sector, M, None, prof_poly.exponent, prof_second.exponent, min_exp, False, bound
-    )
+    if N < _BANDED_OVERSIZE * M:
+        return DeficiencyEvidence(sector, M, None, *exponents, None, False, bound)
+    minimal = _minimal_solution_profile(sector, M, N)
+    if _flagged(minimal):
+        return DeficiencyEvidence(sector, M, 1, *exponents, minimal.exponent, True, bound)
+    return DeficiencyEvidence(sector, M, None, *exponents, minimal.exponent, False, bound)

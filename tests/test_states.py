@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from powersqueeze import states
+from powersqueeze.jacobi import envelope_fit
 from powersqueeze import (
     FockVector,
     SectorParams,
@@ -330,7 +331,7 @@ def reference_minimal_solution_profile(sector: SectorParams, M: int, N: int):
     mag = np.abs(u[: M + 1])
     with np.errstate(divide="ignore"):
         log_abs = np.where(mag > 0.0, np.log(np.where(mag > 0.0, mag, 1.0)), -np.inf)
-    exponent, count = states.envelope_fit(log_abs, M // 10, M)
+    exponent, count = envelope_fit(log_abs, M // 10, M)
     sums = np.cumsum(mag**2)
     cauchy = (sums[M] - sums[M // 2]) / sums[M] < states._CAUCHY_WINDOW
     return exponent, cauchy, count
@@ -362,7 +363,7 @@ def reference_zgtsv_profile(sector: SectorParams, M: int, N: int):
     mag = np.abs(u[: M + 1])
     with np.errstate(divide="ignore"):
         log_abs = np.where(mag > 0.0, np.log(np.where(mag > 0.0, mag, 1.0)), -np.inf)
-    exponent, count = states.envelope_fit(log_abs, M // 10, M)
+    exponent, count = envelope_fit(log_abs, M // 10, M)
     sums = np.cumsum(mag**2)
     cauchy = (sums[M] - sums[M // 2]) / sums[M] < states._CAUCHY_WINDOW
     return exponent, cauchy, count
@@ -378,7 +379,8 @@ class TestMinimalSolution:
     def test_bits_match_solve_banded(self, k, kappa, M):
         sector = SectorParams(k, kappa)
         N = min(100 * M, 2_000_000)
-        got = states._minimal_solution_profile(sector, M, N)
+        p = states._minimal_solution_profile(sector, M, N)
+        got = (p.exponent, p.cauchy_ratio() < states._CAUCHY_WINDOW, p.envelope_count)
         assert got == reference_minimal_solution_profile(sector, M, N)
         assert got == reference_zgtsv_profile(sector, M, N)
 
@@ -446,7 +448,18 @@ class TestDeficiencyEvidence:
         ev = deficiency_evidence(SectorParams(1, 0), 20_001)
         assert not ev.conclusive and ev.count is None
         assert ev.contamination_bound == math.sqrt(20_001 / 2_000_000) > 0.1
-        assert ev.minimal_exponent is not None and ev.minimal_exponent < -0.6
+        assert ev.minimal_exponent is None
+
+    def test_no_minimal_solve_past_the_bound(self, monkeypatch):
+        # past M = 20000 the bound cannot be met, so the 2e6-row system is
+        # not solved at all
+        def refuse(sector, M, N):
+            raise AssertionError(f"minimal solution built at M = {M}, N = {N}")
+
+        monkeypatch.setattr(states, "_minimal_solution_profile", refuse)
+        ev = deficiency_evidence(SectorParams(1, 0), 20_001)
+        assert ev.minimal_exponent is None and ev.count is None and not ev.conclusive
+        assert ev.contamination_bound == math.sqrt(20_001 / 2_000_000)
 
     def test_fit_window_past_the_banded_system(self, monkeypatch):
         # N = min(100 M, cap) <= M: the window [M/10, M] would read past
@@ -454,7 +467,7 @@ class TestDeficiencyEvidence:
         monkeypatch.setattr(states, "_MAX_BANDED", 5000)
         ev = deficiency_evidence(SectorParams(1, 0), 5000)
         assert not ev.conclusive and ev.count is None
-        assert ev.minimal_exponent is None and ev.contamination_bound is None
+        assert ev.minimal_exponent is None and ev.contamination_bound == 1.0
         assert ev.exponent_polynomial is not None
 
 

@@ -10,9 +10,11 @@ fixed grids and the CLI commands pinned by
 A spectra grid case compares the `eigenvalues_bisect` eigenvalue bytes and
 `max_bracket`, or the error raised.  A deficiency grid case compares the
 repr of every `DeficiencyEvidence` field, or the error raised; M reaches
-20000, where the minimal solution's system has N = 2e6 rows, 20001, past
-the contamination bound, and 600000 at k = 1, past the subnormal onset of
-the unscaled solve.  A classify grid case compares the repr of
+20000, the largest M whose minimal solution is built (its system has
+N = 2e6 rows).  Past the contamination bound no minimal solution is built,
+so the M = 20001 cases and (k, kappa, M) = (1, 0, 600000) check the
+evidence of the fundamental pair alone, just past the bound and far past
+it.  A classify grid case compares the repr of
 every `DeterminacyVerdict` field, or the error raised, for k = 1..6 and
 M up to 1e5.  A command compares stdout, stderr and the
 exit code.  Prints each difference and a summary, and exits 1 if any byte
@@ -79,8 +81,8 @@ for k, kappa, M in {cases!r}:
 """
 
 
-# (1, 0, 600000) lies past the k = 1 subnormal onset of the unscaled
-# minimal-solution solve (m = 497702 at N = 2e6)
+# past M = 20000 no minimal solution is built: the M = 20001 cases and
+# (1, 0, 600000) check the fundamental pair's evidence there
 DEFICIENCY_WORKER = fields_worker(
     "from powersqueeze import SectorParams, deficiency_evidence",
     "deficiency_evidence(SectorParams(k, kappa), M)",
