@@ -14,7 +14,7 @@ The degree-m family member P_m(x, b) is evaluated two ways:
         denominator, rounded to binary64 once at the end;
   (ii)  the orthonormal three-term recursion
         x P_m = c_{m+1} P_{m+1} + c_m P_{m-1},
-        c_m = sqrt(m (m + 2b - 1)) / 2,
+        c_m = sqrt(m (m - 1 + 2b)) / 2,
 
 with (ii) the production route and (i) the oracle; for m <= 30 every call
 cross-checks the two to 1e-8 and a disagreement is a hard error.
@@ -73,16 +73,6 @@ def _ldexp(z: complex, exp2: int) -> complex:
     return math.ldexp(z, exp2)
 
 
-def _series_coefficient(b: float, m: int) -> float:
-    """sqrt((2b)_m / m!) as a float, from the exact integer ratio."""
-    bn, bd = Fraction(b).as_integer_ratio()
-    num = den = 1
-    for j in range(m):
-        num *= 2 * bn + j * bd
-        den *= (j + 1) * bd
-    return math.sqrt(num / den)
-
-
 def _pollaczek_series_exact(m: int, x: float, b: float) -> float:
     """Route (i): exact evaluation of the terminating sum in integers.
 
@@ -94,7 +84,9 @@ def _pollaczek_series_exact(m: int, x: float, b: float) -> float:
     Q without a gcd.  The identity "i^m times the sum is real" holds
     exactly, so the imaginary numerator must vanish identically and is
     asserted, not discarded; the real part is rounded once, by the
-    correctly rounded int division.
+    correctly rounded int division.  Q = prod (2B + jD)(j + 1) also gives
+    the coefficient exactly: (2b)_m / m! = Q / (D^m (m!)^2), rounded once
+    before its square root.
     """
     xr, br = Fraction(x), Fraction(b)
     D = math.lcm(xr.denominator, br.denominator)
@@ -121,11 +113,18 @@ def _pollaczek_series_exact(m: int, x: float, b: float) -> float:
             f"polynomials.pollaczek: series imaginary part not identically zero "
             f"at m={m}, x={x!r}, b={b!r}"
         )
-    return re / q * _series_coefficient(b, m)
+    try:
+        return re / q * math.sqrt(q / (D**m * math.factorial(m) ** 2))
+    except OverflowError:
+        raise NumericsError(
+            f"polynomials.pollaczek: the exact series overflows binary64 "
+            f"at m={m}, x={x!r}, b={b!r}"
+        ) from None
 
 
 def _recursion_c(b: float, m: int) -> float:
-    return math.sqrt(m * (m + 2.0 * b - 1.0)) / 2.0
+    # m - 1 first: (m + 2b) - 1 cancels to 0 at m = 1 once 2b < eps
+    return math.sqrt(m * (m - 1 + 2.0 * b)) / 2.0
 
 
 def _pollaczek_recursion(m: int, x: float, b: float) -> float:
