@@ -395,7 +395,13 @@ def _cmd_deficiency(args) -> None:
 # ---------------------------------------------------------------------------
 # argument wiring
 
-# the flags beyond the common five, as (name, add_argument keywords)
+# (name, add_argument keywords)
+_SECTOR = [("--k", {"type": int, "default": 1}), ("--kappa", {"type": int, "default": 0})]
+_TOL = ("--tol", {"type": float, "default": 1e-10})
+_OUTPUT = [
+    ("--format", {"choices": ("csv", "json"), "default": "csv"}),
+    ("--out", {"type": str, "default": None}),
+]
 _N = ("--n", {"type": int, "required": True})
 _THETA = ("--theta", {"type": float, "action": "append", "default": None})
 _B = ("--b", {"type": float, "default": None})
@@ -405,17 +411,28 @@ _LAMBDA = ("--lambda", {"dest": "lam", "type": str, "default": None})
 _ELL = ("--ell", {"action": "store_true"})
 _STATE_JSON = ("state_json", {"nargs": "?", "default": None})
 
-# command: (handler, help, extra flags in the order they are added); pollaczek
-# reads only --lambda of the state flags but has always accepted --nu too
+# command: (handler, help, every flag it reads, in the order they are added)
 _COMMANDS = {
-    "state": (_cmd_state, "build one squeezed state", [_NU, _LAMBDA]),
-    "spectrum": (_cmd_spectrum, "eigenvalues of the plain truncation", [_N, _ELL]),
-    "extensions": (_cmd_extensions, "boundary-parameter spectrum sweep", [_N, _THETA]),
-    "classify": (_cmd_classify, "determined vs limit-circle certificates", [_M]),
-    "moments": (_cmd_moments, "weight moments with error estimates", [_B, _M]),
-    "pollaczek": (_cmd_pollaczek, "orthonormal polynomial values", [_B, _M, _NU, _LAMBDA]),
-    "verify-sr": (_cmd_verify_sr, "uncertainty report for a state", [_NU, _LAMBDA, _STATE_JSON]),
-    "deficiency": (_cmd_deficiency, "square-summable solution count at i", [_M]),
+    "state": (_cmd_state, "build one squeezed state", [*_SECTOR, _TOL, *_OUTPUT, _NU, _LAMBDA]),
+    "spectrum": (
+        _cmd_spectrum, "eigenvalues of the plain truncation", [*_SECTOR, _TOL, *_OUTPUT, _N, _ELL]
+    ),
+    "extensions": (
+        _cmd_extensions, "boundary-parameter spectrum sweep", [*_SECTOR, _TOL, *_OUTPUT, _N, _THETA]
+    ),
+    "classify": (
+        _cmd_classify, "determined vs limit-circle certificates", [*_SECTOR, *_OUTPUT, _M]
+    ),
+    "moments": (_cmd_moments, "weight moments with error estimates", [_TOL, *_OUTPUT, _B, _M]),
+    "pollaczek": (_cmd_pollaczek, "orthonormal polynomial values", [*_OUTPUT, _B, _M, _LAMBDA]),
+    "verify-sr": (
+        _cmd_verify_sr,
+        "uncertainty report for a state",
+        [*_SECTOR, _TOL, *_OUTPUT, _NU, _LAMBDA, _STATE_JSON],
+    ),
+    "deficiency": (
+        _cmd_deficiency, "square-summable solution count at i", [*_SECTOR, *_OUTPUT, _M]
+    ),
 }
 
 
@@ -425,14 +442,9 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Power-squeezed states, sector Jacobi spectra, and moment diagnostics",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (handler, help_text, extra) in _COMMANDS.items():
+    for name, (handler, help_text, flags) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--k", type=int, default=1)
-        p.add_argument("--kappa", type=int, default=0)
-        p.add_argument("--tol", type=float, default=1e-10)
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--out", type=str, default=None)
-        for flag, options in extra:
+        for flag, options in flags:
             p.add_argument(flag, **options)
         p.set_defaults(func=handler)
     return parser

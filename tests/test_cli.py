@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import math
+import re
 import subprocess
 import sys
 import time
@@ -313,6 +314,37 @@ class TestValidationAndErrors:
         assert len(err.strip().splitlines()) == 1
         assert "--b" in err
 
+    @pytest.mark.parametrize("b", ["1e-300", "1e-17"])
+    def test_pollaczek_at_tiny_b(self, capsys, b):
+        assert main(["pollaczek", "--b", b, "--lambda", "0.5", "--M", "1"]) == 0
+        last = capsys.readouterr().out.splitlines()[-1]
+        assert last == "1,%.17g" % (0.5 / (math.sqrt(2.0 * float(b)) / 2.0))
+
+    def test_pollaczek_series_overflow_names_source(self, capsys):
+        assert main(["pollaczek", "--b", "0.25", "--M", "30", "--lambda", "1e300"]) == 1
+        assert capsys.readouterr().err == (
+            "error: polynomials.pollaczek: the exact series overflows binary64 "
+            "at m=2, x=1e+300, b=0.25\n"
+        )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["classify", "--k", "2", "--M", "1000", "--tol", "1e-10"],
+            ["moments", "--b", "0.25", "--M", "2", "--k", "0", "--kappa", "-4"],
+            ["pollaczek", "--b", "0.25", "--M", "2", "--lambda", "0.5", "--k", "7",
+             "--kappa", "9", "--tol", "3", "--nu", "abc"],
+            ["deficiency", "--k", "3", "--M", "5000", "--tol", "1e-10"],
+        ],
+        ids=["classify", "moments", "pollaczek", "deficiency"],
+    )
+    def test_flags_the_command_does_not_read(self, capsys, argv):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("invalid flags: unrecognized arguments: --")
+        assert len(captured.err.splitlines()) == 1
+
     def test_moments_weight_overflow_names_source(self):
         # Gamma(2b) overflows binary64 for b above about 85.8
         result = run_cli("moments", "--b", "100", "--M", "4")
@@ -442,8 +474,8 @@ _VALUES = {
     "--k": st.sampled_from([1, 2, 3, 4, 5, 0]),
     "--kappa": st.sampled_from([0, 1, 2, 3, 4, 5, -1]),
     "--n": st.sampled_from([1, 5, 50, 80, 49, 0, -1]),
-    # 100 overflows Gamma(2b): exit 1
-    "--b": st.sampled_from(["0.25", "0.75", "-1", "inf", "nan", "100"]),
+    # 100 overflows Gamma(2b): exit 1; below about 1.1e-16, 1 + 2b rounds to 1
+    "--b": st.sampled_from(["0.25", "0.75", "-1", "inf", "nan", "100", "1e-300", "1e-17"]),
     "--tol": st.sampled_from(["1e-10", "1e-10", "0", "1e-3", "nan"]),
     # exit 1: mu overflows at nu = 1e200, lambda = 1e300 reaches the cutoff
     # cap, and theta = 1e308 overflows the boundary entry
@@ -452,9 +484,19 @@ _VALUES = {
     "--theta": st.sampled_from(["0", "0.5", "-1", "nan", "inf", "abc", "1e308"]),
     "--format": st.sampled_from(["csv", "json"]),
 }
-_COMMON = ["--k", "--kappa", "--tol", "--format"]
-# the flags each command reads besides the common ones; these are left
-# out only now and then
+# the sector and tolerance flags each command reads; these and --format
+# are drawn half the time
+_SECTOR_TOL = {
+    "state": ["--k", "--kappa", "--tol"],
+    "spectrum": ["--k", "--kappa", "--tol"],
+    "extensions": ["--k", "--kappa", "--tol"],
+    "classify": ["--k", "--kappa"],
+    "moments": ["--tol"],
+    "pollaczek": [],
+    "verify-sr": ["--k", "--kappa", "--tol"],
+    "deficiency": ["--k", "--kappa"],
+}
+# the other flags each command reads; these are left out only now and then
 _EXTRA = {
     "state": ["--nu", "--lambda"],
     "spectrum": ["--n"],
@@ -469,7 +511,7 @@ _EXTRA = {
 _M_VALUES = {
     "classify": [999, 1000],
     "moments": [-1, 0, 4, 24, 25],
-    "pollaczek": [-1, 0, 30],
+    "pollaczek": [-1, 0, 1, 30],
     "deficiency": [4999, 5000],
 }
 _RARELY = st.sampled_from([False] * 7 + [True])
@@ -479,7 +521,7 @@ _RARELY = st.sampled_from([False] * 7 + [True])
 def cli_argv(draw) -> list[str]:
     command = draw(st.sampled_from(sorted(_EXTRA)))
     argv = [command]
-    for flag in _COMMON:
+    for flag in [*_SECTOR_TOL[command], "--format"]:
         if draw(st.booleans()):
             argv.append(f"{flag}={draw(_VALUES[flag])}")
     for flag in _EXTRA[command]:
@@ -489,13 +531,14 @@ def cli_argv(draw) -> list[str]:
     if command == "verify-sr" and draw(_RARELY):
         argv.append("missing_state.json")
     if draw(_RARELY):
-        argv.append(draw(st.sampled_from(["--frob", "--b=0.25", "extra"])))
+        argv.append(draw(st.sampled_from(["--frob", "--b=0.25", "--tol=1e-10", "extra"])))
     return argv
 
 
 class TestContractProperty:
     """Over generated flag sets, the CLI exits 0, 1 or 2, writes exactly one
-    stderr line when it exits 1 or 2, and never raises."""
+    stderr line when it exits 1 or 2, names the failing module and
+    operation when it exits 1, and never raises."""
 
     @settings(max_examples=400, deadline=None, derandomize=True)
     @given(cli_argv())
@@ -510,6 +553,8 @@ class TestContractProperty:
         else:
             assert out.getvalue() == ""
             assert len(err.getvalue().splitlines()) == 1
+        if code == 1:
+            assert re.match(r"error: [a-z_]+\.[\w.]+: ", err.getvalue())
 
 
 class TestStartup:
