@@ -123,7 +123,7 @@ def _pollaczek_series_exact(m: int, x: float, b: float) -> float:
 
 
 def _recursion_c(b: float, m: int) -> float:
-    # m - 1 first: (m + 2b) - 1 cancels to 0 at m = 1 once 2b < eps
+    # m - 1 first: at m = 1, (1 + 2b) - 1 rounds to 0 once 2b is below half an ulp of 1
     return math.sqrt(m * (m - 1 + 2.0 * b)) / 2.0
 
 
