@@ -22,6 +22,7 @@ from .moments import classify_determinacy, moments
 from .polynomials import _CROSS_CHECK_LIMIT as _POLLACZEK_CHECKED, pollaczek, pollaczek_table
 from .spectra import TridiagonalMatrix, eigenvalues_bisect, extension_sweep, nearest_distance
 from .states import (
+    _MAX_BANDED as _MAX_SIZE,
     FockVector,
     SqueezeParams,
     build_power_coherent,
@@ -30,6 +31,13 @@ from .states import (
     residual_check,
     sr_report,
 )
+
+# caps on the array-sizing flags, so that a huge value is refused up front
+# instead of failing in allocation: --n and --M of spectrum, extensions,
+# classify and deficiency stop at the largest array the package allocates
+# (the minimal solution's 2e6 rows); pollaczek holds M + 1 output rows in
+# memory, and --M 100000 takes about a second
+_MAX_POLLACZEK_M = 100_000
 
 
 class _UsageError(Exception):
@@ -199,8 +207,8 @@ def _cmd_state(args) -> None:
 def _cmd_spectrum(args) -> None:
     sector = _sector(args)
     tol = _check_tol(args.tol)
-    if args.n < 1:
-        raise _UsageError(f"--n must be >= 1, got {args.n}")
+    if not 1 <= args.n <= _MAX_SIZE:
+        raise _UsageError(f"--n must be in [1, {_MAX_SIZE}], got {args.n}")
     if args.ell and sector.k != 2:
         raise _UsageError("--ell converts to the quarter-scaled variable; needs --k 2")
     report = eigenvalues_bisect(TridiagonalMatrix.truncation(sector, args.n), tol)
@@ -229,8 +237,8 @@ def _cmd_extensions(args) -> None:
     thetas = args.theta if args.theta else [0.0]
     if not all(math.isfinite(t) for t in thetas):
         raise _UsageError(f"--theta must be finite, got {thetas}")
-    if args.n < 50:
-        raise _UsageError(f"--n must be >= 50 for extensions, got {args.n}")
+    if not 50 <= args.n <= _MAX_SIZE:
+        raise _UsageError(f"--n must be in [50, {_MAX_SIZE}] for extensions, got {args.n}")
     reports = extension_sweep(sector, args.n, thetas, tol)
     reports.sort(key=lambda rep: rep.boundary_theta)  # theta is the row index
     config = {
@@ -260,8 +268,8 @@ def _cmd_extensions(args) -> None:
 
 def _cmd_classify(args) -> None:
     sector = _sector(args)
-    if args.M < 1000:
-        raise _UsageError(f"--M must be >= 1000 for classify, got {args.M}")
+    if not 1000 <= args.M <= _MAX_SIZE:
+        raise _UsageError(f"--M must be in [1000, {_MAX_SIZE}] for classify, got {args.M}")
     verdict = classify_determinacy(sector.k, sector.kappa, args.M)
     config = {
         "command": "classify",
@@ -304,8 +312,8 @@ def _cmd_moments(args) -> None:
 
 def _cmd_pollaczek(args) -> None:
     _check_b(args.b)
-    if args.M < 0:
-        raise _UsageError(f"--M (max degree) must be >= 0, got {args.M}")
+    if not 0 <= args.M <= _MAX_POLLACZEK_M:
+        raise _UsageError(f"--M (max degree) must be in [0, {_MAX_POLLACZEK_M}], got {args.M}")
     if args.lam is None:
         raise _UsageError("pollaczek needs --lambda (the real evaluation point)")
     point = _parse_complex(args.lam)
@@ -373,8 +381,8 @@ def _cmd_verify_sr(args) -> None:
 
 def _cmd_deficiency(args) -> None:
     sector = _sector(args)
-    if args.M < 5000:
-        raise _UsageError(f"--M must be >= 5000 for deficiency, got {args.M}")
+    if not 5000 <= args.M <= _MAX_SIZE:
+        raise _UsageError(f"--M must be in [5000, {_MAX_SIZE}] for deficiency, got {args.M}")
     evidence = deficiency_evidence(sector, args.M)
     config = {
         "command": "deficiency",

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +30,6 @@ from .jacobi import (
     OffDiagonalSequence,
     SectorParams,
     commutator_weight,
-    growth_profile,
     log_off_diagonal,
     solve_recursion,
 )
@@ -39,11 +39,13 @@ _SQUARE_SUMMABLE_EXPONENT = -0.5 - 0.1  # decay strictly faster than 1/sqrt
 _CAUCHY_WINDOW = 0.10
 # the minimal solution's banded system has N = 100 M rows, so that its
 # contamination sqrt(M/N) is 10%; memory caps N at 2e6 (M <= 20000),
-# where the real solve holds four float64 N-arrays (61 MiB)
+# where building b peaks at three float64 N-arrays (46 MiB)
 _BANDED_OVERSIZE = 100
 _MAX_BANDED = 2_000_000
 # log of the smallest normal binary64; a normalized c_0 below it is lost
 _LOG_TINY = math.log(np.finfo(np.float64).tiny)
+# the positive recursion divides y by 2^500, exactly, whenever y passes it
+_RESCALE, _LOG_RESCALE = 2.0**500, math.log(2.0**500)
 
 
 @dataclass(frozen=True)
@@ -433,6 +435,29 @@ def _flagged(profile: GrowthProfile) -> bool:
     )
 
 
+def _positive_log_solution(b: np.ndarray, start: int = 0) -> np.ndarray:
+    """log y_start..y_L (L = len(b)) of b_m y_{m+1} = y_m + b_{m-1} y_{m-1},
+    y_{-1} = 0, y_0 = 1: every solution at lambda' = i, up to a unit
+    factor per entry and an overall scale (see deficiency_evidence).
+
+    Every term is positive, so no step cancels and each y_m keeps a
+    relative error of a few roundings per step: no compensated sums,
+    pivoting or subnormal guard.  y is carried as a float times 2^(500 s)
+    and divided by 2^500, exactly, whenever it passes 2^500.  For monotone
+    b, y_{m+1} >= (b_{m-1}/b_m) y_{m-1} keeps y above
+    min(1, 1/b_0) min(b)/max(b), so it stays normal.
+    """
+    out, prev, cur, b_prev, s = array("d"), 0.0, 1.0, 0.0, 0
+    for m, b_m in enumerate(memoryview(b)):
+        if m >= start:
+            out.append(math.log(cur) + s * _LOG_RESCALE)
+        prev, cur, b_prev = cur, (cur + b_prev * prev) / b_m, b_m
+        if cur > _RESCALE:
+            prev, cur, s = prev / _RESCALE, cur / _RESCALE, s + 1
+    out.append(math.log(cur) + s * _LOG_RESCALE)
+    return np.frombuffer(out)
+
+
 def _minimal_solution_profile(sector: SectorParams, M: int, N: int) -> GrowthProfile:
     """Growth profile over m = 0..M of the decaying solution at i.
 
@@ -440,49 +465,19 @@ def _minimal_solution_profile(sector: SectorParams, M: int, N: int) -> GrowthPro
     the contamination ~ sqrt(M/N) at the top of the fit window is at most
     10% at N >= 100 M, enough for a decade-scale slope.
 
-    The system is solved in real arithmetic.  With u_m = (-i)^(m+1) w_m,
-    row m of (T_N - i) u = e_0 becomes b_{m-1} w_{m-1} - w_m - b_m w_{m+1}
-    = delta_{m0}, a real tridiagonal system solved by LAPACK dgtsv
-    (Gaussian elimination with partial pivoting) in place: b itself is
-    the sub-diagonal, so four float64 N-arrays are the whole cost.  In the
-    complex elimination every operand is purely real or purely imaginary,
-    so the pivots compare the same magnitudes and each complex operation
-    rounds as its one real counterpart; |u| and |w| have the same bits.
-
-    The right-hand side is 2^s e_0 rather than e_0, and the M + 1 entries
-    the profile reads are scaled back by 2^-s, exactly for normal numbers.
-    Unscaled, the decaying tail of w leaves the normal range near
-    m = 5e5 at k = 1 (N = 2e6), and most of the solve runs on subnormal
-    operands.  A power-of-two scale changes no rounding while operands
-    stay normal, and the deep tail only seeds the back substitution, whose
-    start is forgotten long before m = M (backwards, the minimal solution
-    dominates); so w[:M+1] keeps its bits, as checked for k = 1..6, every
-    kappa and M up to 20000.  The resolvent bound
-    |u_m| <= ||(T_N - i)^{-1}|| <= 1 of the real symmetric T_N, with
-    2^s max b <= 2^1000, keeps every entry and product of the
-    elimination finite.
+    With u_m = (-i)^(m+1) w_m, row m of (T_N - i) u = e_0 reads
+    b_{m-1} w_{m-1} - w_m - b_m w_{m+1} = delta_{m0}.  Read from the last
+    row up, that is the positive recursion on b_{N-2}, ..., b_0 (with
+    w_N = 0), so w has one sign and |w_m| = y_{N-1-m} / (y_{N-1} + b_0 y_{N-2}):
+    row 0 reads |w_0| + b_0 |w_1| = 1.
     """
-    from scipy.linalg import lapack  # loaded on first use: it doubles every CLI start
-
     b = OffDiagonalSequence.build(sector, N).values[: N - 1]
     if not np.isfinite(b).all():
         raise NumericsError(
-            f"states.deficiency_evidence: non-finite off-diagonal in the "
-            f"banded system (N = {N})"
+            f"states.deficiency_evidence: non-finite off-diagonal in the banded system (N = {N})"
         )
-    du = -b  # before dgtsv overwrites b, which no one else holds
-    d = np.full(N, -1.0)
-    scale = 1000 - math.frexp(float(b.max()))[1]  # 2^scale * max b <= 2^1000
-    rhs = np.zeros(N)
-    rhs[0] = math.ldexp(1.0, scale)
-    _, _, _, w, info = lapack.dgtsv(b, d, du, rhs, True, True, True, True)
-    if info != 0:
-        raise NumericsError(
-            f"states.deficiency_evidence: dgtsv returned info = {info} on the "
-            f"banded system (N = {N})"
-        )
-    with np.errstate(divide="ignore"):
-        log_abs = np.log(np.abs(np.ldexp(w[: M + 1], -scale)))
+    log_y = _positive_log_solution(b[::-1], N - 1 - M)[::-1]
+    log_abs = log_y - np.logaddexp(log_y[0], math.log(b[0]) + log_y[1])
     return GrowthProfile.from_log_abs(sector, 1j, None, log_abs)
 
 
@@ -497,12 +492,17 @@ def deficiency_evidence(sector: SectorParams, M: int) -> DeficiencyEvidence:
     tested the same way (count 1).  It is constructed only while its
     contamination bound sqrt(M/N) is at most 10%, that is up to
     M = 20000; above it minimal_exponent is None and the evidence is not
-    conclusive.
+    conclusive.  All three solutions come from one positive recursion
+    (_positive_log_solution).
     """
     if M < 5000:
         raise ValueError(f"states.deficiency_evidence: M must be >= 5000, got {M}")
-    poly = growth_profile(sector, 1j, M, InitialKind.POLYNOMIAL)
-    second = growth_profile(sector, 1j, M, InitialKind.SECOND)
+    # polynomial kind: f_m = i^m y_m with y over b_0, b_1, ...; second kind:
+    # f_0 = 0 and f_m = i^(m-1) y'_{m-1} / b_0 with y' over b_1, b_2, ...
+    b = OffDiagonalSequence.build(sector, M).values
+    log_second = np.concatenate(([-np.inf], _positive_log_solution(b[1:]) - math.log(b[0])))
+    poly = GrowthProfile.from_log_abs(sector, 1j, InitialKind.POLYNOMIAL, _positive_log_solution(b))
+    second = GrowthProfile.from_log_abs(sector, 1j, InitialKind.SECOND, log_second)
     exponents = (poly.exponent, second.exponent)
     if not (poly.fit_ok and second.fit_ok):
         return DeficiencyEvidence(sector, M, None, *exponents, None, False)

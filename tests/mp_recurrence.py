@@ -1,0 +1,19 @@
+"""The three-term recurrence in mpmath: the oracle for the float routes.
+
+b_m f_{m+1} = lambda' f_m - b_{m-1} f_{m-1}, evaluated at the working
+precision from the same float b_m the library uses (each float is exact
+in mpmath), so a difference is the library's rounding alone.
+"""
+
+import mpmath
+
+
+def mp_recurrence(b, lam, f0, f1, dps: int) -> list:
+    """f_0..f_L (L = len(b)) from f_0 and f_1, as mpmath numbers at dps digits."""
+    with mpmath.workdps(dps):
+        lam = mpmath.mpmathify(lam)
+        out = [mpmath.mpmathify(f0), mpmath.mpmathify(f1)]
+        bs = [mpmath.mpf(float(x)) for x in b]
+        for m in range(1, len(bs)):
+            out.append((lam * out[m] - bs[m - 1] * out[m - 1]) / bs[m])
+    return out

@@ -461,28 +461,62 @@ class TestValidationAndErrors:
         assert captured.err.startswith(f"invalid flags: {reason}")
         assert len(captured.err.splitlines()) == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["classify", "--k", "3", "--M", "2000001"],
+            ["deficiency", "--k", "3", "--M", "2000001"],
+            ["pollaczek", "--b", "0.25", "--M", "100001", "--lambda", "0.5"],
+            ["spectrum", "--k", "1", "--n", "2000001"],
+            ["extensions", "--k", "3", "--n", "2000001"],
+        ],
+        ids=["classify", "deficiency", "pollaczek", "spectrum", "extensions"],
+    )
+    def test_size_flags_past_their_cap(self, capsys, argv):
+        # one past the cap: refused before anything is allocated
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.fullmatch(r"invalid flags: --[Mn] .*must be in \[\d+, \d+\].*\n", captured.err)
+
+    def test_pollaczek_at_its_cap(self, tmp_path):
+        out = tmp_path / "p.csv"
+        assert main(["pollaczek", "--b", "0.25", "--M", "100000", "--lambda", "0.5",
+                     "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 100_003
+
     def test_help_exits_0(self, capsys):
         assert main(["spectrum", "--help"]) == 0
         assert capsys.readouterr().out.startswith("usage: powersqueeze spectrum")
 
 
-# Flag values around each validator's edge, for TestContractProperty.
-# Hypothesis draws bounded integers at their ends far more often than
-# inside, so the edges are list entries, and a repeated value is drawn
-# more often: some of the flag sets are then valid.
+# Flag values for TestContractProperty, as (common, edge) lists.  A flag
+# draws from its edge values (past a validator's bound, non-finite, or
+# overflowing a computation) only now and then, so that about half of the
+# flag sets are valid, and each edge value still meets valid values of the
+# other flags.
 _VALUES = {
-    "--k": st.sampled_from([1, 2, 3, 4, 5, 0]),
-    "--kappa": st.sampled_from([0, 1, 2, 3, 4, 5, -1]),
-    "--n": st.sampled_from([1, 5, 50, 80, 49, 0, -1]),
-    # 100 overflows Gamma(2b): exit 1; below about 1.1e-16, 1 + 2b rounds to 1
-    "--b": st.sampled_from(["0.25", "0.75", "-1", "inf", "nan", "100", "1e-300", "1e-17"]),
-    "--tol": st.sampled_from(["1e-10", "1e-10", "0", "1e-3", "nan"]),
+    "--k": ([1, 2, 3, 4, 5], [0]),
+    # 1e-300 and 1e-17: 1 + 2b rounds to 1; 100 overflows Gamma(2b), exit 1
+    "--b": (["0.25", "0.75", "1e-300", "1e-17"], ["-1", "inf", "nan", "100"]),
+    "--tol": (["1e-10", "1e-8"], ["0", "1e-3", "nan"]),
     # exit 1: mu overflows at nu = 1e200, lambda = 1e300 reaches the cutoff
     # cap, and theta = 1e308 overflows the boundary entry
-    "--nu": st.sampled_from(["0", "0.5", "1+1i", "-0.3i", "abc", "inf", "1e400", "1e200"]),
-    "--lambda": st.sampled_from(["0", "1.3", "1+1i", "-2", "abc", "inf", "nan", "1e300"]),
-    "--theta": st.sampled_from(["0", "0.5", "-1", "nan", "inf", "abc", "1e308"]),
-    "--format": st.sampled_from(["csv", "json"]),
+    "--nu": (["0", "0.5", "1+1i", "-0.3i"], ["abc", "inf", "1e400", "1e200"]),
+    "--lambda": (["0", "1.3", "-2", "0.5", "1+1i"], ["abc", "inf", "nan", "1e300"]),
+    "--theta": (["0", "0.5", "-1"], ["nan", "inf", "abc", "1e308"]),
+    "--format": (["csv", "json"], ["xml"]),
+}
+# --n and --M per command: the common values include each validator's
+# floor (and the moments cap); the edges are one past the floor and the
+# cap (the other caps themselves would run too long)
+_SIZE_VALUES = {
+    ("spectrum", "--n"): ([1, 5, 80], [0, -1, 2_000_001]),
+    ("extensions", "--n"): ([50, 60], [49, 2_000_001]),
+    ("classify", "--M"): ([1000, 5000], [999, 2_000_001]),
+    ("moments", "--M"): ([0, 4, 24], [-1, 25]),
+    ("pollaczek", "--M"): ([0, 1, 2, 30], [-1, 100_001]),
+    ("deficiency", "--M"): ([5000], [4999, 2_000_001]),
 }
 # the sector and tolerance flags each command reads; these and --format
 # are drawn half the time
@@ -507,27 +541,35 @@ _EXTRA = {
     "verify-sr": ["--nu", "--lambda"],
     "deficiency": ["--M"],
 }
-# --M at each command's floor and just below it (moments: also its cap)
-_M_VALUES = {
-    "classify": [999, 1000],
-    "moments": [-1, 0, 4, 24, 25],
-    "pollaczek": [-1, 0, 1, 30],
-    "deficiency": [4999, 5000],
-}
 _RARELY = st.sampled_from([False] * 7 + [True])
+
+
+def _flag_value(draw, common: list, edge: list):
+    """A common value seven times in eight, else an edge value; the draw
+    picks the common value itself, so that few flag sets repeat."""
+    i = draw(st.integers(0, 7))
+    return common[i % len(common)] if i < 7 else draw(st.sampled_from(edge))
 
 
 @st.composite
 def cli_argv(draw) -> list[str]:
     command = draw(st.sampled_from(sorted(_EXTRA)))
     argv = [command]
+    k = 1
     for flag in [*_SECTOR_TOL[command], "--format"]:
-        if draw(st.booleans()):
-            argv.append(f"{flag}={draw(_VALUES[flag])}")
+        if not draw(st.booleans()):
+            continue
+        if flag == "--kappa":  # valid below the drawn --k
+            value = _flag_value(draw, list(range(max(k, 1))), [max(k, 1), -1])
+        else:
+            value = _flag_value(draw, *_VALUES[flag])
+        if flag == "--k":
+            k = value
+        argv.append(f"{flag}={value}")
     for flag in _EXTRA[command]:
         if not draw(_RARELY):
-            values = st.sampled_from(_M_VALUES[command]) if flag == "--M" else _VALUES[flag]
-            argv.append(f"{flag}={draw(values)}")
+            values = _SIZE_VALUES.get((command, flag)) or _VALUES[flag]
+            argv.append(f"{flag}={_flag_value(draw, *values)}")
     if command == "verify-sr" and draw(_RARELY):
         argv.append("missing_state.json")
     if draw(_RARELY):
@@ -560,7 +602,7 @@ class TestContractProperty:
 class TestStartup:
     def test_scipy_linalg_loads_only_when_called(self, tmp_path):
         # scipy.linalg doubles the start time of every command; only the
-        # eigen-seed and banded-solve paths may load it
+        # eigen seed of spectrum and extensions may load it
         code = (
             "import sys\n"
             "import powersqueeze, powersqueeze.cli\n"

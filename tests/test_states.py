@@ -2,14 +2,18 @@
 and the square-summable solution count."""
 
 import math
+import subprocess
+import sys
 import time
 import tracemalloc
+import types
 
+import mpmath
 import numpy as np
 import pytest
 
-from powersqueeze import states
-from powersqueeze.jacobi import envelope_fit
+from powersqueeze import jacobi, states
+from powersqueeze.jacobi import InitialKind, envelope_fit
 from powersqueeze import (
     FockVector,
     SectorParams,
@@ -28,6 +32,8 @@ from powersqueeze import (
     solve_recursion,
     sr_report,
 )
+
+from mp_recurrence import mp_recurrence
 
 
 def basis_vector(sector: SectorParams, m: int) -> FockVector:
@@ -316,8 +322,8 @@ class TestResidualCheck:
 def reference_minimal_solution_profile(sector: SectorParams, M: int, N: int):
     """Verbatim copy of `states._minimal_solution_profile` as it was when it
     built the (3, N) band for `scipy.linalg.solve_banded((1, 1), ...)`
-    (N was then computed inside as min(100 M, 2e6)); the oracle for the
-    direct zgtsv call's bits."""
+    (N was then computed inside as min(100 M, 2e6)); an oracle for the
+    positive recursion that replaced the LAPACK solves."""
     import scipy.linalg
 
     b = OffDiagonalSequence.build(sector, N).values
@@ -339,8 +345,8 @@ def reference_minimal_solution_profile(sector: SectorParams, M: int, N: int):
 
 def reference_zgtsv_profile(sector: SectorParams, M: int, N: int):
     """Verbatim copy of `states._minimal_solution_profile` as it was when it
-    called LAPACK zgtsv on the complex system (T_N - i) u = e_0; the oracle
-    for the real dgtsv solve's bits."""
+    called LAPACK zgtsv on the complex system (T_N - i) u = e_0; an oracle
+    for the positive recursion that replaced the LAPACK solves."""
     from scipy.linalg import lapack
 
     b = OffDiagonalSequence.build(sector, N).values[: N - 1]
@@ -377,17 +383,23 @@ class TestMinimalSolution:
         [(1, 0, 5000), (2, 1, 5000), (2, 0, 7000), (3, 2, 5000), (1, 0, 20000), (2, 0, 12500)],
     )
     def test_bits_match_solve_banded(self, k, kappa, M):
+        # the LAPACK routes are the oracles: the same Cauchy verdict and
+        # envelope points, and the exponent within 1e-12 relative (the
+        # positive recursion and the elimination round differently)
         sector = SectorParams(k, kappa)
         N = min(100 * M, 2_000_000)
         p = states._minimal_solution_profile(sector, M, N)
-        got = (p.exponent, p.cauchy_ratio() < states._CAUCHY_WINDOW, p.envelope_count)
-        assert got == reference_minimal_solution_profile(sector, M, N)
-        assert got == reference_zgtsv_profile(sector, M, N)
+        cauchy = p.cauchy_ratio() < states._CAUCHY_WINDOW
+        for reference in (reference_minimal_solution_profile, reference_zgtsv_profile):
+            exponent, ref_cauchy, ref_count = reference(sector, M, N)
+            assert (cauchy, p.envelope_count) == (ref_cauchy, ref_count)
+            assert p.exponent == pytest.approx(exponent, rel=1e-12, abs=0.0)
 
     def test_real_solve_peak_memory(self):
-        # b, du, d and the right-hand side: four float64 N-arrays (the
-        # complex solve peaked near nine).  A silent copy in the LAPACK
-        # wrapper or a complex temporary breaks the bound.
+        # building b peaks at three float64 N-arrays, and the recursion
+        # keeps only the M + 1 entries it reports (the complex LAPACK solve
+        # peaked near nine N-arrays).  A copy of b or a stored N-array of
+        # the recursion breaks the bound.
         import scipy.linalg  # noqa: F401  imported untraced: the import allocates too
 
         N = 2_000_000
@@ -469,6 +481,85 @@ class TestDeficiencyEvidence:
         assert not ev.conclusive and ev.count is None
         assert ev.minimal_exponent is None and ev.contamination_bound == 1.0
         assert ev.exponent_polynomial is not None
+
+
+class TestOneMechanism:
+    """deficiency_evidence computes every solution at lambda' = i with
+    states._positive_log_solution: no LAPACK, no forward kernel."""
+
+    def test_no_scipy_linalg(self):
+        code = (
+            "import sys\n"
+            "from powersqueeze import SectorParams, deficiency_evidence\n"
+            "ev = deficiency_evidence(SectorParams(1, 0), 5000)\n"
+            "assert ev.count == 1 and ev.minimal_exponent is not None\n"
+            "assert 'scipy.linalg' not in sys.modules\n"
+        )
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+
+    @pytest.mark.parametrize(
+        "k, kappa, count", [(1, 0, 1), (2, 1, 1), (3, 0, 2)], ids=["k1", "k2", "k3"]
+    )
+    def test_no_forward_kernel(self, monkeypatch, k, kappa, count):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the forward kernel was called")
+
+        monkeypatch.setattr(jacobi, "solve_recursion", refuse)
+        monkeypatch.setattr(jacobi, "growth_profile", refuse)
+        monkeypatch.setattr(states, "solve_recursion", refuse)
+        ev = deficiency_evidence(SectorParams(k, kappa), 5000)
+        assert (ev.count, ev.conclusive) == (count, True)
+
+
+def log_abs_mp(values) -> np.ndarray:
+    with mpmath.workdps(30):
+        return np.array([float(mpmath.log(abs(v))) if v != 0 else -np.inf for v in values])
+
+
+class TestPositiveRecursionAccuracy:
+    """log|f| and log|w| at lambda' = i within 1e-13 absolute of the
+    30-digit recurrence on the same float b_m (the complex kernel was off
+    by up to 4.5e-13 at (1, 0, 20000), dgtsv by 1.8e-13 at (4, 1, 500))."""
+
+    @pytest.mark.parametrize(
+        "k, kappa, M", [(1, 0, 20000), (2, 0, 12500), (3, 0, 5000), (4, 1, 5000)]
+    )
+    def test_fundamental_pair(self, monkeypatch, k, kappa, M):
+        # the log|f| that deficiency_evidence hands to the profiles
+        profiled = {}
+
+        def record(sector, lambda_prime, kind, log_abs):
+            profiled[kind] = log_abs
+            return jacobi.GrowthProfile.from_log_abs(sector, lambda_prime, kind, log_abs)
+
+        monkeypatch.setattr(states, "GrowthProfile", types.SimpleNamespace(from_log_abs=record))
+        sector = SectorParams(k, kappa)
+        deficiency_evidence(sector, M)
+        b = OffDiagonalSequence.build(sector, M).values
+        b0 = mpmath.mpf(float(b[0]))
+        initial = {InitialKind.POLYNOMIAL: (1, 1j / b0), InitialKind.SECOND: (0, 1 / b0)}
+        for kind, (f0, f1) in initial.items():
+            exact = log_abs_mp(mp_recurrence(b, 1j, f0, f1, 30))
+            got = profiled[kind]
+            assert np.array_equal(np.isinf(got), np.isinf(exact))
+            finite = np.isfinite(exact)
+            assert np.max(np.abs(got[finite] - exact[finite])) <= 1e-13
+
+    @pytest.mark.parametrize("k, kappa", [(1, 0), (2, 1), (3, 0), (4, 1)])
+    def test_minimal_solution(self, k, kappa):
+        # the oracle runs the complex recurrence down from u_N = 0,
+        # u_{N-1} = 1 and scales u to meet row 0, b_0 u_1 - i u_0 = 1
+        M, N = 500, 50_000
+        sector = SectorParams(k, kappa)
+        b = OffDiagonalSequence.build(sector, N).values
+        c = b[: N - 1][::-1]
+        v = mp_recurrence(c, 1j, 1, 1j / mpmath.mpf(float(c[0])), 30)
+        with mpmath.workdps(30):
+            scale = 1 / (mpmath.mpf(float(b[0])) * v[N - 2] - 1j * v[N - 1])
+            exact = log_abs_mp([v[N - 1 - m] * scale for m in range(M + 1)])
+        got = states._minimal_solution_profile(sector, M, N).log_abs
+        assert np.max(np.abs(got - exact)) <= 1e-13
 
 
 class TestErrorsNameTheModule:

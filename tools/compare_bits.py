@@ -8,23 +8,26 @@ in fresh interpreters with each tree's `src/` on PYTHONPATH, it runs three
 fixed grids and the CLI commands pinned by
 `tests/test_cli.py::TestGoldenBytes`, under REV and under this checkout.
 A spectra grid case compares the `eigenvalues_bisect` eigenvalue bytes and
-`max_bracket`, or the error raised.  A deficiency grid case compares the
-repr of every `DeficiencyEvidence` field, or the error raised; M reaches
+`max_bracket`, or the error raised, by digest.  A deficiency grid case
+compares the repr of every `DeficiencyEvidence` field, or the error
+raised; M reaches
 20000, the largest M whose minimal solution is built (its system has
 N = 2e6 rows).  Past the contamination bound no minimal solution is built,
 so the M = 20001 cases and (k, kappa, M) = (1, 0, 600000) check the
 evidence of the fundamental pair alone, just past the bound and far past
 it.  A classify grid case compares the repr of
 every `DeterminacyVerdict` field, or the error raised, for k = 1..6 and
-M up to 1e5.  A command compares stdout, stderr and the
-exit code.  Prints each difference and a summary, and exits 1 if any byte
-differs.  Sturm pass counts are not compared: a change may take fewer
+M up to 1e5.  A differing deficiency or classify case prints each field
+that moved with both reprs (and the relative change of a float).  A
+command compares stdout, stderr and the exit code.  Prints each
+difference and a summary, and exits 1 if any byte differs.  Sturm pass counts are not compared: a change may take fewer
 passes to the same bits.
 """
 
 from __future__ import annotations
 
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -66,19 +69,36 @@ def sector_grid(ks: tuple, ms: tuple) -> list[tuple[int, int, int]]:
 
 def fields_worker(imports: str, call: str, cases: list) -> str:
     """Code for a fresh interpreter: one line per case (k, kappa, M), with
-    a digest of the repr of every field of the dataclass that `call`
-    returns (or of the error raised)."""
+    a JSON object of the repr of every field of the dataclass that `call`
+    returns (or of the error raised, under "error")."""
     return f"""
-import dataclasses, hashlib
+import dataclasses, json
 {imports}
 for k, kappa, M in {cases!r}:
     try:
         r = {call}
-        data = repr([getattr(r, f.name) for f in dataclasses.fields(r)]).encode()
+        fields = {{f.name: repr(getattr(r, f.name)) for f in dataclasses.fields(r)}}
     except Exception as exc:
-        data = repr(exc).encode()
-    print(k, kappa, M, hashlib.sha256(data).hexdigest())
+        fields = {{"error": repr(exc)}}
+    print(k, kappa, M, json.dumps(fields))
 """
+
+
+def moved_fields(old: str, new: str) -> list[str]:
+    """The fields in which two fields-worker lines differ, with both reprs
+    and, where both parse as floats, the relative change."""
+    old_fields, new_fields = (json.loads(line.split(" ", 3)[3]) for line in (old, new))
+    moved = []
+    for name in dict.fromkeys([*old_fields, *new_fields]):
+        o, c = old_fields.get(name), new_fields.get(name)
+        if o == c:
+            continue
+        try:
+            rel = f" (relative {abs(float(c) - float(o)) / abs(float(o)):.1e})"
+        except (TypeError, ValueError, ZeroDivisionError):
+            rel = ""
+        moved.append(f"    {name}: {o} -> {c}{rel}")
+    return moved
 
 
 # past M = 20000 no minimal solution is built: the M = 20001 cases and
@@ -154,10 +174,15 @@ def main(argv: list[str]) -> int:
         for grid in WORKERS:
             old, new = ((tmp / f"{grid}.{name}").read_text().splitlines() for name in trees)
             diffs = [(o, c) for o, c in zip(old, new) if o != c]
+            for o, c in diffs:
+                if grid == "spectra":
+                    print(f"{grid} grid differs:\n  {rev}: {o}\n  checkout: {c}")
+                else:
+                    print(f"{grid} case {' '.join(o.split(' ', 3)[:3])} differs from {rev}:")
+                    print("\n".join(moved_fields(o, c)))
             if len(old) != len(new):
                 diffs.append((f"{len(old)} cases", f"{len(new)} cases"))
-            for o, c in diffs:
-                print(f"{grid} grid differs:\n  {rev}: {o}\n  checkout: {c}")
+                print(f"{grid} grid: {len(old)} cases under {rev}, {len(new)} in the checkout")
             summary.append(f"{len(diffs)} of {len(old)} {grid} grid cases")
             differing += len(diffs)
 
