@@ -46,6 +46,11 @@ _MAX_BANDED = 2_000_000
 _LOG_TINY = math.log(np.finfo(np.float64).tiny)
 # the positive recursion divides y by 2^500, exactly, whenever y passes it
 _RESCALE, _LOG_RESCALE = 2.0**500, math.log(2.0**500)
+# rows per block transfer matrix in the positive recursion's skipped rows,
+# and blocks per numpy pass: their rows of b, transposed, take 4 MiB (one
+# transposed copy of a 2e6-row b raised the peak RSS of a long run by 9 MB)
+_BLOCK = 256
+_BLOCKS_PER_PASS = 2048
 
 
 @dataclass(frozen=True)
@@ -435,6 +440,25 @@ def _flagged(profile: GrowthProfile) -> bool:
     )
 
 
+def _block_transfers(b: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Transfer matrices of the positive recursion over rows lo..hi-1 of
+    b, one per block of B = _BLOCK rows, all stepped together, one numpy
+    step per row.  With (y_{m-1}, y_m) the j-th basis state at block n's first
+    row m, entry [0, j, n] is y_{m+B-1} and entry [1, j, n] is y_{m+B}."""
+    rows = np.ascontiguousarray(b[lo:hi].reshape(-1, _BLOCK).T)
+    before = np.concatenate(([b[lo - 1] if lo else b[0]], rows[-1, :-1]))
+    # (y_{m-1}, y_m) per basis state and block
+    y_prev = np.stack((np.ones(len(before)), np.zeros(len(before))))
+    y_cur = y_prev[::-1].copy()
+    with np.errstate(over="ignore", invalid="ignore"):  # the caller refuses those
+        for b_before, b_row in zip([before, *rows[:-1]], rows):
+            y_prev *= b_before
+            y_prev += y_cur
+            y_prev /= b_row
+            y_prev, y_cur = y_cur, y_prev
+    return np.stack((y_prev, y_cur))
+
+
 def _positive_log_solution(b: np.ndarray, start: int = 0) -> np.ndarray:
     """log y_start..y_L (L = len(b)) of b_m y_{m+1} = y_m + b_{m-1} y_{m-1},
     y_{-1} = 0, y_0 = 1: every solution at lambda' = i, up to a unit
@@ -446,9 +470,45 @@ def _positive_log_solution(b: np.ndarray, start: int = 0) -> np.ndarray:
     and divided by 2^500, exactly, whenever it passes 2^500.  For monotone
     b, y_{m+1} >= (b_{m-1}/b_m) y_{m-1} keeps y above
     min(1, 1/b_0) min(b)/max(b), so it stays normal.
+
+    The rows before the last whole block of B = _BLOCK rows below start
+    are not read, so block transfer matrices cross them.  Block j's B
+    steps, run from the basis states (1, 0) and (0, 1) for
+    (y_{jB-1}, y_{jB}), give the matrix that maps that pair to
+    (y_{jB+B-1}, y_{jB+B}) (_block_transfers).  One pass applies the
+    matrices in order to (y_{-1}, y_0) = (0, 1) and divides the pair by a
+    power of two, exactly, after each block.  All terms are positive
+    again, so nothing cancels; the scale this drops is part of the free
+    overall scale.  (b_{-1} multiplies y_{-1} = 0, so block 0 borrows b_0
+    for it.)  Every sector has b >= 1, so for monotone b a step
+    multiplies max(y_{m-1}, y_m) by at most
+    (1 + b_{m-1})/b_m <= 2 max(1, b_{m-1}/b_m), where the ratios
+    telescope; with the bound above, a block's entries lie within
+    [min(1, 1/max b) / rho, 2^B rho], rho = max(b)/min(b) over the block
+    and the entry before it.  For k <= 2, the sectors that reach this
+    route, rho <= 363 and b < 5e6 up to N = 2e6: between 1e-10 and 1e80,
+    normal and finite.  An entry that is non-finite or 0 all the same
+    raises NumericsError.  Below start = 2B there are no blocks.
     """
     out, prev, cur, b_prev, s = array("d"), 0.0, 1.0, 0.0, 0
-    for m, b_m in enumerate(memoryview(b)):
+    skip = _BLOCK * max(start // _BLOCK - 1, 0)
+    if skip:
+        per_pass = _BLOCK * _BLOCKS_PER_PASS
+        blocks = np.concatenate(
+            [_block_transfers(b, lo, min(lo + per_pass, skip)) for lo in range(0, skip, per_pass)],
+            axis=2,
+        )
+        if not (blocks.min() > 0.0 and blocks.max() < math.inf):
+            raise NumericsError(
+                f"states.deficiency_evidence: a block transfer entry of the positive "
+                f"recursion is non-finite or 0 (rows 0..{skip - 1})"
+            )
+        for p0, p1, c0, c1 in zip(*blocks.reshape(4, -1).tolist()):
+            prev, cur = p0 * prev + p1 * cur, c0 * prev + c1 * cur
+            e = -math.frexp(cur)[1]
+            prev, cur = math.ldexp(prev, e), math.ldexp(cur, e)
+        b_prev = float(b[skip - 1])
+    for m, b_m in enumerate(memoryview(b[skip:]), skip):
         if m >= start:
             out.append(math.log(cur) + s * _LOG_RESCALE)
         prev, cur, b_prev = cur, (cur + b_prev * prev) / b_m, b_m

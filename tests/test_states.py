@@ -7,6 +7,7 @@ import sys
 import time
 import tracemalloc
 import types
+from array import array
 
 import mpmath
 import numpy as np
@@ -33,7 +34,7 @@ from powersqueeze import (
     sr_report,
 )
 
-from mp_recurrence import mp_recurrence
+from mp_recurrence import mp_positive_recurrence, mp_recurrence
 
 
 def basis_vector(sector: SectorParams, m: int) -> FockVector:
@@ -375,6 +376,66 @@ def reference_zgtsv_profile(sector: SectorParams, M: int, N: int):
     return exponent, cauchy, count
 
 
+def reference_positive_log_solution(b: np.ndarray, start: int = 0) -> np.ndarray:
+    """Verbatim copy of `states._positive_log_solution` as it was when it
+    stepped through every row one at a time; an oracle for the block
+    transfer products that skip the rows before start."""
+    out, prev, cur, b_prev, s = array("d"), 0.0, 1.0, 0.0, 0
+    for m, b_m in enumerate(memoryview(b)):
+        if m >= start:
+            out.append(math.log(cur) + s * states._LOG_RESCALE)
+        prev, cur, b_prev = cur, (cur + b_prev * prev) / b_m, b_m
+        if cur > states._RESCALE:
+            prev, cur, s = prev / states._RESCALE, cur / states._RESCALE, s + 1
+    out.append(math.log(cur) + s * states._LOG_RESCALE)
+    return np.frombuffer(out)
+
+
+class TestBlockTransfer:
+    """states._positive_log_solution against its row-by-row reference on
+    reversed sector b, as the minimal solution reads it: (1, 0), (2, 1)
+    and (40, 39) have the steepest b ratios."""
+
+    B = states._BLOCK
+
+    @pytest.mark.parametrize("k, kappa", [(1, 0), (2, 1), (40, 39)])
+    @pytest.mark.parametrize("length", [6 * states._BLOCK + 5, 9 * states._BLOCK + 77])
+    def test_matches_the_row_by_row_loop(self, k, kappa, length):
+        B = self.B
+        b = OffDiagonalSequence.build(SectorParams(k, kappa), length).values[::-1]
+        for start in (0, 1, 2 * B - 1, 2 * B, 2 * B + 1, 5 * B + 7, length - 1):
+            got = states._positive_log_solution(b, start)
+            ref = reference_positive_log_solution(b, start)
+            assert len(got) == len(ref) == length + 1 - start
+            if start < 2 * B:
+                # no block: the same loop from row 0
+                assert np.array_equal(got, ref), start
+            else:
+                # the skipped rows' scale is dropped; logs agree up to it
+                assert np.max(np.abs((got - got[0]) - (ref - ref[0]))) <= 1e-13, start
+
+    def test_passes_keep_the_bits(self, monkeypatch):
+        # each block steps on its own, so splitting the blocks into passes
+        # (here 3 per pass, the last one short) moves no bit
+        length = 23 * self.B + 11
+        b = OffDiagonalSequence.build(SectorParams(2, 1), length).values[::-1]
+        one_pass = states._positive_log_solution(b, length - 100)
+        monkeypatch.setattr(states, "_BLOCKS_PER_PASS", 3)
+        assert np.array_equal(states._positive_log_solution(b, length - 100), one_pass)
+
+    def test_non_finite_block_entry_is_refused(self, monkeypatch):
+        # finite b that the non-finite check passes, but with 1/b = 1e300
+        # a block's second step overflows
+        class Tiny:
+            @staticmethod
+            def build(sector, length):
+                return OffDiagonalSequence(sector, np.full(length, 1e-300))
+
+        monkeypatch.setattr(states, "OffDiagonalSequence", Tiny)
+        with pytest.raises(NumericsError, match=r"^states\.deficiency_evidence: .*block"):
+            states._minimal_solution_profile(SectorParams(1, 0), 100, 10_000)
+
+
 class TestMinimalSolution:
     # (1, 0, 20000) and (2, 0, 12500) are the certificates benchmark's
     # points; the first is the largest system, N = 2e6
@@ -520,7 +581,9 @@ def log_abs_mp(values) -> np.ndarray:
 class TestPositiveRecursionAccuracy:
     """log|f| and log|w| at lambda' = i within 1e-13 absolute of the
     30-digit recurrence on the same float b_m (the complex kernel was off
-    by up to 4.5e-13 at (1, 0, 20000), dgtsv by 1.8e-13 at (4, 1, 500))."""
+    by up to 4.5e-13 at (1, 0, 20000), dgtsv by 1.8e-13 at (4, 1, 500),
+    and the positive recursion stepped through every row by 1.1e-13 at
+    (1, 0, 5000) with N = 5e5)."""
 
     @pytest.mark.parametrize(
         "k, kappa, M", [(1, 0, 20000), (2, 0, 12500), (3, 0, 5000), (4, 1, 5000)]
@@ -546,17 +609,30 @@ class TestPositiveRecursionAccuracy:
             finite = np.isfinite(exact)
             assert np.max(np.abs(got[finite] - exact[finite])) <= 1e-13
 
-    @pytest.mark.parametrize("k, kappa", [(1, 0), (2, 1), (3, 0), (4, 1)])
-    def test_minimal_solution(self, k, kappa):
+    @pytest.mark.parametrize(
+        "k, kappa, M, N",
+        [(1, 0, 500, 50_000), (2, 1, 500, 50_000), (3, 0, 500, 50_000), (4, 1, 500, 50_000),
+         (1, 0, 5000, 500_000)],
+    )
+    def test_minimal_solution(self, k, kappa, M, N):
         # the oracle runs the complex recurrence down from u_N = 0,
-        # u_{N-1} = 1 and scales u to meet row 0, b_0 u_1 - i u_0 = 1
-        M, N = 500, 50_000
+        # u_{N-1} = 1 and scales u to meet row 0, b_0 u_1 - i u_0 = 1.
+        # (1, 0, 5000) is the system of the deficiency goldens; there the
+        # oracle is the real form (|u| is the positive recursion on the
+        # reversed b), which the N = 5e4 cases tie to the complex one
         sector = SectorParams(k, kappa)
         b = OffDiagonalSequence.build(sector, N).values
         c = b[: N - 1][::-1]
-        v = mp_recurrence(c, 1j, 1, 1j / mpmath.mpf(float(c[0])), 30)
+        b0 = mpmath.mpf(float(b[0]))
+        if N > 50_000:
+            v = mp_positive_recurrence(c, 30)
+            with mpmath.workdps(30):
+                scale = 1 / (v[N - 1] + b0 * v[N - 2])
+        else:
+            v = mp_recurrence(c, 1j, 1, 1j / mpmath.mpf(float(c[0])), 30)
+            with mpmath.workdps(30):
+                scale = 1 / (b0 * v[N - 2] - 1j * v[N - 1])
         with mpmath.workdps(30):
-            scale = 1 / (mpmath.mpf(float(b[0])) * v[N - 2] - 1j * v[N - 1])
             exact = log_abs_mp([v[N - 1 - m] * scale for m in range(M + 1)])
         got = states._minimal_solution_profile(sector, M, N).log_abs
         assert np.max(np.abs(got - exact)) <= 1e-13
