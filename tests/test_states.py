@@ -609,30 +609,34 @@ class TestPositiveRecursionAccuracy:
             finite = np.isfinite(exact)
             assert np.max(np.abs(got[finite] - exact[finite])) <= 1e-13
 
-    @pytest.mark.parametrize(
-        "k, kappa, M, N",
-        [(1, 0, 500, 50_000), (2, 1, 500, 50_000), (3, 0, 500, 50_000), (4, 1, 500, 50_000),
-         (1, 0, 5000, 500_000)],
-    )
-    def test_minimal_solution(self, k, kappa, M, N):
+    @pytest.mark.parametrize("k, kappa", [(1, 0), (2, 1), (3, 0), (4, 1)])
+    def test_minimal_solution(self, k, kappa):
         # the oracle runs the complex recurrence down from u_N = 0,
-        # u_{N-1} = 1 and scales u to meet row 0, b_0 u_1 - i u_0 = 1.
-        # (1, 0, 5000) is the system of the deficiency goldens; there the
-        # oracle is the real form (|u| is the positive recursion on the
-        # reversed b), which the N = 5e4 cases tie to the complex one
+        # u_{N-1} = 1 and scales u to meet row 0, b_0 u_1 - i u_0 = 1
+        M, N = 500, 50_000
         sector = SectorParams(k, kappa)
         b = OffDiagonalSequence.build(sector, N).values
         c = b[: N - 1][::-1]
-        b0 = mpmath.mpf(float(b[0]))
-        if N > 50_000:
-            v = mp_positive_recurrence(c, 30)
-            with mpmath.workdps(30):
-                scale = 1 / (v[N - 1] + b0 * v[N - 2])
-        else:
-            v = mp_recurrence(c, 1j, 1, 1j / mpmath.mpf(float(c[0])), 30)
-            with mpmath.workdps(30):
-                scale = 1 / (b0 * v[N - 2] - 1j * v[N - 1])
+        v = mp_recurrence(c, 1j, 1, 1j / mpmath.mpf(float(c[0])), 30)
         with mpmath.workdps(30):
+            scale = 1 / (mpmath.mpf(float(b[0])) * v[N - 2] - 1j * v[N - 1])
+            exact = log_abs_mp([v[N - 1 - m] * scale for m in range(M + 1)])
+        got = states._minimal_solution_profile(sector, M, N).log_abs
+        assert np.max(np.abs(got - exact)) <= 1e-13
+
+    def test_minimal_solution_of_the_deficiency_goldens(self):
+        # (1, 0, M = 5000, N = 5e5) is the system of the deficiency
+        # goldens.  The oracle is the real form: |u| is the positive
+        # recursion on the reversed b, scaled to meet row 0,
+        # b_0 |u_1| + |u_0| = 1; test_minimal_solution ties the real form
+        # to the complex one at N = 5e4
+        M, N = 5000, 500_000
+        sector = SectorParams(1, 0)
+        b = OffDiagonalSequence.build(sector, N).values
+        c = b[: N - 1][::-1]
+        v = mp_positive_recurrence(c, 30)
+        with mpmath.workdps(30):
+            scale = 1 / (v[N - 1] + mpmath.mpf(float(b[0])) * v[N - 2])
             exact = log_abs_mp([v[N - 1 - m] * scale for m in range(M + 1)])
         got = states._minimal_solution_profile(sector, M, N).log_abs
         assert np.max(np.abs(got - exact)) <= 1e-13
