@@ -90,28 +90,37 @@ class OffDiagonalSequence:
 
     @classmethod
     def build(cls, sector: SectorParams, length: int) -> "OffDiagonalSequence":
-        """b_m = sqrt of the float product of its k factors.  The product
-        grows with m, so only a top run of entries can overflow; those take
-        the log-domain route of off_diagonal, and NumericsError is raised
-        when b_{length-1} itself exceeds binary64."""
+        """b_m = sqrt of the float product of its k factors, by one array
+        route: the first factor mk + kappa + 1 as one array, the other
+        k - 1 factors multiplied into it in place, in order (each factor is
+        an exact integer below 2^53, stepped up by 1 in a second array),
+        and the square root taken in place.  The product grows with m, so
+        only a top run of entries can overflow; those get
+        exp(log_off_diagonal), and NumericsError is raised when
+        b_{length-1} itself exceeds binary64.  That is what off_diagonal
+        returns there: a float product of k exact factors overflows only
+        if the exact product exceeds 2^1023, so its bit length is past the
+        _LOG_SWITCH_BITS = 1000 of off_diagonal's exact-integer branch."""
         if length < 1:
             raise ValueError(
                 f"jacobi.OffDiagonalSequence.build: length must be >= 1, got {length}"
             )
-        m = np.arange(length, dtype=np.float64)
-        prod = np.ones(length)
+        k, first = sector.k, sector.kappa + 1
+        values = np.arange(first, first + k * length, k, dtype=np.float64)
+        factor = values.copy() if k > 1 else None
         with np.errstate(over="ignore"):
-            for p in range(sector.k):
-                prod *= m * sector.k + sector.kappa + 1 + p
-        values = np.sqrt(prod)
+            for _ in range(k - 1):
+                factor += 1.0
+                values *= factor
+        np.sqrt(values, out=values)
         if math.isinf(values[-1]):
             if log_off_diagonal(sector, length - 1) > _LOG_FLOAT_MAX:
                 raise NumericsError(
                     f"jacobi.OffDiagonalSequence.build: b_m overflows binary64 at "
                     f"m = {length - 1} (sector k={sector.k}, kappa={sector.kappa})"
                 )
-            for j in np.flatnonzero(np.isinf(prod)).tolist():
-                values[j] = off_diagonal(sector, j)
+            for j in np.flatnonzero(np.isinf(values)).tolist():
+                values[j] = math.exp(log_off_diagonal(sector, j))
         return cls(sector, values)
 
     def __len__(self) -> int:

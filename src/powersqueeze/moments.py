@@ -30,6 +30,13 @@ _MAX_REFINEMENTS = 12
 _GRID_CACHE_SIZE = 8
 _CACHED_PANELS = 1024
 _MOMENT_ORDER_CAP = 24  # Hankel conditioning cliff; see moments()
+# Below this b nearly all of rho_b's unit mass sits in a spike of width ~b
+# at x = 0 that no Gauss node reaches, so every sampled value is far below
+# tol and two grids agree on a wrong integral (s_0 = 2.8e-14 at b = 1e-16).
+# A sweep of b from 1e-300 to 5 and tol from 1e-12 to 1e-4 returned wrong
+# values at b <= 2.8e-7 only, raised QuadratureError from there to 7e-5,
+# and from 7.3e-5 up returned every accepted s_0 within its error of 1
+_B_FLOOR = 1e-4
 
 
 def _tail_bound(b: float, degree: int, X: float, coeff: float) -> float:
@@ -95,9 +102,16 @@ def integrate_weighted(f, b: float, tol: float, degree: int = 0) -> tuple[float,
     roundoff floor of 1e-14 int |f| rho; the returned error is that
     difference plus the floor plus the tail bound.  Refinement beyond the
     documented cap raises QuadratureError carrying the last two estimates.
+    b below _B_FLOOR = 1e-4 is refused: the rule cannot see the weight's
+    spike at x = 0 there (see _B_FLOOR).
     """
     if b <= 0:
         raise ValueError(f"moments.integrate_weighted: b must be > 0, got {b}")
+    if b < _B_FLOOR:
+        raise ValueError(
+            f"moments.integrate_weighted: b must be >= {_B_FLOOR:g}, got {b}: below it "
+            f"the mass of rho_b sits in a spike at x = 0 between the quadrature nodes"
+        )
     if tol <= 0:
         raise ValueError(f"moments.integrate_weighted: tol must be > 0, got {tol}")
 

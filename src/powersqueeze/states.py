@@ -37,9 +37,10 @@ from .jacobi import (
 _MAX_CUTOFF = 100_000
 _SQUARE_SUMMABLE_EXPONENT = -0.5 - 0.1  # decay strictly faster than 1/sqrt
 _CAUCHY_WINDOW = 0.10
-# the minimal solution's banded system has N = 100 M rows, so that its
+# the minimal solution's recursion runs over N = 100 M rows, so that its
 # contamination sqrt(M/N) is 10%; memory caps N at 2e6 (M <= 20000),
-# where building b peaks at three float64 N-arrays (46 MiB)
+# where b is one float64 N-array (15 MiB) and the whole solve traces a
+# peak of 1.28 N-arrays (20 MiB)
 _BANDED_OVERSIZE = 100
 _MAX_BANDED = 2_000_000
 # log of the smallest normal binary64; a normalized c_0 below it is lost
@@ -47,8 +48,10 @@ _LOG_TINY = math.log(np.finfo(np.float64).tiny)
 # the positive recursion divides y by 2^500, exactly, whenever y passes it
 _RESCALE, _LOG_RESCALE = 2.0**500, math.log(2.0**500)
 # rows per block transfer matrix in the positive recursion's skipped rows,
-# and blocks per numpy pass: their rows of b, transposed, take 4 MiB (one
-# transposed copy of a 2e6-row b raised the peak RSS of a long run by 9 MB)
+# and blocks per numpy pass: their rows of b, transposed, take 4 MiB.  Ten
+# `certificates` benchmark rounds in one process peak at 57 MiB RSS this
+# way, and at 68 MiB with all blocks in one pass (one transposed copy of
+# a 2e6-row b)
 _BLOCK = 256
 _BLOCKS_PER_PASS = 2048
 
@@ -415,7 +418,7 @@ class DeficiencyEvidence:
     contamination bound is not met (never a silent guess).  Exponents are
     the fitted envelope slopes.  When neither fundamental solution is
     square-summable, contamination_bound is sqrt(M/N) for the minimal
-    solution's banded system of N = min(100 M, 2e6) rows; the bound is met
+    solution's recursion over N = min(100 M, 2e6) rows; the bound is met
     at N = 100 M, that is up to M = 20000, and only there is the minimal
     solution built and minimal_exponent reported.
     """
@@ -534,7 +537,8 @@ def _minimal_solution_profile(sector: SectorParams, M: int, N: int) -> GrowthPro
     b = OffDiagonalSequence.build(sector, N).values[: N - 1]
     if not np.isfinite(b).all():
         raise NumericsError(
-            f"states.deficiency_evidence: non-finite off-diagonal in the banded system (N = {N})"
+            f"states.deficiency_evidence: non-finite off-diagonal in the minimal "
+            f"solution's recursion (N = {N})"
         )
     log_y = _positive_log_solution(b[::-1], N - 1 - M)[::-1]
     log_abs = log_y - np.logaddexp(log_y[0], math.log(b[0]) + log_y[1])

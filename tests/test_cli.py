@@ -345,6 +345,17 @@ class TestValidationAndErrors:
         assert captured.err.startswith("invalid flags: unrecognized arguments: --")
         assert len(captured.err.splitlines()) == 1
 
+    @pytest.mark.parametrize(
+        "argv", [["--b", "1e-16", "--M", "2"], ["--b", "1e-7", "--tol", "1e-4", "--M", "2"]]
+    )
+    def test_moments_refuses_b_below_the_floor(self, argv):
+        # both printed s_0 ~ 3e-14 or 3e-5 with an error bar that missed 1
+        result = run_cli("moments", *argv)
+        assert result.returncode == 1
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: moments.integrate_weighted: b must be >= 0.0001, got ")
+        assert len(result.stderr.splitlines()) == 1
+
     def test_moments_weight_overflow_names_source(self):
         # Gamma(2b) overflows binary64 for b above about 85.8
         result = run_cli("moments", "--b", "100", "--M", "4")

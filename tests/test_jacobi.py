@@ -1,6 +1,8 @@
 """Off-diagonals, commutator weights, and the three-term recursion solver."""
 
 import math
+import re
+import tracemalloc
 import warnings
 
 import mpmath
@@ -96,7 +98,7 @@ class TestOffDiagonal:
 
     def test_sequence_products_past_binary64(self):
         # k = 100: b_m^2 overflows binary64 from m = 12 on, b_m itself does not.
-        # Those entries take off_diagonal's log-domain route, without a
+        # Those entries get off_diagonal's log-domain value, without a
         # warning; the entries below keep the float product's bits.
         sector = SectorParams(100, 7)
         with warnings.catch_warnings():
@@ -119,6 +121,67 @@ class TestOffDiagonal:
             warnings.simplefilter("error")
             with pytest.raises(NumericsError, match=r"^jacobi\.OffDiagonalSequence\.build: .*m = 399"):
                 OffDiagonalSequence.build(SectorParams(250, 0), 400)
+
+
+def reference_build(sector: SectorParams, length: int) -> np.ndarray:
+    """b_0..b_{length-1} by the formula `OffDiagonalSequence.build` had
+    before it became one in-place route: a ones array times each factor
+    m k + kappa + 1 + p, the square root, and `off_diagonal` for every
+    overflowed product, with the same refusal when b_{length-1} overflows."""
+    m = np.arange(length, dtype=np.float64)
+    prod = np.ones(length)
+    with np.errstate(over="ignore"):
+        for p in range(sector.k):
+            prod *= m * sector.k + sector.kappa + 1 + p
+    values = np.sqrt(prod)
+    if math.isinf(values[-1]):
+        if log_off_diagonal(sector, length - 1) > math.log(np.finfo(np.float64).max):
+            raise NumericsError(
+                f"jacobi.OffDiagonalSequence.build: b_m overflows binary64 at "
+                f"m = {length - 1} (sector k={sector.k}, kappa={sector.kappa})"
+            )
+        for j in np.flatnonzero(np.isinf(prod)).tolist():
+            values[j] = off_diagonal(sector, j)
+    return values
+
+
+class TestOffDiagonalSequenceRoute:
+    """`OffDiagonalSequence.build` multiplies the exact factors in place and
+    sends overflowed entries straight to the log sum; its bits and its
+    refusals are those of reference_build."""
+
+    # from k = 100 on the float products of the top entries overflow and
+    # take the log sum (at k = 250 already b_0's); b_m itself overflows, and
+    # both refuse, at k = 100 for length 1e5 and at k = 250 from length 2 on
+    # (kappa = 249: length 1), (250, 0, 400) included
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6, 10, 20, 40, 100, 250])
+    def test_bits_match_reference(self, k):
+        for kappa in sorted({0, k // 2, k - 1}):
+            sector = SectorParams(k, kappa)
+            for length in (1, 2, 7, 255, 256, 257, 400, 4097, 100_000):
+                try:
+                    expected = reference_build(sector, length)
+                except NumericsError as exc:
+                    with pytest.raises(NumericsError, match=f"^{re.escape(str(exc))}$"):
+                        OffDiagonalSequence.build(sector, length)
+                    continue
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    got = OffDiagonalSequence.build(sector, length).values
+                assert np.array_equal(got, expected), (k, kappa, length)
+
+    @pytest.mark.parametrize(("k", "N", "arrays"), [(1, 2_000_000, 1.1), (2, 1_250_000, 2.1)])
+    def test_peak_memory(self, k, N, arrays):
+        # one float64 N-array for the product, and one more for the factor
+        # at k >= 2; an index array, a ones array or a temporary per
+        # factor breaks the bound
+        tracemalloc.start()
+        try:
+            OffDiagonalSequence.build(SectorParams(k, 0), N)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= arrays * 8 * N
 
 
 class TestCommutatorWeight:

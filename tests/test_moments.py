@@ -202,6 +202,17 @@ class TestIntegrateWeighted:
         with pytest.raises(ValueError):
             integrate_weighted(lambda x: x, 0.5, 0.0)
 
+    @pytest.mark.parametrize(("b", "tol"), [(1e-4, 1e-4), (1e-4, 1e-5), (3e-4, 1e-10)])
+    def test_unit_mass_at_the_b_floor(self, b, tol):
+        # just above the floor the spike at x = 0 is resolved, and s_0 = 1
+        # lies within the returned error
+        value, err = integrate_weighted(lambda x: np.ones_like(x), b, tol)
+        assert abs(value - 1.0) <= err
+
+    def test_refuses_b_just_below_the_floor(self):
+        with pytest.raises(ValueError, match=r"b must be >= 0\.0001, got 9\.99e-05"):
+            integrate_weighted(lambda x: np.ones_like(x), 9.99e-5, 1e-4)
+
     def test_no_convergence_carries_last_estimates(self):
         from powersqueeze import QuadratureError
 
@@ -366,6 +377,9 @@ class TestErrorsNameTheModule:
         "call, message",
         [
             (lambda: moments(-1.0, 4, 1e-8), "moments.integrate_weighted: b must be > 0, got -1.0"),
+            (lambda: moments(1e-16, 2, 1e-4),
+             "moments.integrate_weighted: b must be >= 0.0001, got 1e-16: below it the mass "
+             "of rho_b sits in a spike at x = 0 between the quadrature nodes"),
             (lambda: integrate_weighted(np.cos, 0.25, 0.0),
              "moments.integrate_weighted: tol must be > 0, got 0.0"),
             (lambda: moments(0.25, 25, 1e-8), "moments.moments: up_to must be in [0, 24], got 25"),
@@ -376,7 +390,7 @@ class TestErrorsNameTheModule:
             (lambda: classify_determinacy(3, 0, 500),
              "moments.classify_determinacy: M must be >= 1000, got 500"),
         ],
-        ids=["b", "tol", "up-to", "jacobi-n", "jacobi-order", "classify-M"],
+        ids=["b", "b-floor", "tol", "up-to", "jacobi-n", "jacobi-order", "classify-M"],
     )
     def test_errors_name_the_module(self, call, message):
         with pytest.raises(ValueError, match=r"^moments\.\w+: ") as excinfo:

@@ -1,10 +1,10 @@
-"""Check that a checkout computes the same eigenvalue, deficiency and
-determinacy bits as revision REV.
+"""Check that a checkout computes the same eigenvalue, deficiency,
+determinacy and off-diagonal bits as revision REV.
 
     python tools/compare_bits.py REV
 
 Exports REV's `src/` with `git archive` into a temporary directory.  Then,
-in fresh interpreters with each tree's `src/` on PYTHONPATH, it runs three
+in fresh interpreters with each tree's `src/` on PYTHONPATH, it runs four
 fixed grids and the CLI commands pinned by
 `tests/test_cli.py::TestGoldenBytes`, under REV and under this checkout.
 A spectra grid case compares the `eigenvalues_bisect` eigenvalue bytes and
@@ -17,7 +17,11 @@ so the M = 20001 cases and (k, kappa, M) = (1, 0, 600000) check the
 evidence of the fundamental pair alone, just past the bound and far past
 it.  A classify grid case compares the repr of
 every `DeterminacyVerdict` field, or the error raised, for k = 1..6 and
-M up to 1e5.  A differing deficiency or classify case prints each field
+M up to 1e5.  A b_m grid case compares the `OffDiagonalSequence.build`
+value bytes, or the error raised, by digest, for k up to 250 and lengths
+up to 2e6: it reaches float products that overflow into the log sum
+(k >= 40) and b_m that overflow binary64 (k >= 80).  A differing
+deficiency or classify case prints each field
 that moved with both reprs (and the relative change of a float).  A
 command compares stdout, stderr and the exit code.  Prints each
 difference and a summary, and exits 1 if any byte differs.  Sturm pass counts are not compared: a change may take fewer
@@ -114,7 +118,29 @@ CLASSIFY_WORKER = fields_worker(
     sector_grid((1, 2, 3, 4, 5, 6), (1000, 10_000, 100_000)),
 )
 
-WORKERS = {"spectra": GRID_WORKER, "deficiency": DEFICIENCY_WORKER, "classify": CLASSIFY_WORKER}
+B_KS = (1, 2, 3, 4, 5, 6, 7, 10, 20, 40, 80, 100, 250)  # kappa in {0, k // 2, k - 1}
+B_LENGTHS = (1, 2, 7, 255, 256, 257, 4097, 100_000, 1_250_000, 2_000_000)
+# one line per b_m grid case, the case and a digest of its value bytes (or
+# of the error it raised)
+B_WORKER = f"""
+import hashlib
+from powersqueeze import OffDiagonalSequence, SectorParams
+for k in {B_KS!r}:
+    for kappa in sorted({{0, k // 2, k - 1}}):
+        for length in {B_LENGTHS!r}:
+            try:
+                data = OffDiagonalSequence.build(SectorParams(k, kappa), length).values.tobytes()
+            except Exception as exc:
+                data = repr(exc).encode()
+            print(k, kappa, length, hashlib.sha256(data).hexdigest())
+"""
+
+WORKERS = {
+    "spectra": GRID_WORKER,
+    "deficiency": DEFICIENCY_WORKER,
+    "classify": CLASSIFY_WORKER,
+    "b_m": B_WORKER,
+}
 
 
 def golden_commands() -> list[list[str]]:
@@ -175,7 +201,7 @@ def main(argv: list[str]) -> int:
             old, new = ((tmp / f"{grid}.{name}").read_text().splitlines() for name in trees)
             diffs = [(o, c) for o, c in zip(old, new) if o != c]
             for o, c in diffs:
-                if grid == "spectra":
+                if grid in ("spectra", "b_m"):
                     print(f"{grid} grid differs:\n  {rev}: {o}\n  checkout: {c}")
                 else:
                     print(f"{grid} case {' '.join(o.split(' ', 3)[:3])} differs from {rev}:")
