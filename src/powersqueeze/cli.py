@@ -397,7 +397,8 @@ def _cmd_deficiency(args) -> None:
         "minimal_exponent": evidence.minimal_exponent,
         "conclusive": evidence.conclusive,
     }
-    _emit(args, config, results, {}, "deficiency", list(results))
+    diagnostics = {"contamination_bound": evidence.contamination_bound}
+    _emit(args, config, results, diagnostics, "deficiency", list(results))
 
 
 # ---------------------------------------------------------------------------

@@ -294,8 +294,9 @@ def envelope_fit(log_abs: np.ndarray, lo: int, hi: int) -> tuple[float | None, i
     interior maxima, so the fit then falls back to every finite point.
     A local maximum is a finite entry at or above both neighbours, the
     right neighbour of the last entry counting as -inf; the selection is
-    done with array masks.  Returns (slope, number of points); slope is
-    None below 2 points.
+    done with array masks.  The slope is sum(dx dy) / sum(dx^2) over the
+    centered x = log m and y = log|f_m|, with no Vandermonde matrix.
+    Returns (slope, number of points); slope is None below 2 points.
     """
     lo = max(lo, 1)
     if hi < lo:
@@ -312,10 +313,11 @@ def envelope_fit(log_abs: np.ndarray, lo: int, hi: int) -> tuple[float | None, i
     if len(idx) < 2:
         return None, len(idx)
     idx += lo
-    xs = np.log(idx.astype(np.float64))
+    xs = np.log(idx)
     ys = log_abs[idx]
-    slope = np.polyfit(xs, ys, 1)[0]
-    return float(slope), len(idx)
+    xs -= xs.mean()
+    ys -= ys.mean()
+    return float(xs @ ys / (xs @ xs)), len(idx)
 
 
 def log_partial_sums_of_squares(log_abs: np.ndarray) -> np.ndarray:

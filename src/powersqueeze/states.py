@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,20 +37,15 @@ _MAX_CUTOFF = 100_000
 _SQUARE_SUMMABLE_EXPONENT = -0.5 - 0.1  # decay strictly faster than 1/sqrt
 _CAUCHY_WINDOW = 0.10
 # the minimal solution's recursion runs over N = 100 M rows, so that its
-# contamination sqrt(M/N) is 10%; memory caps N at 2e6 (M <= 20000),
-# where b is one float64 N-array (15 MiB) and the whole solve traces a
-# peak of 1.28 N-arrays (20 MiB)
+# contamination sqrt(M/N) is 10%; memory caps N at 2e6 (M <= 20000), where
+# b is one float64 N-array (15 MiB) and the solve peaks at 1.29 (20 MiB)
 _BANDED_OVERSIZE = 100
 _MAX_BANDED = 2_000_000
 # log of the smallest normal binary64; a normalized c_0 below it is lost
 _LOG_TINY = math.log(np.finfo(np.float64).tiny)
-# the positive recursion divides y by 2^500, exactly, whenever y passes it
-_RESCALE, _LOG_RESCALE = 2.0**500, math.log(2.0**500)
-# rows per block transfer matrix in the positive recursion's skipped rows,
-# and blocks per numpy pass: their rows of b, transposed, take 4 MiB.  Ten
-# `certificates` benchmark rounds in one process peak at 57 MiB RSS this
-# way, and at 68 MiB with all blocks in one pass (one transposed copy of
-# a 2e6-row b)
+# rows per block of the positive recursion, and blocks per numpy pass:
+# their rows of b, transposed, take 4 MiB.  One pass over all of a 2e6-row
+# b raised `certificates` benchmark peak RSS from 57 to 68 MiB
 _BLOCK = 256
 _BLOCKS_PER_PASS = 2048
 
@@ -443,23 +437,20 @@ def _flagged(profile: GrowthProfile) -> bool:
     )
 
 
-def _block_transfers(b: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """Transfer matrices of the positive recursion over rows lo..hi-1 of
-    b, one per block of B = _BLOCK rows, all stepped together, one numpy
-    step per row.  With (y_{m-1}, y_m) the j-th basis state at block n's first
-    row m, entry [0, j, n] is y_{m+B-1} and entry [1, j, n] is y_{m+B}."""
-    rows = np.ascontiguousarray(b[lo:hi].reshape(-1, _BLOCK).T)
-    before = np.concatenate(([b[lo - 1] if lo else b[0]], rows[-1, :-1]))
-    # (y_{m-1}, y_m) per basis state and block
-    y_prev = np.stack((np.ones(len(before)), np.zeros(len(before))))
-    y_cur = y_prev[::-1].copy()
+def _block_steps(rows: np.ndarray, y_prev: np.ndarray, y_cur: np.ndarray, out=None):
+    """Step the positive recursion through blocks, one per column of rows,
+    one numpy step per row: rows[0] holds b_{m-1} and rows[1 + i] b_{m+i},
+    m a block's first row.  (y_prev, y_cur) = (y_{m-1}, y_m) are stepped in
+    place to the returned (y_{m+B-1}, y_{m+B}); out[i] receives y_{m+i}."""
     with np.errstate(over="ignore", invalid="ignore"):  # the caller refuses those
-        for b_before, b_row in zip([before, *rows[:-1]], rows):
+        for i, (b_before, b_row) in enumerate(zip(rows[:-1], rows[1:])):
+            if out is not None:
+                out[i] = y_cur
             y_prev *= b_before
             y_prev += y_cur
             y_prev /= b_row
             y_prev, y_cur = y_cur, y_prev
-    return np.stack((y_prev, y_cur))
+    return y_prev, y_cur
 
 
 def _positive_log_solution(b: np.ndarray, start: int = 0) -> np.ndarray:
@@ -467,58 +458,67 @@ def _positive_log_solution(b: np.ndarray, start: int = 0) -> np.ndarray:
     y_{-1} = 0, y_0 = 1: every solution at lambda' = i, up to a unit
     factor per entry and an overall scale (see deficiency_evidence).
 
-    Every term is positive, so no step cancels and each y_m keeps a
-    relative error of a few roundings per step: no compensated sums,
-    pivoting or subnormal guard.  y is carried as a float times 2^(500 s)
-    and divided by 2^500, exactly, whenever it passes 2^500.  For monotone
-    b, y_{m+1} >= (b_{m-1}/b_m) y_{m-1} keeps y above
-    min(1, 1/b_0) min(b)/max(b), so it stays normal.
+    Every term is positive, so no step cancels.  Rows 0..L fall into blocks
+    of B = _BLOCK rows (the last padded with b[-1]; block 0 uses b_0 as
+    b_{-1}, which multiplies y_{-1} = 0), stepped together by _block_steps.
+    Block j's steps from the basis states (1, 0) and (0, 1) for
+    (y_{jB-1}, y_{jB}) give the matrix that maps that pair to
+    (y_{jB+B-1}, y_{jB+B}).  One pass applies the matrices in order to
+    (y_{-1}, y_0) = (0, 1), records each block's start pair, and after each
+    block divides the pair by a power of two, exactly, to put its larger
+    entry in [1/2, 1).  The blocks that hold rows start..L are filled from
+    their start pairs and get back the exponents dropped since the first of
+    them (its scale is part of the free overall scale).  A basis state's
+    second parity chain stays near 1/b of its first, so past b ~ 1e8 its
+    share of a step rounds away (-2e-15 per block at k = 4): each block's
+    logs also get the summed gaps between the fills' ends and next starts.
 
-    The rows before the last whole block of B = _BLOCK rows below start
-    are not read, so block transfer matrices cross them.  Block j's B
-    steps, run from the basis states (1, 0) and (0, 1) for
-    (y_{jB-1}, y_{jB}), give the matrix that maps that pair to
-    (y_{jB+B-1}, y_{jB+B}) (_block_transfers).  One pass applies the
-    matrices in order to (y_{-1}, y_0) = (0, 1) and divides the pair by a
-    power of two, exactly, after each block.  All terms are positive
-    again, so nothing cancels; the scale this drops is part of the free
-    overall scale.  (b_{-1} multiplies y_{-1} = 0, so block 0 borrows b_0
-    for it.)  Every sector has b >= 1, so for monotone b a step
-    multiplies max(y_{m-1}, y_m) by at most
-    (1 + b_{m-1})/b_m <= 2 max(1, b_{m-1}/b_m), where the ratios
-    telescope; with the bound above, a block's entries lie within
-    [min(1, 1/max b) / rho, 2^B rho], rho = max(b)/min(b) over the block
-    and the entry before it.  For k <= 2, the sectors that reach this
-    route, rho <= 363 and b < 5e6 up to N = 2e6: between 1e-10 and 1e80,
-    normal and finite.  An entry that is non-finite or 0 all the same
-    raises NumericsError.  Below start = 2B there are no blocks.
+    Every sector has increasing b >= 1, so a step at most doubles
+    max(y_{m-1}, y_m): from a pair at most 1, a block stays below 2^(B+1).
+    y_{m+1} >= y_m / b_m and y_{m+1} >= (b_{m-1}/b_m) y_{m-1} keep it above
+    1 / (2 rho^2 max b), rho = max(b)/min(b) over the block and the entry
+    before it: normal for k <= 2 (rho <= 363, b_m < 2m + 3).  For k >= 3 the
+    bound is loose; entries measured at k = 3 to 107, M = 5000 to 2e5, stay
+    above 1 / max b, normal up to b = 2^1022.  A non-finite or 0 entry
+    raises NumericsError.
     """
-    out, prev, cur, b_prev, s = array("d"), 0.0, 1.0, 0.0, 0
-    skip = _BLOCK * max(start // _BLOCK - 1, 0)
-    if skip:
-        per_pass = _BLOCK * _BLOCKS_PER_PASS
-        blocks = np.concatenate(
-            [_block_transfers(b, lo, min(lo + per_pass, skip)) for lo in range(0, skip, per_pass)],
-            axis=2,
-        )
-        if not (blocks.min() > 0.0 and blocks.max() < math.inf):
-            raise NumericsError(
-                f"states.deficiency_evidence: a block transfer entry of the positive "
-                f"recursion is non-finite or 0 (rows 0..{skip - 1})"
-            )
-        for p0, p1, c0, c1 in zip(*blocks.reshape(4, -1).tolist()):
+    L = len(b)
+    first, end = start // _BLOCK, L // _BLOCK + 1  # blocks first..end-1 hold rows start..L
+    grid = np.empty((end - first, _BLOCK))
+    prev, cur, dropped, entries_ok, starts, ends = 0.0, 1.0, 0, True, [], []
+    for j0 in range(0, end, _BLOCKS_PER_PASS):
+        j1 = min(j0 + _BLOCKS_PER_PASS, end)
+        lo = j0 * _BLOCK
+        full, rest = divmod(min(j1 * _BLOCK, L) - lo, _BLOCK)
+        rows = np.full((_BLOCK + 1, j1 - j0), b[-1])
+        rows[1:, :full] = b[lo : lo + full * _BLOCK].reshape(-1, _BLOCK).T
+        rows[1 : 1 + rest, full : full + 1] = b[lo + full * _BLOCK : lo + full * _BLOCK + rest, None]
+        rows[0] = np.concatenate(([b[lo - 1] if lo else b[0]], rows[-1, :-1]))
+        blocks = np.stack(_block_steps(rows, *np.eye(2)[:, :, None].repeat(j1 - j0, axis=2)))
+        entries_ok &= blocks.min() > 0.0 and blocks.max() < math.inf
+        for j, (p0, p1, c0, c1) in enumerate(zip(*blocks.reshape(4, -1).tolist()), j0):
+            if j >= first:
+                starts.append((prev, cur, dropped))
             prev, cur = p0 * prev + p1 * cur, c0 * prev + c1 * cur
-            e = -math.frexp(cur)[1]
-            prev, cur = math.ldexp(prev, e), math.ldexp(cur, e)
-        b_prev = float(b[skip - 1])
-    for m, b_m in enumerate(memoryview(b[skip:]), skip):
-        if m >= start:
-            out.append(math.log(cur) + s * _LOG_RESCALE)
-        prev, cur, b_prev = cur, (cur + b_prev * prev) / b_m, b_m
-        if cur > _RESCALE:
-            prev, cur, s = prev / _RESCALE, cur / _RESCALE, s + 1
-    out.append(math.log(cur) + s * _LOG_RESCALE)
-    return np.frombuffer(out)
+            e = math.frexp(max(prev, cur))[1]
+            prev, cur, dropped = math.ldexp(prev, -e), math.ldexp(cur, -e), dropped + e
+        if j1 > first:
+            f = max(first, j0)  # the first block of the pass that is filled
+            pairs = np.array(starts[f - first :])[:, :2].T.copy()
+            ends += _block_steps(rows[:, f - j0 :], *pairs, grid[f - first : j1 - first].T)[1].tolist()
+        del rows  # before the next pass's copy: two at once raise the peak
+    log_y = grid.reshape(-1)[start - first * _BLOCK : L + 1 - first * _BLOCK]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.log(log_y, out=log_y)
+        _, s, d = np.array(starts).T
+        gaps = (np.ldexp(ends[:-1], (d[:-1] - d[1:]).astype(int)) - s[1:]) / s[1:]
+        grid += ((d - d[0]) * math.log(2.0) + np.cumsum(np.log1p([0.0, *gaps])))[:, None]
+    if not (entries_ok and np.isfinite(log_y).all()):
+        raise NumericsError(
+            f"states.deficiency_evidence: a block transfer or filled entry of the "
+            f"positive recursion is non-finite or 0 (rows 0..{L})"
+        )
+    return log_y
 
 
 def _minimal_solution_profile(sector: SectorParams, M: int, N: int) -> GrowthProfile:

@@ -253,6 +253,13 @@ class TestDeficiencyCommand:
         assert doc["results"]["count_square_summable"] == 2
         assert doc["results"]["conclusive"] is True
 
+    @pytest.mark.parametrize("k, bound", [(1, 0.1), (3, None)])
+    def test_json_diagnostics_carry_the_contamination_bound(self, capsys, k, bound):
+        # null where no minimal solution is needed
+        assert main(["deficiency", "--k", str(k), "--M", "5000", "--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["diagnostics"] == {"contamination_bound": bound}
+
     def test_csv_row(self, capsys):
         code = main(["deficiency", "--k", "2", "--M", "5000"])
         assert code == 0

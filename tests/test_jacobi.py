@@ -386,8 +386,10 @@ _NEG_INF = float("-inf")
 
 
 def reference_envelope_fit(log_abs: np.ndarray, lo: int, hi: int):
-    """Verbatim copy of `jacobi.envelope_fit` as it was when it selected the
-    local maxima in a Python loop; the oracle for the array-mask selection."""
+    """Copy of `jacobi.envelope_fit` as it was when it selected the local
+    maxima in a Python loop and fitted them with `np.polyfit`; the oracle
+    for the array-mask selection and the closed-form slope.  Returns
+    (slope, number of points, the points)."""
     lo = max(lo, 1)
     idx = []
     for i in range(lo, hi + 1):
@@ -401,11 +403,11 @@ def reference_envelope_fit(log_abs: np.ndarray, lo: int, hi: int):
     if len(idx) < 20:
         idx = [i for i in range(lo, hi + 1) if log_abs[i] != _NEG_INF]
     if len(idx) < 2:
-        return None, len(idx)
+        return None, len(idx), idx
     xs = np.log(np.array(idx, dtype=np.float64))
     ys = log_abs[idx]
     slope = np.polyfit(xs, ys, 1)[0]
-    return float(slope), len(idx)
+    return float(slope), len(idx), idx
 
 
 @st.composite
@@ -432,7 +434,8 @@ def envelope_windows(draw):
 
 
 class TestEnvelopeFitSelection:
-    """The array-mask maxima selection gives the loop's slope bits and count."""
+    """The array-mask maxima selection and the closed-form slope give the
+    loop's count and its `np.polyfit` slope."""
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(envelope_windows())
@@ -450,16 +453,25 @@ class TestEnvelopeFitSelection:
     @example((np.full(30, _NEG_INF), 0, 29))
     def test_bits_match_loop(self, case):
         log_abs, lo, hi = case
-        got = envelope_fit(log_abs, lo, hi)
-        assert repr(got) == repr(reference_envelope_fit(log_abs, lo, hi))
+        slope, count = envelope_fit(log_abs, lo, hi)
+        ref, ref_count, points = reference_envelope_fit(log_abs, lo, hi)
+        assert count == ref_count and (slope is None) == (ref is None)
+        if ref is not None:
+            # rounding x = log m and y = log|f| moves a least-squares slope
+            # by about eps (|slope| max|x| + max|y|) / ptp(x); these windows
+            # reach ptp(x) = 1e-3, where no fit keeps 1e-14 relative
+            x, y = np.log(np.array(points, dtype=np.float64)), log_abs[points]
+            scale = (abs(ref) * np.max(np.abs(x)) + np.max(np.abs(y))) / np.ptp(x)
+            assert abs(slope - ref) <= 1e-13 * scale
 
     @pytest.mark.parametrize("k, kappa, lam", [(1, 0, 1j), (2, 1, 1j), (3, 0, 1j), (2, 0, 1.5)])
     def test_bits_match_loop_on_solutions(self, k, kappa, lam):
         for kind in InitialKind:
             log_abs = solve_recursion(SectorParams(k, kappa), lam, 5000, kind).log_abs
-            assert repr(envelope_fit(log_abs, 500, 5000)) == repr(
-                reference_envelope_fit(log_abs, 500, 5000)
-            )
+            slope, count = envelope_fit(log_abs, 500, 5000)
+            ref, ref_count, _ = reference_envelope_fit(log_abs, 500, 5000)
+            assert count == ref_count
+            assert slope == pytest.approx(ref, rel=1e-14, abs=0.0)
 
     def test_window_past_the_end_is_refused(self):
         with pytest.raises(IndexError, match=r"^jacobi\.envelope_fit: "):

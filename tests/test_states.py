@@ -376,18 +376,22 @@ def reference_zgtsv_profile(sector: SectorParams, M: int, N: int):
     return exponent, cauchy, count
 
 
+# the row-by-row loop divided y by 2^500, exactly, whenever y passed it
+_RESCALE, _LOG_RESCALE = 2.0**500, math.log(2.0**500)
+
+
 def reference_positive_log_solution(b: np.ndarray, start: int = 0) -> np.ndarray:
     """Verbatim copy of `states._positive_log_solution` as it was when it
     stepped through every row one at a time; an oracle for the block
-    transfer products that skip the rows before start."""
+    transfer products and the block fill."""
     out, prev, cur, b_prev, s = array("d"), 0.0, 1.0, 0.0, 0
     for m, b_m in enumerate(memoryview(b)):
         if m >= start:
-            out.append(math.log(cur) + s * states._LOG_RESCALE)
+            out.append(math.log(cur) + s * _LOG_RESCALE)
         prev, cur, b_prev = cur, (cur + b_prev * prev) / b_m, b_m
-        if cur > states._RESCALE:
-            prev, cur, s = prev / states._RESCALE, cur / states._RESCALE, s + 1
-    out.append(math.log(cur) + s * states._LOG_RESCALE)
+        if cur > _RESCALE:
+            prev, cur, s = prev / _RESCALE, cur / _RESCALE, s + 1
+    out.append(math.log(cur) + s * _LOG_RESCALE)
     return np.frombuffer(out)
 
 
@@ -407,21 +411,28 @@ class TestBlockTransfer:
             got = states._positive_log_solution(b, start)
             ref = reference_positive_log_solution(b, start)
             assert len(got) == len(ref) == length + 1 - start
-            if start < 2 * B:
-                # no block: the same loop from row 0
-                assert np.array_equal(got, ref), start
-            else:
-                # the skipped rows' scale is dropped; logs agree up to it
-                assert np.max(np.abs((got - got[0]) - (ref - ref[0]))) <= 1e-13, start
+            # the overall scale is free; logs agree up to it
+            assert np.max(np.abs((got - got[0]) - (ref - ref[0]))) <= 1e-13, start
+
+    def test_level_follows_the_steps_past_b_1e8(self):
+        # at (4, 3), b_m passes 1e8 near m = 2500; a basis state's second
+        # parity chain then adds under half an ulp per step, and the
+        # transfer products alone drift 2.1e-13 from the loop by M = 5e4
+        # (the level taken from each fill: 3.0e-14)
+        b = OffDiagonalSequence.build(SectorParams(4, 3), 50_000).values
+        got = states._positive_log_solution(b)
+        assert np.max(np.abs(got - reference_positive_log_solution(b))) <= 1e-13
 
     def test_passes_keep_the_bits(self, monkeypatch):
         # each block steps on its own, so splitting the blocks into passes
-        # (here 3 per pass, the last one short) moves no bit
+        # (here 3 per pass, the last one short) moves no bit, whether the
+        # fill spans every pass (start 0) or the last one only
         length = 23 * self.B + 11
         b = OffDiagonalSequence.build(SectorParams(2, 1), length).values[::-1]
-        one_pass = states._positive_log_solution(b, length - 100)
+        one_pass = [states._positive_log_solution(b, start) for start in (0, length - 100)]
         monkeypatch.setattr(states, "_BLOCKS_PER_PASS", 3)
-        assert np.array_equal(states._positive_log_solution(b, length - 100), one_pass)
+        for start, bits in zip((0, length - 100), one_pass):
+            assert np.array_equal(states._positive_log_solution(b, start), bits)
 
     def test_non_finite_block_entry_is_refused(self, monkeypatch):
         # finite b that the non-finite check passes, but with 1/b = 1e300
@@ -484,6 +495,33 @@ class TestMinimalSolution:
             states._minimal_solution_profile(SectorParams(1, 0), 100, 10_000)
 
 
+class TestMemoryAtTheCap:
+    """Traced peaks at the CLI's cap M = 2e6, in M-arrays of float64: one
+    more M-array than the route needs breaks each bound."""
+
+    M = 2_000_000
+
+    def traced_peak(self, call) -> float:
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1] / (8 * self.M)
+        finally:
+            tracemalloc.stop()
+
+    def test_positive_recursion(self):
+        # the M + 1 logs, filled in place, and one pass of 2048 blocks of
+        # b, transposed: 1.34 (the row-by-row loop's array of logs: 1.06)
+        b = OffDiagonalSequence.build(SectorParams(1, 0), self.M).values
+        assert self.traced_peak(lambda: states._positive_log_solution(b)) <= 1.75
+
+    def test_deficiency_evidence(self):
+        # b, both fundamental solutions and their partial sums, and the
+        # envelope fit's selection: 7.72 (np.polyfit's Vandermonde matrix
+        # and SVD workspace: 13.2)
+        assert self.traced_peak(lambda: deficiency_evidence(SectorParams(1, 0), self.M)) <= 8.5
+
+
 class TestDeficiencyEvidence:
     def test_limit_point_k1(self):
         ev = deficiency_evidence(SectorParams(1, 0), 5000)
@@ -504,6 +542,13 @@ class TestDeficiencyEvidence:
         assert ev.count == 2
         assert ev.exponent_polynomial == pytest.approx(-0.75, abs=0.1)
         assert ev.exponent_second == pytest.approx(-0.75, abs=0.1)
+
+    @pytest.mark.parametrize("kappa", [0, 99])
+    def test_limit_circle_k100(self, kappa):
+        # b_m reaches 1e285 at M = 5000, and the positive recursion's
+        # blocks stay finite and nonzero
+        ev = deficiency_evidence(SectorParams(100, kappa), 5000)
+        assert (ev.count, ev.conclusive) == (2, True)
 
     def test_minimum_m(self):
         with pytest.raises(ValueError):

@@ -15,7 +15,8 @@ raised; M reaches
 N = 2e6 rows).  Past the contamination bound no minimal solution is built,
 so the M = 20001 cases and (k, kappa, M) = (1, 0, 600000) check the
 evidence of the fundamental pair alone, just past the bound and far past
-it.  A classify grid case compares the repr of
+it; (100, 0, 5000) and (100, 99, 5000) check it where b_m nears the top
+of binary64.  A classify grid case compares the repr of
 every `DeterminacyVerdict` field, or the error raised, for k = 1..6 and
 M up to 1e5.  A b_m grid case compares the `OffDiagonalSequence.build`
 value bytes, or the error raised, by digest, for k up to 250 and lengths
@@ -106,11 +107,13 @@ def moved_fields(old: str, new: str) -> list[str]:
 
 
 # past M = 20000 no minimal solution is built: the M = 20001 cases and
-# (1, 0, 600000) check the fundamental pair's evidence there
+# (1, 0, 600000) check the fundamental pair's evidence there; at k = 100,
+# b_m reaches 1e285 by M = 5000
 DEFICIENCY_WORKER = fields_worker(
     "from powersqueeze import SectorParams, deficiency_evidence",
     "deficiency_evidence(SectorParams(k, kappa), M)",
-    sector_grid((1, 2, 3, 4), (5000, 12500, 20000, 20001)) + [(1, 0, 600_000)],
+    sector_grid((1, 2, 3, 4), (5000, 12500, 20000, 20001))
+    + [(1, 0, 600_000), (100, 0, 5000), (100, 99, 5000)],
 )
 CLASSIFY_WORKER = fields_worker(
     "from powersqueeze import classify_determinacy",
