@@ -22,10 +22,9 @@ from .moments import classify_determinacy, moments
 from .polynomials import _CROSS_CHECK_LIMIT as _POLLACZEK_CHECKED, pollaczek, pollaczek_table
 from .spectra import TridiagonalMatrix, eigenvalues_bisect, extension_sweep, nearest_distance
 from .states import (
-    _MAX_BANDED as _MAX_SIZE,
+    _MAX_MINIMAL_ROWS as _MAX_SIZE,
     FockVector,
     SqueezeParams,
-    build_power_coherent,
     build_state,
     deficiency_evidence,
     residual_check,
@@ -169,7 +168,7 @@ def _state_config(params: SqueezeParams) -> dict:
 
 def _state_from_flags(args) -> tuple[FockVector, SqueezeParams, dict]:
     """The state that --k, --kappa, --nu, --lambda and --tol name, its
-    parameters and its config; nu = 0 takes the power-coherent route."""
+    parameters and its config."""
     sector = _sector(args)
     tol = _check_tol(args.tol)
     if args.nu is None or args.lam is None:
@@ -177,10 +176,7 @@ def _state_from_flags(args) -> tuple[FockVector, SqueezeParams, dict]:
     nu = _parse_complex(args.nu)
     lam = _parse_complex(args.lam)
     params = SqueezeParams(sector, nu, lam)
-    if nu == 0:
-        vec = build_power_coherent(sector, lam, tol)
-    else:
-        vec = build_state(params, tol)
+    vec = build_state(params, tol)
     config = {"command": args.command, **_state_config(params), "tol": tol}
     return vec, params, config
 
@@ -335,7 +331,9 @@ def _cmd_pollaczek(args) -> None:
 
 def _load_state_json(path: str) -> tuple[FockVector, SqueezeParams]:
     try:
-        document = json.loads(Path(path).read_text(encoding="utf-8"))
+        # _fmt prints -0.0 as "-0", which json reads as the integer 0
+        text = Path(path).read_text(encoding="utf-8")
+        document = json.loads(text, parse_int=lambda s: -0.0 if s == "-0" else int(s))
         config = document["config"]
         sector = SectorParams(int(config["k"]), int(config["kappa"]))
         nu = complex(config["nu"]["re"], config["nu"]["im"])

@@ -294,7 +294,8 @@ def envelope_fit(log_abs: np.ndarray, lo: int, hi: int) -> tuple[float | None, i
     interior maxima, so the fit then falls back to every finite point.
     A local maximum is a finite entry at or above both neighbours, the
     right neighbour of the last entry counting as -inf; the selection is
-    done with array masks.  The slope is sum(dx dy) / sum(dx^2) over the
+    done with array masks, each entry compared with its right neighbour in
+    place.  The slope is sum(dx dy) / sum(dx^2) over the
     centered x = log m and y = log|f_m|, with no Vandermonde matrix.
     Returns (slope, number of points); slope is None below 2 points.
     """
@@ -304,10 +305,12 @@ def envelope_fit(log_abs: np.ndarray, lo: int, hi: int) -> tuple[float | None, i
     if hi >= len(log_abs):
         raise IndexError(f"jacobi.envelope_fit: hi = {hi} is past the end ({len(log_abs)})")
     v = log_abs[lo : hi + 1]
-    left = log_abs[lo - 1 : hi]
-    right = np.append(v[1:], log_abs[hi + 1] if hi + 1 < len(log_abs) else _NEG_INF)
     finite = v != _NEG_INF
-    idx = np.flatnonzero(finite & (v >= left) & (v >= right))
+    peak = v >= log_abs[lo - 1 : hi]
+    peak[:-1] &= v[:-1] >= v[1:]
+    peak[-1] &= v[-1] >= (log_abs[hi + 1] if hi + 1 < len(log_abs) else _NEG_INF)
+    peak &= finite
+    idx = np.flatnonzero(peak)
     if len(idx) < 20:
         idx = np.flatnonzero(finite)
     if len(idx) < 2:

@@ -1,6 +1,6 @@
-"""Closed forms for the k <= 2 sectors: Pochhammer symbols, Hermite
-polynomials, the b = 1/4 and 3/4 orthonormal polynomial family, and its
-weight 2^(2b-1) |Gamma(b+ix)|^2 / (pi Gamma(2b)).
+"""Closed forms for the k <= 2 sectors: Hermite polynomials, the b = 1/4
+and 3/4 orthonormal polynomial family, and its weight
+2^(2b-1) |Gamma(b+ix)|^2 / (pi Gamma(2b)).
 
 The degree-m family member P_m(x, b) is evaluated two ways:
 
@@ -31,16 +31,6 @@ from .errors import NumericsError
 
 _CROSS_CHECK_LIMIT = 30
 _CROSS_CHECK_TOL = 1e-8
-
-
-def pochhammer(a: complex, m: int) -> complex:
-    """Rising factorial (a)_m = a (a+1) ... (a+m-1); (a)_0 = 1."""
-    if m < 0:
-        raise ValueError(f"polynomials.pochhammer: m must be >= 0, got {m}")
-    result = complex(1.0)
-    for j in range(m):
-        result *= a + j
-    return result
 
 
 def hermite(n: int, x: complex) -> complex:
@@ -199,20 +189,13 @@ _SHIFT_THRESHOLD = 10.0
 _HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
 
 
-def log_gamma_complex(z: complex) -> complex:
-    """log Gamma(z) for Re z > 0 by shifting to Re z >= 10, then Stirling.
-
-    12 asymptotic terms at |z| >= 10 leave a truncation error near 1e-19,
-    comfortably inside the 1e-12 relative target on b in (0, 5], |x| <= 50.
-    """
-    z = complex(z)
-    if z.real <= 0.0:
-        raise ValueError(f"polynomials.log_gamma_complex: Re z must be > 0, got {z!r}")
-    return complex(_log_gamma_b_ix(z.real, z.imag))
-
-
 def _log_gamma_b_ix(b: float, x) -> np.ndarray:
-    """Vectorized log Gamma(b + ix) for fixed b > 0 and real (array) x."""
+    """Vectorized log Gamma(b + ix) for fixed b > 0 and real (array) x.
+
+    Shifts to Re z >= 10, then Stirling: 12 asymptotic terms at |z| >= 10
+    leave a truncation error near 1e-19, comfortably inside the 1e-12
+    relative target on b in (0, 5], |x| <= 50.
+    """
     z = b + 1j * np.asarray(x, dtype=np.float64)
     shifts = max(0, math.ceil(_SHIFT_THRESHOLD - b))
     acc = np.zeros_like(z)

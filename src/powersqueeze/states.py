@@ -39,8 +39,8 @@ _CAUCHY_WINDOW = 0.10
 # the minimal solution's recursion runs over N = 100 M rows, so that its
 # contamination sqrt(M/N) is 10%; memory caps N at 2e6 (M <= 20000), where
 # b is one float64 N-array (15 MiB) and the solve peaks at 1.29 (20 MiB)
-_BANDED_OVERSIZE = 100
-_MAX_BANDED = 2_000_000
+_MINIMAL_ROWS_PER_M = 100
+_MAX_MINIMAL_ROWS = 2_000_000
 # log of the smallest normal binary64; a normalized c_0 below it is lost
 _LOG_TINY = math.log(np.finfo(np.float64).tiny)
 # rows per block of the positive recursion, and blocks per numpy pass:
@@ -161,7 +161,8 @@ def _grows_to_cap(params: SqueezeParams) -> bool:
 def build_state(params: SqueezeParams, tol: float) -> FockVector:
     """Construct the normalized eigenstate of mu a^k + nu a+^k.
 
-    The cutoff doubles until the trailing-window mass is below tol (log
+    nu = 0 is the eigenstate of a^k, built by build_power_coherent.  The
+    cutoff doubles until the trailing-window mass is below tol (log
     domain throughout, so sub-exponential growth of f_m cannot overflow).
     The overall phase is fixed by making c_0 real positive.
 
@@ -179,12 +180,10 @@ def build_state(params: SqueezeParams, tol: float) -> FockVector:
       square-summable, so |t| = 1 is left to the doubling;
     - |lambda|/mu >= 3 b_cap, where |c_m| grows to the cap (_grows_to_cap).
     """
-    if params.nu == 0:
-        raise ValueError(
-            "states.build_state: nu = 0 has no squeeze branch; use build_power_coherent"
-        )
     if not 0.0 < tol <= 1e-4:
         raise ValueError(f"states.build_state: tol must lie in (0, 1e-4], got {tol}")
+    if params.nu == 0:
+        return build_power_coherent(params.sector, params.lam, tol)
     try:
         t = params.branch_t()
     except NumericsError:  # mu overflows
@@ -408,13 +407,13 @@ def residual_check(v: FockVector, params: SqueezeParams) -> float:
 class DeficiencyEvidence:
     """Count of independent square-summable solutions at lambda' = i.
 
-    count is None when the envelope fits were ambiguous or the
-    contamination bound is not met (never a silent guess).  Exponents are
-    the fitted envelope slopes.  When neither fundamental solution is
-    square-summable, contamination_bound is sqrt(M/N) for the minimal
-    solution's recursion over N = min(100 M, 2e6) rows; the bound is met
-    at N = 100 M, that is up to M = 20000, and only there is the minimal
-    solution built and minimal_exponent reported.
+    count is None when the contamination bound is not met, or if the
+    minimal solution built within it is not flagged either (never a silent
+    guess).  Exponents are the fitted envelope slopes.  When neither
+    fundamental solution is square-summable, contamination_bound is
+    sqrt(M/N) for the minimal solution's recursion over N = min(100 M, 2e6)
+    rows; the bound is met at N = 100 M, that is up to M = 20000, and only
+    there is the minimal solution built and minimal_exponent reported.
     """
 
     sector: SectorParams
@@ -429,10 +428,11 @@ class DeficiencyEvidence:
 
 def _flagged(profile: GrowthProfile) -> bool:
     """Square-summable: a fitted envelope exponent below -0.6 and partial
-    sums that are Cauchy across M/2 -> M within 10%."""
+    sums that are Cauchy across M/2 -> M within 10%.  At M >= 5000 every
+    entry is finite (_positive_log_solution), so every point of the fit
+    window [M/10, M] can enter the fit and it always has at least 4501."""
     return (
-        profile.fit_ok
-        and profile.exponent < _SQUARE_SUMMABLE_EXPONENT
+        profile.exponent < _SQUARE_SUMMABLE_EXPONENT
         and profile.cauchy_ratio() < _CAUCHY_WINDOW
     )
 
@@ -568,14 +568,12 @@ def deficiency_evidence(sector: SectorParams, M: int) -> DeficiencyEvidence:
     poly = GrowthProfile.from_log_abs(sector, 1j, InitialKind.POLYNOMIAL, _positive_log_solution(b))
     second = GrowthProfile.from_log_abs(sector, 1j, InitialKind.SECOND, log_second)
     exponents = (poly.exponent, second.exponent)
-    if not (poly.fit_ok and second.fit_ok):
-        return DeficiencyEvidence(sector, M, None, *exponents, None, False)
     count = _flagged(poly) + _flagged(second)
     if count:
         return DeficiencyEvidence(sector, M, count, *exponents, None, True)
-    N = min(_BANDED_OVERSIZE * M, _MAX_BANDED)
+    N = min(_MINIMAL_ROWS_PER_M * M, _MAX_MINIMAL_ROWS)
     bound = math.sqrt(M / N)
-    if N < _BANDED_OVERSIZE * M:
+    if N < _MINIMAL_ROWS_PER_M * M:
         return DeficiencyEvidence(sector, M, None, *exponents, None, False, bound)
     minimal = _minimal_solution_profile(sector, M, N)
     if _flagged(minimal):

@@ -128,7 +128,7 @@ class TestSpectrumCommand:
 
 class TestStateNuZero:
     def test_power_coherent_route(self, capsys):
-        # nu = 0 dispatches to the one-branch eigenstate construction
+        # nu = 0: build_state gives the eigenstate of a^k (power-coherent)
         code = main(["state", "--k", "1", "--nu", "0", "--lambda", "1.3",
                      "--tol", "1e-10", "--format", "json"])
         assert code == 0

@@ -487,6 +487,20 @@ class TestSeededBisection:
         assert report.max_bracket <= 2 * math.ulp(scale)
 
 
+class TestTruncationInterlacing:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.integers(1, 4).flatmap(
+        lambda k: st.tuples(st.just(k), st.integers(0, k - 1), st.integers(1, 150))))
+    def test_n_and_n_plus_1_interlace_strictly(self, case):
+        k, kappa, n = case
+        sector = SectorParams(k, kappa)
+        small, large = (
+            eigenvalues_bisect(TridiagonalMatrix.truncation(sector, size), 1e-9).eigenvalues
+            for size in (n, n + 1)
+        )
+        assert strict_interlacing(small, large)
+
+
 class TestExtensionSweep:
     def test_theta_zero_is_plain_truncation(self):
         sector = SectorParams(3, 0)
