@@ -32,11 +32,17 @@ from .states import (
 )
 
 # caps on the array-sizing flags, so that a huge value is refused up front
-# instead of failing in allocation: --n and --M of spectrum, extensions,
-# classify and deficiency stop at the largest array the package allocates
-# (the minimal solution's 2e6 rows); pollaczek holds M + 1 output rows in
-# memory, and --M 100000 takes about a second
+# instead of failing in allocation: --M of classify and deficiency stops
+# at the largest array the package allocates (the minimal solution's 2e6
+# rows); pollaczek holds M + 1 output rows in memory, and --M 100000 takes
+# about a second
 _MAX_POLLACZEK_M = 100_000
+# --n of spectrum and extensions: the LAPACK seed and the Sturm passes are
+# O(n^2), so past a few thousand rows the cap is set by time.  At 12800 one
+# spectrum took 4.8 to 9.2 s and 62 to 70 MB peak RSS for k = 1, 2, 3, 4
+# and 40 (extensions: that per --theta), and 18 s at k = 1, n = 25600 (one
+# Xeon core)
+_MAX_SPECTRUM_N = 12_800
 
 
 class _UsageError(Exception):
@@ -203,8 +209,8 @@ def _cmd_state(args) -> None:
 def _cmd_spectrum(args) -> None:
     sector = _sector(args)
     tol = _check_tol(args.tol)
-    if not 1 <= args.n <= _MAX_SIZE:
-        raise _UsageError(f"--n must be in [1, {_MAX_SIZE}], got {args.n}")
+    if not 1 <= args.n <= _MAX_SPECTRUM_N:
+        raise _UsageError(f"--n must be in [1, {_MAX_SPECTRUM_N}], got {args.n}")
     if args.ell and sector.k != 2:
         raise _UsageError("--ell converts to the quarter-scaled variable; needs --k 2")
     report = eigenvalues_bisect(TridiagonalMatrix.truncation(sector, args.n), tol)
@@ -233,8 +239,10 @@ def _cmd_extensions(args) -> None:
     thetas = args.theta if args.theta else [0.0]
     if not all(math.isfinite(t) for t in thetas):
         raise _UsageError(f"--theta must be finite, got {thetas}")
-    if not 50 <= args.n <= _MAX_SIZE:
-        raise _UsageError(f"--n must be in [50, {_MAX_SIZE}] for extensions, got {args.n}")
+    if not 50 <= args.n <= _MAX_SPECTRUM_N:
+        raise _UsageError(
+            f"--n must be in [50, {_MAX_SPECTRUM_N}] for extensions, got {args.n}"
+        )
     reports = extension_sweep(sector, args.n, thetas, tol)
     reports.sort(key=lambda rep: rep.boundary_theta)  # theta is the row index
     config = {

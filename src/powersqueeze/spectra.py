@@ -22,10 +22,12 @@ half of its bracket (a one-level lookahead), so about two counts are
 settled per pass; the counts of the last pass are looked up by shift
 before an index waits.  A shift's count does not depend on the other
 shifts of its pass, so the midpoints are bit-identical to plain bisection.
-A pass over many shifts runs the O(n) recurrence as n numpy steps over the
-shift vector, in preallocated buffers, replacing tiny pivots only on the
-steps that have one; a pass over a few runs it per shift in Python floats,
-with the same IEEE operations in the same order.
+A pass over many shifts runs the O(n) recurrence as two numpy calls per
+row over the shift vector, into a block of rows of at most 1 MiB, and
+counts the negative pivots and finds the tiny ones once per block; a
+shift that met a tiny pivot is recounted in Python floats, as a pass over
+a few shifts counts every shift, with the same IEEE operations in the same
+order and the tiny pivot replaced.
 """
 
 from __future__ import annotations
@@ -85,38 +87,74 @@ class TridiagonalMatrix:
 
 
 # Up to this many shifts a pass is cheaper as a Python float loop per shift
-# than as n numpy steps over the shift vector: the two cost the same at 48
-# to 64 shifts for n = 41 .. 1315.
-_SCALAR_SHIFTS = 48
+# than as the blocked numpy pass: the two cost the same at 16 to 20 shifts
+# for n = 41, 308 and 1315, and at 48 shifts the numpy pass is 2.2 to 2.8
+# times faster.
+_SCALAR_SHIFTS = 16
+# A many-shift pass fills a block of at most this many bytes of pivots (at
+# least one row) before it counts and tests them.  At n = 1315 blocks of
+# 4 to 8 rows ran 20000 shifts in half the time of one-row blocks, and
+# from 200 to 8000 shifts 256 KiB and 1 MiB blocks ran alike (one Xeon
+# core, 2 MiB L2).
+_BLOCK_BYTES = 1 << 20
 
 
 def _sturm_counts(T: TridiagonalMatrix, xs: np.ndarray) -> np.ndarray:
     """Eigenvalues strictly below each shift, via the LDL^T pivot signs.
 
-    Both paths make the same IEEE operations in the same order, so the
-    counts do not depend on how many shifts share a pass.
+    A shift's count does not depend on the pass it shares.  A few shifts
+    are counted one by one by `_sturm_count_scalar`.  A pass over many
+    writes the negated pivots p = -d row by row into a block of rows: at a
+    zero diagonal entry p_i = x - off_sq/p_{i-1} is one divide and one
+    subtract, and as rounding to nearest is symmetric, p_i is exactly -d_i
+    of the scalar path's d_i = (diag_i - x) - off_sq/d_{i-1}.  Once per
+    block the pass counts p > -pivmin (the scalar path's d < pivmin) and
+    flags the shifts with |p| < pivmin.  No pivot is replaced inside a
+    block, so a flagged shift is recounted by `_sturm_count_scalar`, which
+    replaces it; every other shift met no pivot that it would replace.
     """
     diag, off_sq = T.diag.tolist(), (T.offdiag**2).tolist()
-    pivmin = np.finfo(np.float64).tiny * max(1.0, max(off_sq, default=1.0))
+    pivmin = float(np.finfo(np.float64).tiny) * max(1.0, max(off_sq, default=1.0))
     if len(xs) <= _SCALAR_SHIFTS:
         return np.array(
             [_sturm_count_scalar(diag, off_sq, pivmin, x) for x in xs.tolist()],
             dtype=np.int64,
         )
-    d = np.subtract(diag[0], xs)
-    quotient = np.empty_like(d)
-    small = np.empty(len(d), dtype=bool)
-    counts = np.zeros(len(d), dtype=np.int64)
-    with np.errstate(divide="ignore", over="ignore"):
-        for i in range(T.n):
-            if i:
-                np.divide(off_sq[i - 1], d, out=quotient)
-                np.subtract(diag[i], xs, out=d)
-                np.subtract(d, quotient, out=d)
-            np.less(np.abs(d, out=quotient), pivmin, out=small)
-            if small.any():
-                d[small] = -pivmin
-            counts += np.less(d, 0.0, out=small)
+    n, width = T.n, len(xs)
+    rows = min(n, max(1, _BLOCK_BYTES // (8 * width)))
+    block = np.empty((rows, width))
+    views = list(block)
+    # x - diag_i at a nonzero diagonal entry while its row is formed, and
+    # the block's per-column counts and masks while they are tallied, share
+    # one area: at one row a pass holds 25 bytes per shift, as the per-row
+    # pass did with its d, quotient, mask and count arrays
+    scratch = np.empty(max(8, 4 + 2 * rows) * width, dtype=np.uint8)
+    shifted = scratch[: 8 * width].view(np.float64)
+    in_block = scratch[: 4 * width].view(np.int32)
+    below, tiny = scratch[4 * width : (4 + 2 * rows) * width].view(bool).reshape(2, rows, width)
+    counts = np.zeros(width, dtype=np.int64)
+    flagged = np.zeros(width, dtype=bool)
+    p = np.subtract(xs, diag[0], out=views[0])
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for start in range(0, n, rows):
+            filled = min(rows, n - start)
+            first = 0 if start else 1  # row 0 of the first block holds p_0
+            for row, i in zip(views[first:filled], range(start + first, start + filled)):
+                np.divide(off_sq[i - 1], p, out=row)
+                if diag[i]:
+                    np.subtract(np.subtract(xs, diag[i], out=shifted), row, out=row)
+                else:
+                    np.subtract(xs, row, out=row)
+                p = row
+            pivots, b, t = block[:filled], below[:filled], tiny[:filled]
+            np.greater(pivots, -pivmin, out=b)
+            np.less(pivots, pivmin, out=t)
+            np.logical_and(t, b, out=t)
+            if t.any():
+                flagged |= t.any(axis=0)
+            counts += np.add.reduce(b, axis=0, out=in_block)
+    for j in np.flatnonzero(flagged):
+        counts[j] = _sturm_count_scalar(diag, off_sq, pivmin, float(xs[j]))
     return counts
 
 

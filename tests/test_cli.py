@@ -485,8 +485,8 @@ class TestValidationAndErrors:
             ["classify", "--k", "3", "--M", "2000001"],
             ["deficiency", "--k", "3", "--M", "2000001"],
             ["pollaczek", "--b", "0.25", "--M", "100001", "--lambda", "0.5"],
-            ["spectrum", "--k", "1", "--n", "2000001"],
-            ["extensions", "--k", "3", "--n", "2000001"],
+            ["spectrum", "--k", "1", "--n", "12801"],
+            ["extensions", "--k", "3", "--n", "12801"],
         ],
         ids=["classify", "deficiency", "pollaczek", "spectrum", "extensions"],
     )
@@ -527,10 +527,11 @@ _VALUES = {
 }
 # --n and --M per command: the common values include each validator's
 # floor (and the moments cap); the edges are one past the floor and the
-# cap (the other caps themselves would run too long)
+# cap (the other caps themselves would run too long), and for --n also the
+# 2e6 rows that --M stops at
 _SIZE_VALUES = {
-    ("spectrum", "--n"): ([1, 5, 80], [0, -1, 2_000_001]),
-    ("extensions", "--n"): ([50, 60], [49, 2_000_001]),
+    ("spectrum", "--n"): ([1, 5, 80], [0, -1, 12_801, 2_000_001]),
+    ("extensions", "--n"): ([50, 60], [49, 12_801, 2_000_001]),
     ("classify", "--M"): ([1000, 5000], [999, 2_000_001]),
     ("moments", "--M"): ([0, 4, 24], [-1, 25]),
     ("pollaczek", "--M"): ([0, 1, 2, 30], [-1, 100_001]),

@@ -2,6 +2,8 @@
 
 import functools
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -273,6 +275,115 @@ class TestSturmMonotone:
                 batched = _sturm_counts(T, batch)[: len(xs)]
             assert np.array_equal(alone, reference)
             assert np.array_equal(batched, reference)
+
+
+def wide_batch(T: TridiagonalMatrix, width: int, rng) -> np.ndarray:
+    """width shifts in random order: each eigenvalue and its neighbouring
+    doubles, every diagonal entry, 0, -0, +/-inf, NaN and +/-1e300, and
+    uniform draws over the Gershgorin range for the rest."""
+    ev = np.linalg.eigvalsh(dense(T))
+    special = np.concatenate([
+        ev, np.nextafter(ev, np.inf), np.nextafter(ev, -np.inf), T.diag,
+        [0.0, -0.0, np.inf, -np.inf, np.nan, 1e300, -1e300],
+    ])
+    lo, hi = T.gershgorin()
+    xs = np.concatenate([special, rng.uniform(lo, hi, max(width - len(special), 0))])
+    rng.shuffle(xs)
+    return xs
+
+
+def blocked_counts(T: TridiagonalMatrix, xs: np.ndarray, rows: int) -> np.ndarray:
+    """`_sturm_counts` with blocks of `rows` rows (at most n)."""
+    with mock.patch.object(spectra, "_BLOCK_BYTES", 8 * rows * len(xs)):
+        return _sturm_counts(T, xs)
+
+
+def reference_counts(T: TridiagonalMatrix, xs: np.ndarray) -> np.ndarray:
+    with np.errstate(over="ignore", invalid="ignore"):
+        return reference_sturm_counts(T, xs)
+
+
+class TestBlockedPass:
+    """A pass over many shifts forms a block of rows before it counts and
+    tests their pivots, and recounts in Python floats every shift that met
+    a tiny pivot; every block height gives the reference counts."""
+
+    @pytest.mark.parametrize("rows", [1, 7, 8, 41, 64])  # 41 = 5 * 8 + 1 = 5 * 7 + 6 rows
+    @pytest.mark.parametrize("theta", [0.0, 0.5])
+    def test_block_heights(self, rows, theta):
+        T = TridiagonalMatrix.truncation(SectorParams(3, 1), 41, theta=theta)
+        xs = wide_batch(T, 2048, np.random.default_rng(rows))
+        assert np.array_equal(blocked_counts(T, xs, rows), reference_counts(T, xs))
+
+    @pytest.mark.parametrize("at", [0, 7, 8, 15, 40])
+    def test_zero_pivot_at_block_edges(self, at):
+        # with blocks of 8 rows over n = 41: the first and last row of the
+        # first two blocks, and the one row of the last block.  At shift 0
+        # the pivots of diag (1, 2, 2, ...) and off-diagonal 1 are all 1
+        # until a diagonal 1 makes one exactly 0 (a diagonal 0 at row 0)
+        n = 41
+        diag = np.full(n, 2.0)
+        diag[0], diag[at] = 1.0, (0.0 if at == 0 else 1.0)
+        T = TridiagonalMatrix(diag=diag, offdiag=np.ones(n - 1))
+        d = diag[0]
+        for i in range(1, at + 1):
+            d = diag[i] - 1.0 / d
+        assert d == 0.0
+        xs = wide_batch(T, 2000, np.random.default_rng(at))
+        xs[[0, 999, 1999]] = 0.0
+        counts = blocked_counts(T, xs, 8)
+        assert np.array_equal(counts, reference_counts(T, xs))
+        assert counts[0] == sturm_count(T, 0.0)
+
+    def test_non_finite_shifts_in_a_wide_batch(self):
+        rng = np.random.default_rng(7)
+        for T in (
+            TridiagonalMatrix.truncation(SectorParams(4, 0), 308),
+            TridiagonalMatrix.truncation(SectorParams(2, 1), 100, theta=-0.7),
+        ):
+            xs = wide_batch(T, 2500, rng)
+            xs[[0, 1, 2, 1250, 2499]] = [np.nan, np.inf, -np.inf, np.nan, np.inf]
+            counts = _sturm_counts(T, xs)
+            assert np.array_equal(counts, reference_counts(T, xs))
+            assert counts[1] == counts[2499] == T.n and counts[2] == 0
+            assert counts[0] == counts[1250] == 0
+
+    def test_overflowing_off_diagonal_squares(self):
+        # an off-diagonal square overflows, so pivmin = inf and every
+        # column is recounted in Python floats
+        T = TridiagonalMatrix(diag=np.zeros(30), offdiag=[1.0] * 14 + [1e160] + [1.0] * 14)
+        xs = wide_batch(T, 2100, np.random.default_rng(3))
+        with np.errstate(over="ignore"):
+            assert np.array_equal(blocked_counts(T, xs, 8), reference_counts(T, xs))
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        T=random_tridiagonal(),
+        rows=st.sampled_from([1, 2, 3, 8, 1000]),
+        width=st.integers(2001, 2600),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_random_matrices_in_wide_batches(self, T, rows, width, seed):
+        xs = wide_batch(T, width, np.random.default_rng(seed))
+        assert np.array_equal(blocked_counts(T, xs, rows), reference_counts(T, xs))
+
+    @pytest.mark.parametrize("theta", [0.0, 0.5])
+    def test_peak_memory_of_a_wide_pass(self, theta):
+        # at 4e5 shifts a block is one row, and the pass holds 25 bytes per
+        # shift (26 bounds it), as the per-row pass did with its d,
+        # quotient, mask and count arrays; one more shift-length float
+        # array, 8 bytes per shift, breaks the bound
+        T = TridiagonalMatrix.truncation(SectorParams(3, 0), 20, theta=theta)
+        lo, hi = T.gershgorin()
+        xs = np.linspace(lo, hi, 400_000)
+        tracemalloc.start()
+        try:
+            counts = _sturm_counts(T, xs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 26 * len(xs)
+        assert np.array_equal(counts[::997], reference_counts(T, xs[::997]))
 
 
 class TestEigenvaluesBisect:
