@@ -22,12 +22,13 @@ half of its bracket (a one-level lookahead), so about two counts are
 settled per pass; the counts of the last pass are looked up by shift
 before an index waits.  A shift's count does not depend on the other
 shifts of its pass, so the midpoints are bit-identical to plain bisection.
-A pass over many shifts runs the O(n) recurrence as two numpy calls per
-row over the shift vector, into a block of rows of at most 1 MiB, and
-counts the negative pivots and finds the tiny ones once per block; a
-shift that met a tiny pivot is recounted in Python floats, as a pass over
-a few shifts counts every shift, with the same IEEE operations in the same
-order and the tiny pivot replaced.
+A pass over a few shifts runs the O(n) recurrence per shift in Python
+floats.  A pass over many runs it on the negated pivots, two numpy calls
+per row (at a zero diagonal entry) over the shift vector into a block of
+rows of at most 1 MiB, and once per block counts the negative pivots and
+finds the tiny ones; rounding to nearest is symmetric, so these are bit
+for bit the negated pivots of the Python float loop, and a shift that met
+a tiny pivot is recounted by that loop, which replaces the pivot.
 """
 
 from __future__ import annotations
@@ -126,8 +127,8 @@ def _sturm_counts(T: TridiagonalMatrix, xs: np.ndarray) -> np.ndarray:
     views = list(block)
     # x - diag_i at a nonzero diagonal entry while its row is formed, and
     # the block's per-column counts and masks while they are tallied, share
-    # one area: at one row a pass holds 25 bytes per shift, as the per-row
-    # pass did with its d, quotient, mask and count arrays
+    # one scratch area, so with one-row blocks a pass holds 25 bytes per
+    # shift in all
     scratch = np.empty(max(8, 4 + 2 * rows) * width, dtype=np.uint8)
     shifted = scratch[: 8 * width].view(np.float64)
     in_block = scratch[: 4 * width].view(np.int32)

@@ -370,9 +370,9 @@ class TestBlockedPass:
     @pytest.mark.parametrize("theta", [0.0, 0.5])
     def test_peak_memory_of_a_wide_pass(self, theta):
         # at 4e5 shifts a block is one row, and the pass holds 25 bytes per
-        # shift (26 bounds it), as the per-row pass did with its d,
-        # quotient, mask and count arrays; one more shift-length float
-        # array, 8 bytes per shift, breaks the bound
+        # shift (26 bounds it): the row, 8 of shared scratch, the counts and
+        # the flags; one more shift-length float array, 8 bytes per shift,
+        # breaks the bound
         T = TridiagonalMatrix.truncation(SectorParams(3, 0), 20, theta=theta)
         lo, hi = T.gershgorin()
         xs = np.linspace(lo, hi, 400_000)
