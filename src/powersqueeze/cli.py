@@ -43,6 +43,10 @@ _MAX_POLLACZEK_M = 100_000
 # and 40 (extensions: that per --theta), and 18 s at k = 1, n = 25600 (one
 # Xeon core)
 _MAX_SPECTRUM_N = 12_800
+# --theta of extensions: each flag costs one full spectrum, up to 10 s at
+# the --n cap (k = 3, --tol 1e-300); 8 flags took 79 s and 90 MB peak RSS
+# there (one Xeon core)
+_MAX_THETAS = 8
 
 
 class _UsageError(Exception):
@@ -237,6 +241,8 @@ def _cmd_extensions(args) -> None:
     sector = _sector(args)
     tol = _check_tol(args.tol)
     thetas = args.theta if args.theta else [0.0]
+    if len(thetas) > _MAX_THETAS:
+        raise _UsageError(f"--theta may be given at most {_MAX_THETAS} times, got {len(thetas)}")
     if not all(math.isfinite(t) for t in thetas):
         raise _UsageError(f"--theta must be finite, got {thetas}")
     if not 50 <= args.n <= _MAX_SPECTRUM_N:

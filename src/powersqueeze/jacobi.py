@@ -81,6 +81,42 @@ def log_off_diagonal(sector: SectorParams, m: int) -> float:
     return 0.5 * math.fsum(math.log(f) for f in range(start, start + sector.k))
 
 
+def _fill_off_diagonal(sector: SectorParams, b: np.ndarray) -> np.ndarray:
+    """Overwrite b, a float64 array of any shape holding exact-integer
+    indices m, with b_m, and return it.
+
+    b_m = sqrt of the float product of its k factors: the first factor
+    mk + kappa + 1 formed in place, the other k - 1 factors multiplied into
+    it in place, in order (each factor is an exact integer below 2^53,
+    stepped up by 1 in a second array), and the square root taken in
+    place.  Only entries whose float product overflows are then set to
+    exp(log_off_diagonal); NumericsError is raised when the largest such
+    b_m itself exceeds binary64.  That is what off_diagonal returns there:
+    a float product of k exact factors overflows only if the exact product
+    exceeds 2^1023, so its bit length is past the _LOG_SWITCH_BITS = 1000
+    of off_diagonal's exact-integer branch.  The error names
+    OffDiagonalSequence.build, the public entry to this route."""
+    k = sector.k
+    b *= k
+    b += sector.kappa + 1
+    factor = b.copy() if k > 1 else None
+    with np.errstate(over="ignore"):
+        for _ in range(k - 1):
+            factor += 1.0
+            b *= factor
+    np.sqrt(b, out=b)
+    if factor is not None and math.isinf(b.max()):  # at k = 1, b_m = sqrt(m + 1)
+        over = np.isinf(b)
+        m_over = ((factor[over] - (sector.kappa + k)) / k).astype(np.int64).tolist()
+        if log_off_diagonal(sector, max(m_over)) > _LOG_FLOAT_MAX:
+            raise NumericsError(
+                f"jacobi.OffDiagonalSequence.build: b_m overflows binary64 at "
+                f"m = {max(m_over)} (sector k={sector.k}, kappa={sector.kappa})"
+            )
+        b[over] = [math.exp(log_off_diagonal(sector, m)) for m in m_over]
+    return b
+
+
 @dataclass(frozen=True)
 class OffDiagonalSequence:
     """b_0 .. b_{M-1} for one sector, as a float array."""
@@ -90,38 +126,13 @@ class OffDiagonalSequence:
 
     @classmethod
     def build(cls, sector: SectorParams, length: int) -> "OffDiagonalSequence":
-        """b_m = sqrt of the float product of its k factors, by one array
-        route: the first factor mk + kappa + 1 as one array, the other
-        k - 1 factors multiplied into it in place, in order (each factor is
-        an exact integer below 2^53, stepped up by 1 in a second array),
-        and the square root taken in place.  The product grows with m, so
-        only a top run of entries can overflow; those get
-        exp(log_off_diagonal), and NumericsError is raised when
-        b_{length-1} itself exceeds binary64.  That is what off_diagonal
-        returns there: a float product of k exact factors overflows only
-        if the exact product exceeds 2^1023, so its bit length is past the
-        _LOG_SWITCH_BITS = 1000 of off_diagonal's exact-integer branch."""
+        """b_m for m = 0..length - 1 by _fill_off_diagonal; NumericsError
+        when b_{length-1} exceeds binary64 (b_m increases with m)."""
         if length < 1:
             raise ValueError(
                 f"jacobi.OffDiagonalSequence.build: length must be >= 1, got {length}"
             )
-        k, first = sector.k, sector.kappa + 1
-        values = np.arange(first, first + k * length, k, dtype=np.float64)
-        factor = values.copy() if k > 1 else None
-        with np.errstate(over="ignore"):
-            for _ in range(k - 1):
-                factor += 1.0
-                values *= factor
-        np.sqrt(values, out=values)
-        if math.isinf(values[-1]):
-            if log_off_diagonal(sector, length - 1) > _LOG_FLOAT_MAX:
-                raise NumericsError(
-                    f"jacobi.OffDiagonalSequence.build: b_m overflows binary64 at "
-                    f"m = {length - 1} (sector k={sector.k}, kappa={sector.kappa})"
-                )
-            for j in np.flatnonzero(np.isinf(values)).tolist():
-                values[j] = math.exp(log_off_diagonal(sector, j))
-        return cls(sector, values)
+        return cls(sector, _fill_off_diagonal(sector, np.arange(length, dtype=np.float64)))
 
     def __len__(self) -> int:
         return len(self.values)

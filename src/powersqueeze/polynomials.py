@@ -23,7 +23,6 @@ cross-checks the two to 1e-8 and a disagreement is a hard error.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 import numpy as np
 
@@ -78,10 +77,10 @@ def _pollaczek_series_exact(m: int, x: float, b: float) -> float:
     the coefficient exactly: (2b)_m / m! = Q / (D^m (m!)^2), rounded once
     before its square root.
     """
-    xr, br = Fraction(x), Fraction(b)
-    D = math.lcm(xr.denominator, br.denominator)
-    X = xr.numerator * (D // xr.denominator)
-    B = br.numerator * (D // br.denominator)
+    (X, x_den), (B, b_den) = x.as_integer_ratio(), float(b).as_integer_ratio()
+    D = math.lcm(x_den, b_den)
+    X *= D // x_den
+    B *= D // b_den
     p_re, p_im, q = 1, 0, 1
     for j in range(m - 1, -1, -1):
         s = 2 * (j - m)
@@ -167,23 +166,24 @@ def pollaczek_table(max_degree: int, x: np.ndarray, b: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # |Gamma(b + ix)|^2 and the orthogonality weight
 
-# B_2, B_4, ..., B_24 over (2j)(2j-1): the 12-term asymptotic tail
+# B_2, B_4, ..., B_24 as (numerator, denominator), each over (2j)(2j-1):
+# the 12-term asymptotic tail, each term rounded once by an int division
 _STIRLING_COEFFS = [
-    Fraction(1, 6),
-    Fraction(-1, 30),
-    Fraction(1, 42),
-    Fraction(-1, 30),
-    Fraction(5, 66),
-    Fraction(-691, 2730),
-    Fraction(7, 6),
-    Fraction(-3617, 510),
-    Fraction(43867, 798),
-    Fraction(-174611, 330),
-    Fraction(854513, 138),
-    Fraction(-236364091, 2730),
+    (1, 6),
+    (-1, 30),
+    (1, 42),
+    (-1, 30),
+    (5, 66),
+    (-691, 2730),
+    (7, 6),
+    (-3617, 510),
+    (43867, 798),
+    (-174611, 330),
+    (854513, 138),
+    (-236364091, 2730),
 ]
 _STIRLING_TERMS = [
-    float(c / ((2 * j) * (2 * j - 1))) for j, c in enumerate(_STIRLING_COEFFS, start=1)
+    num / (den * (2 * j) * (2 * j - 1)) for j, (num, den) in enumerate(_STIRLING_COEFFS, start=1)
 ]
 _SHIFT_THRESHOLD = 10.0
 _HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)

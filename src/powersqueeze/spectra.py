@@ -330,7 +330,13 @@ def eigenvalues_bisect(
     glo -= 1e-3 * span
     ghi += 1e-3 * span
     width = ghi - glo  # 0 where the widening is below the spacing at a 1 x 1 diagonal
-    iterations = int(math.ceil(math.log2(width / tol))) + 2 if width > 0 else 0
+    ratio = width / tol
+    if math.isinf(ratio):
+        raise ValueError(
+            f"spectra.eigenvalues_bisect: tol {tol!r} is too small for the Gershgorin "
+            f"width {width!r}: width / tol overflows binary64"
+        )
+    iterations = int(math.ceil(math.log2(ratio))) + 2 if width > 0 else 0
     a, b, passes = _seed_brackets(T, tol, width)
     lo, hi, counted = _replay(T, glo, ghi, a.tolist(), b.tolist(), iterations)
     lo, hi = np.array(lo), np.array(hi)

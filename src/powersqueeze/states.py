@@ -28,6 +28,7 @@ from .jacobi import (
     InitialKind,
     OffDiagonalSequence,
     SectorParams,
+    _fill_off_diagonal,
     commutator_weight,
     log_off_diagonal,
     solve_recursion,
@@ -37,15 +38,15 @@ _MAX_CUTOFF = 100_000
 _SQUARE_SUMMABLE_EXPONENT = -0.5 - 0.1  # decay strictly faster than 1/sqrt
 _CAUCHY_WINDOW = 0.10
 # the minimal solution's recursion runs over N = 100 M rows, so that its
-# contamination sqrt(M/N) is 10%; memory caps N at 2e6 (M <= 20000), where
-# b is one float64 N-array (15 MiB) and the solve peaks at 1.29 (20 MiB)
+# contamination sqrt(M/N) is 10%; N stops at 2e6 (M <= 20000), where the
+# solve builds no array of b and its traced peak is 0.31 N-arrays (5 MiB)
 _MINIMAL_ROWS_PER_M = 100
 _MAX_MINIMAL_ROWS = 2_000_000
 # log of the smallest normal binary64; a normalized c_0 below it is lost
 _LOG_TINY = math.log(np.finfo(np.float64).tiny)
 # rows per block of the positive recursion, and blocks per numpy pass:
-# their rows of b, transposed, take 4 MiB.  One pass over all of a 2e6-row
-# b raised `certificates` benchmark peak RSS from 57 to 68 MiB
+# a pass fills its rows of b, transposed, in 4 MiB.  One pass over all of
+# a 2e6-row b raised `certificates` benchmark peak RSS from 57 to 68 MiB
 _BLOCK = 256
 _BLOCKS_PER_PASS = 2048
 
@@ -453,15 +454,22 @@ def _block_steps(rows: np.ndarray, y_prev: np.ndarray, y_cur: np.ndarray, out=No
     return y_prev, y_cur
 
 
-def _positive_log_solution(b: np.ndarray, start: int = 0) -> np.ndarray:
-    """log y_start..y_L (L = len(b)) of b_m y_{m+1} = y_m + b_{m-1} y_{m-1},
-    y_{-1} = 0, y_0 = 1: every solution at lambda' = i, up to a unit
-    factor per entry and an overall scale (see deficiency_evidence).
+def _positive_log_solution(
+    sector: SectorParams, lo: int, length: int, reverse: bool = False, start: int = 0
+) -> np.ndarray:
+    """log y_start..y_L (L = length) of c_m y_{m+1} = y_m + c_{m-1} y_{m-1},
+    y_{-1} = 0, y_0 = 1, on the rows c_m = b_{lo+m} for m = 0..L-1, or on
+    the same rows reversed, c_m = b_{lo+L-1-m}: every solution at
+    lambda' = i, up to a unit factor per entry and an overall scale (see
+    deficiency_evidence).
 
     Every term is positive, so no step cancels.  Rows 0..L fall into blocks
-    of B = _BLOCK rows (the last padded with b[-1]; block 0 uses b_0 as
-    b_{-1}, which multiplies y_{-1} = 0), stepped together by _block_steps.
-    Block j's steps from the basis states (1, 0) and (0, 1) for
+    of B = _BLOCK rows, stepped together by _block_steps.  Each pass fills
+    its rows of b in place (_fill_off_diagonal), straight in the transposed
+    block layout: row r of block column j holds c at clip(jB + r - 1, 0,
+    L - 1).  That is the row before each block, c_0 as block 0's c_{-1}
+    (which multiplies y_{-1} = 0), and c_{L-1} as the padding of the last
+    block.  Block j's steps from the basis states (1, 0) and (0, 1) for
     (y_{jB-1}, y_{jB}) give the matrix that maps that pair to
     (y_{jB+B-1}, y_{jB+B}).  One pass applies the matrices in order to
     (y_{-1}, y_0) = (0, 1), records each block's start pair, and after each
@@ -479,21 +487,28 @@ def _positive_log_solution(b: np.ndarray, start: int = 0) -> np.ndarray:
     1 / (2 rho^2 max b), rho = max(b)/min(b) over the block and the entry
     before it: normal for k <= 2 (rho <= 363, b_m < 2m + 3).  For k >= 3 the
     bound is loose; entries measured at k = 3 to 107, M = 5000 to 2e5, stay
-    above 1 / max b, normal up to b = 2^1022.  A non-finite or 0 entry
-    raises NumericsError.
+    above 1 / max b, normal up to b = 2^1022.  A non-finite b, or a
+    non-finite or 0 entry, raises NumericsError.
     """
-    L = len(b)
+    L = length
     first, end = start // _BLOCK, L // _BLOCK + 1  # blocks first..end-1 hold rows start..L
     grid = np.empty((end - first, _BLOCK))
     prev, cur, dropped, entries_ok, starts, ends = 0.0, 1.0, 0, True, [], []
+    offsets = np.arange(-1.0, _BLOCK)[:, None]  # r - 1 for rows r = 0..B
     for j0 in range(0, end, _BLOCKS_PER_PASS):
         j1 = min(j0 + _BLOCKS_PER_PASS, end)
-        lo = j0 * _BLOCK
-        full, rest = divmod(min(j1 * _BLOCK, L) - lo, _BLOCK)
-        rows = np.full((_BLOCK + 1, j1 - j0), b[-1])
-        rows[1:, :full] = b[lo : lo + full * _BLOCK].reshape(-1, _BLOCK).T
-        rows[1 : 1 + rest, full : full + 1] = b[lo + full * _BLOCK : lo + full * _BLOCK + rest, None]
-        rows[0] = np.concatenate(([b[lo - 1] if lo else b[0]], rows[-1, :-1]))
+        rows = offsets + np.arange(j0 * _BLOCK, j1 * _BLOCK, _BLOCK, dtype=np.float64)
+        np.clip(rows, 0.0, L - 1.0, out=rows)
+        if reverse:
+            np.subtract(lo + L - 1.0, rows, out=rows)
+        else:
+            rows += lo
+        _fill_off_diagonal(sector, rows)
+        if not np.isfinite(rows).all():
+            raise NumericsError(
+                f"states.deficiency_evidence: non-finite off-diagonal in the "
+                f"positive recursion (rows 0..{L})"
+            )
         blocks = np.stack(_block_steps(rows, *np.eye(2)[:, :, None].repeat(j1 - j0, axis=2)))
         entries_ok &= blocks.min() > 0.0 and blocks.max() < math.inf
         for j, (p0, p1, c0, c1) in enumerate(zip(*blocks.reshape(4, -1).tolist()), j0):
@@ -506,7 +521,7 @@ def _positive_log_solution(b: np.ndarray, start: int = 0) -> np.ndarray:
             f = max(first, j0)  # the first block of the pass that is filled
             pairs = np.array(starts[f - first :])[:, :2].T.copy()
             ends += _block_steps(rows[:, f - j0 :], *pairs, grid[f - first : j1 - first].T)[1].tolist()
-        del rows  # before the next pass's copy: two at once raise the peak
+        del rows  # before the next pass's rows: two at once raise the peak
     log_y = grid.reshape(-1)[start - first * _BLOCK : L + 1 - first * _BLOCK]
     with np.errstate(divide="ignore", invalid="ignore"):
         np.log(log_y, out=log_y)
@@ -534,14 +549,9 @@ def _minimal_solution_profile(sector: SectorParams, M: int, N: int) -> GrowthPro
     w_N = 0), so w has one sign and |w_m| = y_{N-1-m} / (y_{N-1} + b_0 y_{N-2}):
     row 0 reads |w_0| + b_0 |w_1| = 1.
     """
-    b = OffDiagonalSequence.build(sector, N).values[: N - 1]
-    if not np.isfinite(b).all():
-        raise NumericsError(
-            f"states.deficiency_evidence: non-finite off-diagonal in the minimal "
-            f"solution's recursion (N = {N})"
-        )
-    log_y = _positive_log_solution(b[::-1], N - 1 - M)[::-1]
-    log_abs = log_y - np.logaddexp(log_y[0], math.log(b[0]) + log_y[1])
+    b0 = _fill_off_diagonal(sector, np.zeros(1))[0]
+    log_y = _positive_log_solution(sector, 0, N - 1, True, N - 1 - M)[::-1]
+    log_abs = log_y - np.logaddexp(log_y[0], math.log(b0) + log_y[1])
     return GrowthProfile.from_log_abs(sector, 1j, None, log_abs)
 
 
@@ -563,9 +573,13 @@ def deficiency_evidence(sector: SectorParams, M: int) -> DeficiencyEvidence:
         raise ValueError(f"states.deficiency_evidence: M must be >= 5000, got {M}")
     # polynomial kind: f_m = i^m y_m with y over b_0, b_1, ...; second kind:
     # f_0 = 0 and f_m = i^(m-1) y'_{m-1} / b_0 with y' over b_1, b_2, ...
-    b = OffDiagonalSequence.build(sector, M).values
-    log_second = np.concatenate(([-np.inf], _positive_log_solution(b[1:]) - math.log(b[0])))
-    poly = GrowthProfile.from_log_abs(sector, 1j, InitialKind.POLYNOMIAL, _positive_log_solution(b))
+    # b_{M-1}, the largest b that they read, is filled with b_0 so that an
+    # overflowing b is refused first, at m = M - 1
+    b0 = _fill_off_diagonal(sector, np.array([0.0, M - 1.0]))[0]
+    log_second = np.concatenate(([-np.inf], _positive_log_solution(sector, 1, M - 1) - math.log(b0)))
+    poly = GrowthProfile.from_log_abs(
+        sector, 1j, InitialKind.POLYNOMIAL, _positive_log_solution(sector, 0, M)
+    )
     second = GrowthProfile.from_log_abs(sector, 1j, InitialKind.SECOND, log_second)
     exponents = (poly.exponent, second.exponent)
     count = _flagged(poly) + _flagged(second)

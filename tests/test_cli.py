@@ -449,6 +449,27 @@ class TestValidationAndErrors:
         assert len(result.stderr.strip().splitlines()) == 1
         assert "Warning" not in result.stderr
 
+    def test_theta_count_is_capped(self, capsys):
+        # each --theta costs one full spectrum: eight are accepted, nine refused
+        thetas = [f"--theta={t / 8}" for t in range(9)]
+        assert main(["extensions", "--k", "3", "--n", "60", *thetas[:8]]) == 0
+        capsys.readouterr()
+        assert main(["extensions", "--k", "3", "--n", "60", *thetas]) == 2
+        err = capsys.readouterr().err
+        assert err == "invalid flags: --theta may be given at most 8 times, got 9\n"
+
+    @pytest.mark.parametrize(
+        "argv", [["spectrum", "--k", "4", "--n", "50"], ["extensions", "--k", "3", "--n", "60"]]
+    )
+    def test_tol_whose_step_count_overflows(self, argv):
+        # the bisection step count reads width / tol, which overflows at 5e-324
+        result = run_cli(*argv, "--tol", "5e-324")
+        assert result.returncode == 1
+        assert result.stderr.startswith(
+            "error: spectra.eigenvalues_bisect: tol 5e-324 is too small for the Gershgorin width "
+        )
+        assert len(result.stderr.strip().splitlines()) == 1
+
     def test_overflowing_boundary_entry(self):
         # theta * b_{n-1} overflows: refused as a non-finite diagonal
         result = run_cli("extensions", "--k", "3", "--n", "60", "--theta", "1e308", "--theta", "0")
@@ -638,6 +659,18 @@ class TestStartup:
             capture_output=True,
             text=True,
         )
+        assert result.returncode == 0, result.stderr
+
+    def test_no_fractions_at_import(self):
+        # fractions (and the decimal it imports) cost every start about
+        # 4.6 ms; the exact Pollaczek series runs in Python ints
+        code = (
+            "import sys\n"
+            "import powersqueeze.cli\n"
+            "assert 'fractions' not in sys.modules\n"
+            "assert 'decimal' not in sys.modules\n"
+        )
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert result.returncode == 0, result.stderr
 
 

@@ -24,6 +24,7 @@ from powersqueeze import (
     off_diagonal_squared,
     solve_recursion,
 )
+from powersqueeze import jacobi
 from powersqueeze.jacobi import envelope_fit, log_partial_sums_of_squares
 
 from mp_recurrence import mp_recurrence
@@ -169,6 +170,23 @@ class TestOffDiagonalSequenceRoute:
                     warnings.simplefilter("error")
                     got = OffDiagonalSequence.build(sector, length).values
                 assert np.array_equal(got, expected), (k, kappa, length)
+
+    @pytest.mark.parametrize("k, kappa", [(1, 0), (3, 2), (100, 0), (100, 99)])
+    def test_any_shape_of_indices(self, k, kappa):
+        # a pass of the positive recursion at lambda' = i fills a 2-D array
+        # of indices, in any order: each entry gets the bits that build
+        # gives its index, the log-sum entries of k = 100 included
+        sector = SectorParams(k, kappa)
+        m = np.random.default_rng(7).permutation(5000).reshape(50, 100)
+        got = jacobi._fill_off_diagonal(sector, m.astype(np.float64))
+        assert np.array_equal(got, OffDiagonalSequence.build(sector, 5000).values[m])
+
+    def test_any_shape_overflow_names_the_largest_index(self):
+        # as build names m = length - 1, the largest overflowing index
+        # is named wherever it sits
+        indices = np.array([[5.0, 99_999.0], [70_000.0, 3.0]])
+        with pytest.raises(NumericsError, match=r"^jacobi\.OffDiagonalSequence\.build: .*m = 99999 "):
+            jacobi._fill_off_diagonal(SectorParams(100, 50), indices)
 
     @pytest.mark.parametrize(("k", "N", "arrays"), [(1, 2_000_000, 1.1), (2, 1_250_000, 2.1)])
     def test_peak_memory(self, k, N, arrays):

@@ -501,6 +501,19 @@ class TestEigenvaluesBisect:
         with pytest.raises(ValueError, match=message):
             extension_sweep(SectorParams(3, 0), 60, [0.5], tol)
 
+    def test_tol_whose_step_count_overflows_is_refused(self):
+        # the step count reads width / tol, which overflows binary64 at
+        # tol = 5e-324; at 1e-300 it is finite (about 1e305 here), and the
+        # bisection keeps its step count and the plain loop's bits
+        T = TridiagonalMatrix.truncation(SectorParams(4, 0), 50)
+        message = r"^spectra\.eigenvalues_bisect: tol 5e-324 is too small for the Gershgorin width "
+        with pytest.raises(ValueError, match=message):
+            eigenvalues_bisect(T, 5e-324)
+        with pytest.raises(ValueError, match=message):
+            extension_sweep(SectorParams(3, 0), 60, [0.5], 5e-324)
+        plain = plain_bisection_midpoints(T, (1e-300,))[1e-300]
+        assert np.array_equal(eigenvalues_bisect(T, 1e-300).eigenvalues, plain)
+
     def test_one_by_one_matrix(self):
         T = TridiagonalMatrix(diag=[2.5], offdiag=[])
         report = eigenvalues_bisect(T, 1e-12)

@@ -459,6 +459,79 @@ def reference_positive_log_solution(b: np.ndarray, start: int = 0) -> np.ndarray
     return np.frombuffer(out)
 
 
+def reference_array_positive_log_solution(b: np.ndarray, start: int = 0) -> np.ndarray:
+    """Verbatim copy of `states._positive_log_solution` as it was when it
+    read each pass's rows from an array of b, gathered into a transposed
+    copy (module names qualified); an oracle for the rows filled in place."""
+    _BLOCK, _block_steps = states._BLOCK, states._block_steps
+    L = len(b)
+    first, end = start // _BLOCK, L // _BLOCK + 1  # blocks first..end-1 hold rows start..L
+    grid = np.empty((end - first, _BLOCK))
+    prev, cur, dropped, entries_ok, starts, ends = 0.0, 1.0, 0, True, [], []
+    for j0 in range(0, end, states._BLOCKS_PER_PASS):
+        j1 = min(j0 + states._BLOCKS_PER_PASS, end)
+        lo = j0 * _BLOCK
+        full, rest = divmod(min(j1 * _BLOCK, L) - lo, _BLOCK)
+        rows = np.full((_BLOCK + 1, j1 - j0), b[-1])
+        rows[1:, :full] = b[lo : lo + full * _BLOCK].reshape(-1, _BLOCK).T
+        rows[1 : 1 + rest, full : full + 1] = b[lo + full * _BLOCK : lo + full * _BLOCK + rest, None]
+        rows[0] = np.concatenate(([b[lo - 1] if lo else b[0]], rows[-1, :-1]))
+        blocks = np.stack(_block_steps(rows, *np.eye(2)[:, :, None].repeat(j1 - j0, axis=2)))
+        entries_ok &= blocks.min() > 0.0 and blocks.max() < math.inf
+        for j, (p0, p1, c0, c1) in enumerate(zip(*blocks.reshape(4, -1).tolist()), j0):
+            if j >= first:
+                starts.append((prev, cur, dropped))
+            prev, cur = p0 * prev + p1 * cur, c0 * prev + c1 * cur
+            e = math.frexp(max(prev, cur))[1]
+            prev, cur, dropped = math.ldexp(prev, -e), math.ldexp(cur, -e), dropped + e
+        if j1 > first:
+            f = max(first, j0)  # the first block of the pass that is filled
+            pairs = np.array(starts[f - first :])[:, :2].T.copy()
+            ends += _block_steps(rows[:, f - j0 :], *pairs, grid[f - first : j1 - first].T)[1].tolist()
+        del rows  # before the next pass's copy: two at once raise the peak
+    log_y = grid.reshape(-1)[start - first * _BLOCK : L + 1 - first * _BLOCK]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.log(log_y, out=log_y)
+        _, s, d = np.array(starts).T
+        gaps = (np.ldexp(ends[:-1], (d[:-1] - d[1:]).astype(int)) - s[1:]) / s[1:]
+        grid += ((d - d[0]) * math.log(2.0) + np.cumsum(np.log1p([0.0, *gaps])))[:, None]
+    if not (entries_ok and np.isfinite(log_y).all()):
+        raise NumericsError(
+            f"states.deficiency_evidence: a block transfer or filled entry of the "
+            f"positive recursion is non-finite or 0 (rows 0..{L})"
+        )
+    return log_y
+
+
+class TestRowsFilledInPlace:
+    """Each pass fills its rows of b in place; the bits are those of the
+    route that read them from an array of b, for the three row sources of
+    deficiency_evidence: the polynomial kind over b_0..b_{M-1}, the second
+    kind over b_1..b_{M-1}, and the minimal solution over b_{N-2}..b_0."""
+
+    @pytest.mark.parametrize("k, kappa", [(1, 0), (2, 0), (2, 1)])
+    @pytest.mark.parametrize("M", [5000, 7777, 20000])
+    def test_bits_match_the_array_route(self, monkeypatch, k, kappa, M):
+        sector = SectorParams(k, kappa)
+        N = min(100 * M, 2_000_000)
+        b = OffDiagonalSequence.build(sector, N).values
+        sources = {
+            (0, M, False, 0): b[:M],
+            (1, M - 1, False, 0): b[1:M],
+            (0, N - 1, True, N - 1 - M): b[: N - 1][::-1],
+        }
+        # splitting the blocks into passes moves no bit of the array route
+        # (TestBlockTransfer), so its bits at the default pass size serve both
+        refs = {src: reference_array_positive_log_solution(rows, src[3]) for src, rows in sources.items()}
+        log_y = refs[0, N - 1, True, N - 1 - M][::-1]
+        log_abs = log_y - np.logaddexp(log_y[0], math.log(b[0]) + log_y[1])
+        assert np.array_equal(states._minimal_solution_profile(sector, M, N).log_abs, log_abs)
+        for blocks_per_pass in (states._BLOCKS_PER_PASS, 3):
+            monkeypatch.setattr(states, "_BLOCKS_PER_PASS", blocks_per_pass)
+            for src, ref in refs.items():
+                assert np.array_equal(states._positive_log_solution(sector, *src), ref), src
+
+
 class TestBlockTransfer:
     """states._positive_log_solution against its row-by-row reference on
     reversed sector b, as the minimal solution reads it: (1, 0), (2, 1)
@@ -470,9 +543,10 @@ class TestBlockTransfer:
     @pytest.mark.parametrize("length", [6 * states._BLOCK + 5, 9 * states._BLOCK + 77])
     def test_matches_the_row_by_row_loop(self, k, kappa, length):
         B = self.B
-        b = OffDiagonalSequence.build(SectorParams(k, kappa), length).values[::-1]
+        sector = SectorParams(k, kappa)
+        b = OffDiagonalSequence.build(sector, length).values[::-1]
         for start in (0, 1, 2 * B - 1, 2 * B, 2 * B + 1, 5 * B + 7, length - 1):
-            got = states._positive_log_solution(b, start)
+            got = states._positive_log_solution(sector, 0, length, True, start)
             ref = reference_positive_log_solution(b, start)
             assert len(got) == len(ref) == length + 1 - start
             # the overall scale is free; logs agree up to it
@@ -484,29 +558,34 @@ class TestBlockTransfer:
         # transfer products alone drift 2.1e-13 from the loop by M = 5e4
         # (the level taken from each fill: 3.0e-14)
         b = OffDiagonalSequence.build(SectorParams(4, 3), 50_000).values
-        got = states._positive_log_solution(b)
+        got = states._positive_log_solution(SectorParams(4, 3), 0, 50_000)
         assert np.max(np.abs(got - reference_positive_log_solution(b))) <= 1e-13
 
     def test_passes_keep_the_bits(self, monkeypatch):
         # each block steps on its own, so splitting the blocks into passes
         # (here 3 per pass, the last one short) moves no bit, whether the
         # fill spans every pass (start 0) or the last one only
-        length = 23 * self.B + 11
-        b = OffDiagonalSequence.build(SectorParams(2, 1), length).values[::-1]
-        one_pass = [states._positive_log_solution(b, start) for start in (0, length - 100)]
+        length, sector = 23 * self.B + 11, SectorParams(2, 1)
+        solve = [
+            lambda: states._positive_log_solution(sector, 0, length, True),
+            lambda: states._positive_log_solution(sector, 0, length, True, length - 100),
+            lambda: reference_array_positive_log_solution(
+                OffDiagonalSequence.build(sector, length).values[::-1]
+            ),
+        ]
+        one_pass = [call() for call in solve]
         monkeypatch.setattr(states, "_BLOCKS_PER_PASS", 3)
-        for start, bits in zip((0, length - 100), one_pass):
-            assert np.array_equal(states._positive_log_solution(b, start), bits)
+        for call, bits in zip(solve, one_pass):
+            assert np.array_equal(call(), bits)
 
     def test_non_finite_block_entry_is_refused(self, monkeypatch):
         # finite b that the non-finite check passes, but with 1/b = 1e300
         # a block's second step overflows
-        class Tiny:
-            @staticmethod
-            def build(sector, length):
-                return OffDiagonalSequence(sector, np.full(length, 1e-300))
+        def tiny(sector, b):
+            b[...] = 1e-300
+            return b
 
-        monkeypatch.setattr(states, "OffDiagonalSequence", Tiny)
+        monkeypatch.setattr(states, "_fill_off_diagonal", tiny)
         with pytest.raises(NumericsError, match=r"^states\.deficiency_evidence: .*block"):
             states._minimal_solution_profile(SectorParams(1, 0), 100, 10_000)
 
@@ -532,11 +611,11 @@ class TestMinimalSolution:
             assert p.exponent == pytest.approx(exponent, rel=1e-12, abs=0.0)
 
     def test_real_solve_peak_memory(self):
-        # b is one float64 N-array, built in place, and the recursion keeps
-        # only the M + 1 entries it reports plus passes of 2048 transposed
-        # blocks: 1.28 N-arrays in all (the complex LAPACK solve peaked
-        # near nine).  A copy of b or a stored N-array of the recursion
-        # breaks the bound.
+        # no array of b: the recursion keeps only the M + 1 entries it
+        # reports plus one pass of 2048 blocks of rows, filled in place:
+        # 0.31 N-arrays in all (with b built as an N-array: 1.29; the
+        # complex LAPACK solve peaked near nine).  An N-array of b or of
+        # the recursion breaks the bound.
         N = 2_000_000
         tracemalloc.start()
         try:
@@ -544,19 +623,21 @@ class TestMinimalSolution:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.75 * 8 * N
+        assert peak <= 0.5 * 8 * N
 
     def test_non_finite_off_diagonal_is_refused(self, monkeypatch):
-        class Overflowing:
-            @staticmethod
-            def build(sector, length):
-                values = np.full(length, 2.0)
-                values[-2] = np.inf
-                return OffDiagonalSequence(sector, values)
+        # b = 2 with b_{N-2} = inf, the first row the minimal solution reads
+        N = 10_000
 
-        monkeypatch.setattr(states, "OffDiagonalSequence", Overflowing)
-        with pytest.raises(NumericsError, match=r"^states\."):
-            states._minimal_solution_profile(SectorParams(1, 0), 100, 10_000)
+        def overflowing(sector, b):
+            top = b == N - 2
+            b[...] = 2.0
+            b[top] = np.inf
+            return b
+
+        monkeypatch.setattr(states, "_fill_off_diagonal", overflowing)
+        with pytest.raises(NumericsError, match=r"^states\.deficiency_evidence: non-finite"):
+            states._minimal_solution_profile(SectorParams(1, 0), 100, N)
 
 
 class TestMemoryAtTheCap:
@@ -575,16 +656,17 @@ class TestMemoryAtTheCap:
 
     def test_positive_recursion(self):
         # the M + 1 logs, filled in place, and one pass of 2048 blocks of
-        # b, transposed: 1.34 (the row-by-row loop's array of logs: 1.06)
-        b = OffDiagonalSequence.build(SectorParams(1, 0), self.M).values
-        assert self.traced_peak(lambda: states._positive_log_solution(b)) <= 1.75
+        # rows of b, filled in place: 1.34 (the row-by-row loop's array of
+        # logs: 1.06)
+        sector = SectorParams(1, 0)
+        assert self.traced_peak(lambda: states._positive_log_solution(sector, 0, self.M)) <= 1.5
 
     def test_deficiency_evidence(self):
-        # b, both fundamental solutions and their partial sums, and the
-        # envelope fit's selection: 6.93 (with a copy of the right
-        # neighbours: 7.72; np.polyfit's Vandermonde matrix and SVD
-        # workspace: 13.2)
-        assert self.traced_peak(lambda: deficiency_evidence(SectorParams(1, 0), self.M)) <= 7.5
+        # both fundamental solutions and their partial sums, and the
+        # envelope fit's selection: 5.93 (with b as an M-array: 6.93; with
+        # a copy of the right neighbours too: 7.72; np.polyfit's
+        # Vandermonde matrix and SVD workspace: 13.2)
+        assert self.traced_peak(lambda: deficiency_evidence(SectorParams(1, 0), self.M)) <= 6.5
 
 
 class TestDeficiencyEvidence:
@@ -614,6 +696,12 @@ class TestDeficiencyEvidence:
         # blocks stay finite and nonzero
         ev = deficiency_evidence(SectorParams(100, kappa), 5000)
         assert (ev.count, ev.conclusive) == (2, True)
+
+    def test_overflowing_b_is_refused_at_the_top_row(self):
+        # at k = 300, b_m overflows binary64 from m = 1 on; the error names
+        # the largest row read, m = M - 1, past the first pass of rows
+        with pytest.raises(NumericsError, match=r"^jacobi\.OffDiagonalSequence\.build: .*m = 599999 "):
+            deficiency_evidence(SectorParams(300, 0), 600_000)
 
     def test_minimum_m(self):
         with pytest.raises(ValueError):
