@@ -33,8 +33,8 @@ from .states import (
 
 # caps on the array-sizing flags, so that a huge value is refused up front
 # instead of failing in allocation: --M of classify and deficiency stops
-# at the largest array the package allocates (the minimal solution's 2e6
-# rows); pollaczek holds M + 1 output rows in memory, and --M 100000 takes
+# at the most rows the package's recursions run over (the minimal
+# solution's 2e6); pollaczek holds M + 1 output rows in memory, and --M 100000 takes
 # about a second
 _MAX_POLLACZEK_M = 100_000
 # --n of spectrum and extensions: the LAPACK seed and the Sturm passes are
