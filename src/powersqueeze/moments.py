@@ -130,9 +130,9 @@ def integrate_weighted(f, b: float, tol: float, degree: int = 0) -> tuple[float,
         pts, half, rho = grid(b, X, panels)
         vals = np.asarray(f(pts), dtype=np.float64) * rho
         contrib = (half * (vals.reshape(panels, _GL_ORDER) * weights[None, :])).ravel()
-        # fixed summation order for byte-reproducible results; the
-        # magnitude only scales a roundoff floor and needs no exact sum
-        return math.fsum(contrib.tolist()), float(np.sum(np.abs(contrib)))
+        # an exact sum, read straight from the array, for byte-reproducible
+        # results; the magnitude only scales a roundoff floor and needs none
+        return math.fsum(memoryview(contrib)), float(np.sum(np.abs(contrib)))
 
     panels = max(8, int(math.ceil(X / 2.0)))
     current, _ = composite(panels)
@@ -339,7 +339,7 @@ def classify_determinacy(k: int, kappa: int, M: int) -> DeterminacyVerdict:
         raise ValueError(f"moments.classify_determinacy: M must be >= 1000, got {M}")
 
     b = OffDiagonalSequence.build(sector, M + 1).values
-    partial = math.fsum((1.0 / b).tolist())
+    partial = math.fsum(memoryview(np.divide(1.0, b, out=b)))  # 1/b_m in place
 
     if k >= 3:
         # sum_{m>M} 1/b_m <= k^(-k/2) * M^(1-k/2) / (k/2 - 1)

@@ -119,9 +119,11 @@ def _recursion_c(b: float, m: int) -> float:
 def _pollaczek_recursion(m: int, x: float, b: float) -> float:
     if m == 0:
         return 1.0
-    p_prev, p = 1.0, x / _recursion_c(b, 1)
+    c = _recursion_c(b, 1)  # c_j, carried into the step after the one that forms it
+    p_prev, p = 1.0, x / c
     for j in range(1, m):
-        p_prev, p = p, (x * p - _recursion_c(b, j) * p_prev) / _recursion_c(b, j + 1)
+        c_next = _recursion_c(b, j + 1)
+        p_prev, p, c = p, (x * p - c * p_prev) / c_next, c_next
     return p
 
 
@@ -157,9 +159,12 @@ def pollaczek_table(max_degree: int, x: np.ndarray, b: float) -> np.ndarray:
     out = np.empty((max_degree + 1, x.size))
     out[0] = 1.0
     if max_degree >= 1:
-        out[1] = x / _recursion_c(b, 1)
+        c = _recursion_c(b, 1)  # c_j, carried as in _pollaczek_recursion
+        out[1] = x / c
     for j in range(1, max_degree):
-        out[j + 1] = (x * out[j] - _recursion_c(b, j) * out[j - 1]) / _recursion_c(b, j + 1)
+        c_next = _recursion_c(b, j + 1)
+        out[j + 1] = (x * out[j] - c * out[j - 1]) / c_next
+        c = c_next
     return out
 
 

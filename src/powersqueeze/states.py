@@ -39,16 +39,16 @@ _SQUARE_SUMMABLE_EXPONENT = -0.5 - 0.1  # decay strictly faster than 1/sqrt
 _CAUCHY_WINDOW = 0.10
 # the minimal solution's recursion runs over N = 100 M rows, so that its
 # contamination sqrt(M/N) is 10%; N stops at 2e6 (M <= 20000), where the
-# solve builds no array of b and its traced peak is 0.31 N-arrays (5 MiB)
+# solve builds no array of b and its traced peak is 0.09 N-arrays (1.4 MiB)
 _MINIMAL_ROWS_PER_M = 100
 _MAX_MINIMAL_ROWS = 2_000_000
 # log of the smallest normal binary64; a normalized c_0 below it is lost
 _LOG_TINY = math.log(np.finfo(np.float64).tiny)
-# rows per block of the positive recursion, and blocks per numpy pass:
-# a pass fills its rows of b, transposed, in 4 MiB.  One pass over all of
-# a 2e6-row b raised `certificates` benchmark peak RSS from 57 to 68 MiB
+# rows per block of the positive recursion, and the budget of one chunk of
+# rows of b across the blocks of a sweep, as spectra._BLOCK_BYTES: at
+# N = 2e6 a chunk holds 16 rows of 7813 blocks
 _BLOCK = 256
-_BLOCKS_PER_PASS = 2048
+_CHUNK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -464,22 +464,25 @@ def _positive_log_solution(
     deficiency_evidence).
 
     Every term is positive, so no step cancels.  Rows 0..L fall into blocks
-    of B = _BLOCK rows, stepped together by _block_steps.  Each pass fills
-    its rows of b in place (_fill_off_diagonal), straight in the transposed
-    block layout: row r of block column j holds c at clip(jB + r - 1, 0,
-    L - 1).  That is the row before each block, c_0 as block 0's c_{-1}
-    (which multiplies y_{-1} = 0), and c_{L-1} as the padding of the last
-    block.  Block j's steps from the basis states (1, 0) and (0, 1) for
-    (y_{jB-1}, y_{jB}) give the matrix that maps that pair to
-    (y_{jB+B-1}, y_{jB+B}).  One pass applies the matrices in order to
-    (y_{-1}, y_0) = (0, 1), records each block's start pair, and after each
-    block divides the pair by a power of two, exactly, to put its larger
-    entry in [1/2, 1).  The blocks that hold rows start..L are filled from
-    their start pairs and get back the exponents dropped since the first of
-    them (its scale is part of the free overall scale).  A basis state's
-    second parity chain stays near 1/b of its first, so past b ~ 1e8 its
-    share of a step rounds away (-2e-15 per block at k = 4): each block's
-    logs also get the summed gaps between the fills' ends and next starts.
+    of B = _BLOCK rows, stepped together by _block_steps.  Row r of block
+    column j holds c at clip(jB + r - 1, 0, L - 1): the row before each
+    block, c_0 as block 0's c_{-1} (which multiplies y_{-1} = 0), and
+    c_{L-1} as the padding of the last block.  Two sweeps run over the
+    blocks; each fills its rows of b in place (_fill_off_diagonal) a chunk
+    at a time, the same rows of every block of the sweep in at most
+    _CHUNK_BYTES.  The first sweep steps every block from the basis states
+    (1, 0) and (0, 1) for (y_{jB-1}, y_{jB}), which gives the matrix that
+    maps that pair to (y_{jB+B-1}, y_{jB+B}).  One Python pass applies the
+    matrices in order to (y_{-1}, y_0) = (0, 1), records each block's start
+    pair, and after each block divides the pair by a power of two, exactly,
+    to put its larger entry in [1/2, 1).  The second sweep fills the blocks
+    that hold rows start..L from their start pairs; they get back the
+    exponents dropped since the first of them (its scale is part of the
+    free overall scale).  A basis state's second parity chain stays near
+    1/b of its first, so past b ~ 1e8 its share of a step rounds away
+    (-2e-15 per block at k = 4): each block's logs also get the summed gaps
+    between the fills' ends and next starts.  A step reads and writes one
+    block's entries only, so the chunk size moves no bit.
 
     Every sector has increasing b >= 1, so a step at most doubles
     max(y_{m-1}, y_m): from a pair at most 1, a block stays below 2^(B+1).
@@ -492,43 +495,48 @@ def _positive_log_solution(
     """
     L = length
     first, end = start // _BLOCK, L // _BLOCK + 1  # blocks first..end-1 hold rows start..L
+
+    def sweep(j0: int, y_prev: np.ndarray, y_cur: np.ndarray, out=None):
+        """_block_steps through blocks j0..end-1, a chunk of rows at a time."""
+        chunk = max(1, _CHUNK_BYTES // (8 * (end - j0)) - 1)  # (chunk + 1) rows per fill
+        columns = np.arange(j0 * _BLOCK, end * _BLOCK, _BLOCK, dtype=np.float64)
+        for r0 in range(0, _BLOCK, chunk):
+            r1 = min(r0 + chunk, _BLOCK)
+            rows = np.arange(r0 - 1.0, r1)[:, None] + columns
+            np.clip(rows, 0.0, L - 1.0, out=rows)
+            if reverse:
+                np.subtract(lo + L - 1.0, rows, out=rows)
+            else:
+                rows += lo
+            _fill_off_diagonal(sector, rows)
+            if not np.isfinite(rows).all():
+                raise NumericsError(
+                    f"states.deficiency_evidence: non-finite off-diagonal in the "
+                    f"positive recursion (rows 0..{L})"
+                )
+            y_prev, y_cur = _block_steps(rows, y_prev, y_cur, None if out is None else out[r0:r1])
+            del rows  # before the next chunk's rows: two at once raise the peak
+        return y_prev, y_cur
+
+    blocks = np.stack(sweep(0, *np.eye(2)[:, :, None].repeat(end, axis=2)))
+    entries_ok = blocks.min() > 0.0 and blocks.max() < math.inf
+    prev, cur, dropped, starts = 0.0, 1.0, 0, []
+    for j, (p0, p1, c0, c1) in enumerate(zip(*map(memoryview, blocks.reshape(4, -1)))):
+        if j >= first:
+            starts.append((prev, cur, dropped))
+        prev, cur = p0 * prev + p1 * cur, c0 * prev + c1 * cur
+        e = math.frexp(max(prev, cur))[1]
+        prev, cur, dropped = math.ldexp(prev, -e), math.ldexp(cur, -e), dropped + e
+    del blocks
     grid = np.empty((end - first, _BLOCK))
-    prev, cur, dropped, entries_ok, starts, ends = 0.0, 1.0, 0, True, [], []
-    offsets = np.arange(-1.0, _BLOCK)[:, None]  # r - 1 for rows r = 0..B
-    for j0 in range(0, end, _BLOCKS_PER_PASS):
-        j1 = min(j0 + _BLOCKS_PER_PASS, end)
-        rows = offsets + np.arange(j0 * _BLOCK, j1 * _BLOCK, _BLOCK, dtype=np.float64)
-        np.clip(rows, 0.0, L - 1.0, out=rows)
-        if reverse:
-            np.subtract(lo + L - 1.0, rows, out=rows)
-        else:
-            rows += lo
-        _fill_off_diagonal(sector, rows)
-        if not np.isfinite(rows).all():
-            raise NumericsError(
-                f"states.deficiency_evidence: non-finite off-diagonal in the "
-                f"positive recursion (rows 0..{L})"
-            )
-        blocks = np.stack(_block_steps(rows, *np.eye(2)[:, :, None].repeat(j1 - j0, axis=2)))
-        entries_ok &= blocks.min() > 0.0 and blocks.max() < math.inf
-        for j, (p0, p1, c0, c1) in enumerate(zip(*blocks.reshape(4, -1).tolist()), j0):
-            if j >= first:
-                starts.append((prev, cur, dropped))
-            prev, cur = p0 * prev + p1 * cur, c0 * prev + c1 * cur
-            e = math.frexp(max(prev, cur))[1]
-            prev, cur, dropped = math.ldexp(prev, -e), math.ldexp(cur, -e), dropped + e
-        if j1 > first:
-            f = max(first, j0)  # the first block of the pass that is filled
-            pairs = np.array(starts[f - first :])[:, :2].T.copy()
-            ends += _block_steps(rows[:, f - j0 :], *pairs, grid[f - first : j1 - first].T)[1].tolist()
-        del rows  # before the next pass's rows: two at once raise the peak
+    ends = sweep(first, *np.array(starts)[:, :2].T.copy(), grid.T)[1]
     log_y = grid.reshape(-1)[start - first * _BLOCK : L + 1 - first * _BLOCK]
     with np.errstate(divide="ignore", invalid="ignore"):
         np.log(log_y, out=log_y)
         _, s, d = np.array(starts).T
         gaps = (np.ldexp(ends[:-1], (d[:-1] - d[1:]).astype(int)) - s[1:]) / s[1:]
         grid += ((d - d[0]) * math.log(2.0) + np.cumsum(np.log1p([0.0, *gaps])))[:, None]
-    if not (entries_ok and np.isfinite(log_y).all()):
+    if not (entries_ok and np.isfinite([log_y.min(), log_y.max()]).all()):  # min, max keep NaN
         raise NumericsError(
             f"states.deficiency_evidence: a block transfer or filled entry of the "
             f"positive recursion is non-finite or 0 (rows 0..{L})"

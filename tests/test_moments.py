@@ -2,6 +2,7 @@
 
 import importlib
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 
 from powersqueeze import (
     JacobiRecoveryError,
+    OffDiagonalSequence,
     QuadratureError,
     SectorParams,
     Verdict,
@@ -370,6 +372,25 @@ class TestClassifyDeterminacy:
     def test_minimum_m(self):
         with pytest.raises(ValueError):
             classify_determinacy(3, 0, 500)
+
+    @pytest.mark.parametrize("k, kappa", [(1, 0), (3, 2), (5, 0)])
+    def test_partial_sum_is_the_exact_sum_of_the_reciprocals(self, k, kappa):
+        b = OffDiagonalSequence.build(SectorParams(k, kappa), 100_001).values
+        assert classify_determinacy(k, kappa, 100_000).partial_sum == math.fsum((1.0 / b).tolist())
+
+    def test_peak_memory_at_the_cap(self):
+        # b_m and, while it is built, its factor copy: 2.00 M-arrays of
+        # float64.  1/b is taken in place and summed straight from the
+        # array; a list of the M floats adds 4 (a pointer and a float
+        # object per entry), as the route through .tolist() did: 6.00
+        M = 2_000_000
+        tracemalloc.start()
+        try:
+            classify_determinacy(5, 0, M)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * 8 * M
 
 
 class TestErrorsNameTheModule:

@@ -459,17 +459,22 @@ def reference_positive_log_solution(b: np.ndarray, start: int = 0) -> np.ndarray
     return np.frombuffer(out)
 
 
+# blocks per pass of the array route below
+_REFERENCE_BLOCKS_PER_PASS = 2048
+
+
 def reference_array_positive_log_solution(b: np.ndarray, start: int = 0) -> np.ndarray:
     """Verbatim copy of `states._positive_log_solution` as it was when it
-    read each pass's rows from an array of b, gathered into a transposed
-    copy (module names qualified); an oracle for the rows filled in place."""
+    read each pass of 2048 blocks from an array of b, gathered into a
+    transposed copy (module names qualified); an oracle for the rows filled
+    in place, a chunk of rows across all blocks at a time."""
     _BLOCK, _block_steps = states._BLOCK, states._block_steps
     L = len(b)
     first, end = start // _BLOCK, L // _BLOCK + 1  # blocks first..end-1 hold rows start..L
     grid = np.empty((end - first, _BLOCK))
     prev, cur, dropped, entries_ok, starts, ends = 0.0, 1.0, 0, True, [], []
-    for j0 in range(0, end, states._BLOCKS_PER_PASS):
-        j1 = min(j0 + states._BLOCKS_PER_PASS, end)
+    for j0 in range(0, end, _REFERENCE_BLOCKS_PER_PASS):
+        j1 = min(j0 + _REFERENCE_BLOCKS_PER_PASS, end)
         lo = j0 * _BLOCK
         full, rest = divmod(min(j1 * _BLOCK, L) - lo, _BLOCK)
         rows = np.full((_BLOCK + 1, j1 - j0), b[-1])
@@ -504,10 +509,11 @@ def reference_array_positive_log_solution(b: np.ndarray, start: int = 0) -> np.n
 
 
 class TestRowsFilledInPlace:
-    """Each pass fills its rows of b in place; the bits are those of the
-    route that read them from an array of b, for the three row sources of
-    deficiency_evidence: the polynomial kind over b_0..b_{M-1}, the second
-    kind over b_1..b_{M-1}, and the minimal solution over b_{N-2}..b_0."""
+    """Each sweep fills its rows of b in place, a chunk of rows across all
+    blocks at a time; the bits are those of the route that read them from
+    an array of b, for the three row sources of deficiency_evidence: the
+    polynomial kind over b_0..b_{M-1}, the second kind over b_1..b_{M-1},
+    and the minimal solution over b_{N-2}..b_0."""
 
     @pytest.mark.parametrize("k, kappa", [(1, 0), (2, 0), (2, 1)])
     @pytest.mark.parametrize("M", [5000, 7777, 20000])
@@ -520,14 +526,13 @@ class TestRowsFilledInPlace:
             (1, M - 1, False, 0): b[1:M],
             (0, N - 1, True, N - 1 - M): b[: N - 1][::-1],
         }
-        # splitting the blocks into passes moves no bit of the array route
-        # (TestBlockTransfer), so its bits at the default pass size serve both
         refs = {src: reference_array_positive_log_solution(rows, src[3]) for src, rows in sources.items()}
         log_y = refs[0, N - 1, True, N - 1 - M][::-1]
         log_abs = log_y - np.logaddexp(log_y[0], math.log(b[0]) + log_y[1])
         assert np.array_equal(states._minimal_solution_profile(sector, M, N).log_abs, log_abs)
-        for blocks_per_pass in (states._BLOCKS_PER_PASS, 3):
-            monkeypatch.setattr(states, "_BLOCKS_PER_PASS", blocks_per_pass)
+        # the default chunks, and one row per chunk
+        for budget in (states._CHUNK_BYTES, 1):
+            monkeypatch.setattr(states, "_CHUNK_BYTES", budget)
             for src, ref in refs.items():
                 assert np.array_equal(states._positive_log_solution(sector, *src), ref), src
 
@@ -561,22 +566,22 @@ class TestBlockTransfer:
         got = states._positive_log_solution(SectorParams(4, 3), 0, 50_000)
         assert np.max(np.abs(got - reference_positive_log_solution(b))) <= 1e-13
 
-    def test_passes_keep_the_bits(self, monkeypatch):
-        # each block steps on its own, so splitting the blocks into passes
-        # (here 3 per pass, the last one short) moves no bit, whether the
-        # fill spans every pass (start 0) or the last one only
+    def test_chunks_keep_the_bits(self, monkeypatch):
+        # each step reads and writes one block's entries, so the rows per
+        # chunk move no bit: one row per chunk, about 3 in the transfer
+        # sweep (the last chunk short) and the default, for the three row
+        # sources, with the fill over every block (start 0) or the last one
         length, sector = 23 * self.B + 11, SectorParams(2, 1)
-        solve = [
-            lambda: states._positive_log_solution(sector, 0, length, True),
-            lambda: states._positive_log_solution(sector, 0, length, True, length - 100),
-            lambda: reference_array_positive_log_solution(
-                OffDiagonalSequence.build(sector, length).values[::-1]
-            ),
+        calls = [
+            (lo, rows, reverse, start)
+            for lo, rows, reverse in [(0, length, False), (1, length - 1, False), (0, length, True)]
+            for start in (0, rows - 100)
         ]
-        one_pass = [call() for call in solve]
-        monkeypatch.setattr(states, "_BLOCKS_PER_PASS", 3)
-        for call, bits in zip(solve, one_pass):
-            assert np.array_equal(call(), bits)
+        default = [states._positive_log_solution(sector, *call) for call in calls]
+        for budget in (1, 8 * 4 * 24):
+            monkeypatch.setattr(states, "_CHUNK_BYTES", budget)
+            for call, bits in zip(calls, default):
+                assert np.array_equal(states._positive_log_solution(sector, *call), bits), (budget, call)
 
     def test_non_finite_block_entry_is_refused(self, monkeypatch):
         # finite b that the non-finite check passes, but with 1/b = 1e300
@@ -612,10 +617,11 @@ class TestMinimalSolution:
 
     def test_real_solve_peak_memory(self):
         # no array of b: the recursion keeps only the M + 1 entries it
-        # reports plus one pass of 2048 blocks of rows, filled in place:
-        # 0.31 N-arrays in all (with b built as an N-array: 1.29; the
-        # complex LAPACK solve peaked near nine).  An N-array of b or of
-        # the recursion breaks the bound.
+        # reports, the transfer states of its 7813 blocks and one 1 MiB
+        # chunk of rows, filled in place: 0.090 N-arrays in all (2048-block
+        # passes: 0.31; with b built as an N-array: 1.29; the complex LAPACK
+        # solve peaked near nine).  A second chunk (0.066) or an N-array of
+        # b or of the recursion breaks the bound.
         N = 2_000_000
         tracemalloc.start()
         try:
@@ -623,7 +629,7 @@ class TestMinimalSolution:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 0.5 * 8 * N
+        assert peak <= 0.12 * 8 * N
 
     def test_non_finite_off_diagonal_is_refused(self, monkeypatch):
         # b = 2 with b_{N-2} = inf, the first row the minimal solution reads
@@ -655,18 +661,20 @@ class TestMemoryAtTheCap:
             tracemalloc.stop()
 
     def test_positive_recursion(self):
-        # the M + 1 logs, filled in place, and one pass of 2048 blocks of
-        # rows of b, filled in place: 1.34 (the row-by-row loop's array of
-        # logs: 1.06)
+        # the M + 1 logs, filled in place, the blocks' start pairs and one
+        # 1 MiB chunk of rows of b, filled in place: 1.157 (2048-block
+        # passes: 1.35; the row-by-row loop's array of logs: 1.06).  A
+        # second chunk alive in the fill reads 1.212
         sector = SectorParams(1, 0)
-        assert self.traced_peak(lambda: states._positive_log_solution(sector, 0, self.M)) <= 1.5
+        assert self.traced_peak(lambda: states._positive_log_solution(sector, 0, self.M)) <= 1.18
 
     def test_deficiency_evidence(self):
         # both fundamental solutions and their partial sums, and the
-        # envelope fit's selection: 5.93 (with b as an M-array: 6.93; with
+        # envelope fit's selection: 5.933 (with b as an M-array: 6.93; with
         # a copy of the right neighbours too: 7.72; np.polyfit's
-        # Vandermonde matrix and SVD workspace: 13.2)
-        assert self.traced_peak(lambda: deficiency_evidence(SectorParams(1, 0), self.M)) <= 6.5
+        # Vandermonde matrix and SVD workspace: 13.2).  A 1 MiB chunk of
+        # rows alive at the fit adds 0.066
+        assert self.traced_peak(lambda: deficiency_evidence(SectorParams(1, 0), self.M)) <= 5.96
 
 
 class TestDeficiencyEvidence:

@@ -1,10 +1,10 @@
 """Check that a checkout computes the same eigenvalue, deficiency,
-determinacy and off-diagonal bits as revision REV.
+determinacy, off-diagonal, quadrature and Pollaczek bits as revision REV.
 
     python tools/compare_bits.py REV
 
 Exports REV's `src/` with `git archive` into a temporary directory.  Then,
-in fresh interpreters with each tree's `src/` on PYTHONPATH, it runs four
+in fresh interpreters with each tree's `src/` on PYTHONPATH, it runs five
 fixed grids and the CLI commands pinned by
 `tests/test_cli.py::TestGoldenBytes`, under REV and under this checkout.
 A spectra grid case compares the `eigenvalues_bisect` eigenvalue bytes and
@@ -21,7 +21,12 @@ every `DeterminacyVerdict` field, or the error raised, for k = 1..6 and
 M up to 1e5.  A b_m grid case compares the `OffDiagonalSequence.build`
 value bytes, or the error raised, by digest, for k up to 250 and lengths
 up to 2e6: it reaches float products that overflow into the log sum
-(k >= 40) and b_m that overflow binary64 (k >= 80).  A differing
+(k >= 40) and b_m that overflow binary64 (k >= 80).  A quadrature grid
+case compares, by digest, the value and error bytes of `moments(b, 24,
+1e-10)` at b = 0.25, 0.75 and 1.5, or of the order-8 orthonormality table
+of `integrate_weighted` over P_i P_j at b = 0.25; or the bytes of
+`pollaczek(m, x, b)` for m = 0..60, and of `pollaczek_table(60, x, b)`,
+at seven x and four b (or the error raised).  A differing
 deficiency or classify case prints each field
 that moved with both reprs (and the relative change of a float).  A
 command compares stdout, stderr and the exit code.  Prints each
@@ -138,11 +143,51 @@ for k in {B_KS!r}:
             print(k, kappa, length, hashlib.sha256(data).hexdigest())
 """
 
+QUAD_BS = (0.25, 0.75, 1.5)
+POLY_XS = (-3.7, -0.5, 0.0, 0.3, 1.0, 2.5, 12.0)
+POLY_BS = (1e-3, 0.25, 0.75, 1.5)
+# one line per quadrature or Pollaczek case, the case and a digest of its
+# value bytes (or of the error it raised): moments(b, 24, 1e-10) values and
+# errors, the order-8 orthonormality table at b = 0.25 (values and errors of
+# integrate_weighted over P_i P_j, i <= j <= 8, tol 1e-9), pollaczek(m, x, b)
+# for m = 0..60, and pollaczek_table(60, x, b) over every x at once
+QUADRATURE_WORKER = f"""
+import hashlib, struct
+import numpy as np
+from powersqueeze import integrate_weighted, moments, pollaczek, pollaczek_table
+
+def case(name, compute):
+    try:
+        data = compute()
+    except Exception as exc:
+        data = repr(exc).encode()
+    print(name, hashlib.sha256(data).hexdigest())
+
+def orthonormality(b, order):
+    out = []
+    for i in range(order + 1):
+        for j in range(i, order + 1):
+            def f(x, i=i, j=j):
+                rows = pollaczek_table(j, x, b)
+                return rows[i] * rows[j]
+            out += integrate_weighted(f, b, 1e-9, degree=i + j)
+    return struct.pack(f"<{{len(out)}}d", *out)
+
+for b in {QUAD_BS!r}:
+    case(f"moments b={{b}}", lambda: (lambda s: s.values.tobytes() + s.quad_error.tobytes())(moments(b, 24, 1e-10)))
+case("orthonormality b=0.25 order=8", lambda: orthonormality(0.25, 8))
+for b in {POLY_BS!r}:
+    for x in {POLY_XS!r}:
+        case(f"pollaczek x={{x}} b={{b}}", lambda: struct.pack("<61d", *(pollaczek(m, x, b) for m in range(61))))
+    case(f"pollaczek_table b={{b}}", lambda: pollaczek_table(60, np.array({POLY_XS!r}), b).tobytes())
+"""
+
 WORKERS = {
     "spectra": GRID_WORKER,
     "deficiency": DEFICIENCY_WORKER,
     "classify": CLASSIFY_WORKER,
     "b_m": B_WORKER,
+    "quadrature": QUADRATURE_WORKER,
 }
 
 
@@ -204,7 +249,7 @@ def main(argv: list[str]) -> int:
             old, new = ((tmp / f"{grid}.{name}").read_text().splitlines() for name in trees)
             diffs = [(o, c) for o, c in zip(old, new) if o != c]
             for o, c in diffs:
-                if grid in ("spectra", "b_m"):
+                if grid in ("spectra", "b_m", "quadrature"):
                     print(f"{grid} grid differs:\n  {rev}: {o}\n  checkout: {c}")
                 else:
                     print(f"{grid} case {' '.join(o.split(' ', 3)[:3])} differs from {rev}:")
