@@ -100,6 +100,18 @@ class FockVector:
         return float(np.sum(np.abs(self.coefficients) ** 2))
 
 
+def _vdot(a: np.ndarray, w: np.ndarray) -> complex:
+    """sum_m conj(a_m) w_m by numpy's pairwise sum, whose order is fixed:
+    np.vdot and np.linalg.norm go through BLAS, whose threads split a long
+    sum and so move its last bits with the thread count."""
+    return complex(np.sum(np.conj(a) * w))
+
+
+def _norm(z: np.ndarray) -> float:
+    """2-norm of a complex array by the same pairwise sum (_vdot)."""
+    return math.sqrt(_vdot(z, z).real)
+
+
 def _tail_window(total: int) -> int:
     return max(1, total // 10)
 
@@ -134,7 +146,7 @@ def _normalized_state(sector: SectorParams, coefficients, tol: float, caller: st
             f"(cutoff {M})"
         )
     coeff = directions * np.exp(log_c - 0.5 * log_norm_sq)
-    coeff /= np.linalg.norm(coeff)
+    coeff /= _norm(coeff)
     coeff *= (coeff[0] / abs(coeff[0])).conjugate()
     return FockVector(sector, coeff, tail)
 
@@ -329,9 +341,9 @@ def sr_report(v: FockVector, k: int) -> SRReport:
     bra = c[:keep]
 
     def expect(w) -> complex:
-        return complex(np.vdot(bra, w[:keep]))
+        return _vdot(bra, w[:keep])
 
-    norm = float(np.real(np.vdot(bra, bra)))
+    norm = _vdot(bra, bra).real
     a_v = _lower(c, b)
     ad_v = _raise(c, b)
     e1 = expect(a_v) / norm
@@ -389,12 +401,8 @@ def residual_check(v: FockVector, params: SqueezeParams) -> float:
     high = _raise(c, b)
     resid = mu * low + nu * high - lam * c
     keep = _kept_slots(v)
-    num = float(np.linalg.norm(resid[:keep]))
-    den = (
-        abs(lam)
-        + mu * float(np.linalg.norm(low[:keep]))
-        + abs(nu) * float(np.linalg.norm(high[:keep]))
-    )
+    num = _norm(resid[:keep])
+    den = abs(lam) + mu * _norm(low[:keep]) + abs(nu) * _norm(high[:keep])
     # den vanishes only when lambda = 0 and both operator branches annihilate
     # the kept slots (e.g. the vacuum at nu = 0); the residual is then exact
     return num / den if den > 0.0 else num

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -738,3 +739,32 @@ class TestDeterminism:
         assert first.returncode == 0 and second.returncode == 0
         assert first.stdout == second.stdout
         assert first.stdout  # non-empty
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("deficiency", "--k", "1", "--M", "20000", "--format", "json"),
+            ("state", "--k", "1", "--nu", "10", "--lambda", "1i", "--tol", "1e-12",
+             "--format", "json"),
+            ("verify-sr", "--k", "1", "--nu", "10", "--lambda", "1i", "--tol", "1e-12",
+             "--format", "json"),
+        ],
+    )
+    def test_bytes_do_not_depend_on_the_blas_thread_count(self, argv):
+        # OpenBLAS splits a long dot product or norm across its threads, and
+        # the split moves the last bits of the sum: these outputs reduce
+        # vectors of 18001 (the envelope fit) and 16385 (cutoff 16384)
+        # entries; at M = 10000 and cutoff 8192 one thread and two agreed
+        runs = [
+            subprocess.run(
+                [sys.executable, "-m", "powersqueeze.cli", *argv],
+                capture_output=True,
+                text=True,
+                env={**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads},
+            )
+            for threads in ("1", "2")
+        ]
+        assert [run.returncode for run in runs] == [0, 0], [run.stderr for run in runs]
+        one, two = (run.stdout.splitlines() for run in runs)
+        # the differing lines only: a diff of the whole documents takes minutes
+        assert len(one) == len(two) and [(a, b) for a, b in zip(one, two) if a != b] == []
