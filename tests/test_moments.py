@@ -10,7 +10,6 @@ import pytest
 
 from powersqueeze import (
     JacobiRecoveryError,
-    OffDiagonalSequence,
     QuadratureError,
     SectorParams,
     Verdict,
@@ -372,11 +371,6 @@ class TestClassifyDeterminacy:
     def test_minimum_m(self):
         with pytest.raises(ValueError):
             classify_determinacy(3, 0, 500)
-
-    @pytest.mark.parametrize("k, kappa", [(1, 0), (3, 2), (5, 0)])
-    def test_partial_sum_is_the_exact_sum_of_the_reciprocals(self, k, kappa):
-        b = OffDiagonalSequence.build(SectorParams(k, kappa), 100_001).values
-        assert classify_determinacy(k, kappa, 100_000).partial_sum == math.fsum((1.0 / b).tolist())
 
     def test_peak_memory_at_the_cap(self):
         # b_m and, while it is built, its factor copy: 2.00 M-arrays of

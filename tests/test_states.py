@@ -707,7 +707,7 @@ class TestDeficiencyEvidence:
 
     def test_overflowing_b_is_refused_at_the_top_row(self):
         # at k = 300, b_m overflows binary64 from m = 1 on; the error names
-        # the largest row read, m = M - 1, past the first pass of rows
+        # the largest row read, m = M - 1, past the first chunk of rows
         with pytest.raises(NumericsError, match=r"^jacobi\.OffDiagonalSequence\.build: .*m = 599999 "):
             deficiency_evidence(SectorParams(300, 0), 600_000)
 
