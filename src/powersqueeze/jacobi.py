@@ -220,8 +220,6 @@ def solve_recursion(
     max_res = 0.0
     for m in range(1, M):
         scale = max(logs[m], logs[m - 1])
-        if scale == _NEG_INF:
-            continue  # both zero: stays zero (cannot happen for these kinds)
         fm = dirs[m] * math.exp(logs[m] - scale)
         fp = dirs[m - 1] * math.exp(logs[m - 1] - scale)
         bp = b[m - 1]
@@ -250,15 +248,11 @@ def solve_recursion(
 
 @dataclass(frozen=True)
 class GrowthProfile:
-    """Partial sums of |f_m|^2 (in log form) and a power-law envelope fit.
-
-    kind is None for a solution that is not one of the fundamental pair,
-    such as the minimal solution at lambda' = i.
-    """
+    """Partial sums of |f_m|^2 (in log form) and a power-law envelope fit."""
 
     sector: SectorParams
     lambda_prime: complex
-    kind: InitialKind | None
+    kind: InitialKind
     M: int
     log_abs: np.ndarray
     log_partial_sums: np.ndarray
@@ -266,35 +260,11 @@ class GrowthProfile:
     envelope_count: int
     fit_ok: bool
 
-    @classmethod
-    def from_log_abs(
-        cls, sector: SectorParams, lambda_prime: complex, kind: InitialKind | None, log_abs
-    ) -> "GrowthProfile":
-        """Profile of log|f_0..f_M|: the exponent is fitted over the final
-        decade m in [M/10, M], and the fit is flagged not-ok when fewer
-        than 20 envelope points exist there."""
-        M = len(log_abs) - 1
-        exponent, count = envelope_fit(log_abs, M // 10, M)
-        return cls(
-            sector=sector,
-            lambda_prime=complex(lambda_prime),
-            kind=kind,
-            M=M,
-            log_abs=log_abs,
-            log_partial_sums=log_partial_sums_of_squares(log_abs),
-            exponent=exponent,
-            envelope_count=count,
-            fit_ok=count >= 20,
-        )
-
     def partial_sum(self, m: int) -> float:
         return math.exp(self.log_partial_sums[m])
 
     def cauchy_ratio(self) -> float:
-        """(S_M - S_{M/2}) / S_M; small means the sum has stabilized."""
-        half = self.log_partial_sums[self.M // 2]
-        full = self.log_partial_sums[self.M]
-        return 1.0 - math.exp(half - full)
+        return cauchy_ratio(self.log_partial_sums)
 
 
 def envelope_fit(log_abs: np.ndarray, lo: int, hi: int) -> tuple[float | None, int]:
@@ -346,17 +316,37 @@ def log_partial_sums_of_squares(log_abs: np.ndarray) -> np.ndarray:
     return np.logaddexp.accumulate(2.0 * log_abs)
 
 
+def cauchy_ratio(log_partial_sums: np.ndarray) -> float:
+    """(S_M - S_{M/2}) / S_M from log S_0..log S_M; small means the sum has
+    stabilized."""
+    M = len(log_partial_sums) - 1
+    return 1.0 - math.exp(log_partial_sums[M // 2] - log_partial_sums[M])
+
+
 def growth_profile(
     sector: SectorParams,
     lambda_prime: complex,
     M: int,
     kind: InitialKind = InitialKind.POLYNOMIAL,
 ) -> GrowthProfile:
-    """Solve to M and profile the solution (GrowthProfile.from_log_abs)."""
+    """Solve to M and profile the solution: the exponent is fitted over the
+    final decade m in [M/10, M], and the fit is flagged not-ok when fewer
+    than 20 envelope points exist there."""
     if M < 100:
         raise ValueError(f"jacobi.growth_profile: M must be >= 100, got {M}")
-    sol = solve_recursion(sector, lambda_prime, M, kind)
-    return GrowthProfile.from_log_abs(sector, lambda_prime, kind, sol.log_abs)
+    log_abs = solve_recursion(sector, lambda_prime, M, kind).log_abs
+    exponent, count = envelope_fit(log_abs, M // 10, M)
+    return GrowthProfile(
+        sector=sector,
+        lambda_prime=complex(lambda_prime),
+        kind=kind,
+        M=M,
+        log_abs=log_abs,
+        log_partial_sums=log_partial_sums_of_squares(log_abs),
+        exponent=exponent,
+        envelope_count=count,
+        fit_ok=count >= 20,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,7 @@ a tiny pivot is recounted by that loop, which replaces the pivot.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -416,31 +417,17 @@ def spectrum_diagnostics(reports, window: float) -> SpectrumDiagnostics:
     if len(reports) < 2:
         raise ValueError("spectra.spectrum_diagnostics: need at least two reports")
 
-    spacing = math.inf
-    for rep in reports:
-        inside = rep.eigenvalues[np.abs(rep.eigenvalues) <= window]
-        if len(inside) >= 2:
-            spacing = min(spacing, float(np.min(np.diff(np.sort(inside)))))
-    min_spacing = None if math.isinf(spacing) else spacing
-
-    cross = math.inf
-    for i, a in enumerate(reports):
-        for brep in reports[i + 1 :]:
-            inside = a.eigenvalues[np.abs(a.eigenvalues) <= window]
-            if len(inside):
-                cross = min(cross, float(np.min(nearest_distance(brep.eigenvalues, inside))))
-    cross_gap = None if math.isinf(cross) else cross
-
-    inter = []
-    for i, a in enumerate(reports):
-        for brep in reports[i + 1 :]:
-            if abs(a.n - brep.n) == 1:
-                small, large = (a, brep) if a.n < brep.n else (brep, a)
-                inter.append(
-                    (small.n, large.n, strict_interlacing(small.eigenvalues, large.eigenvalues))
-                )
+    inside = [rep.eigenvalues[np.abs(rep.eigenvalues) <= window] for rep in reports]
+    spacings = [float(np.min(np.diff(np.sort(v)))) for v in inside if len(v) >= 2]
+    gaps, inter = [], []
+    for (a, a_inside), (brep, _) in itertools.combinations(zip(reports, inside), 2):
+        if len(a_inside):
+            gaps.append(float(np.min(nearest_distance(brep.eigenvalues, a_inside))))
+        if abs(a.n - brep.n) == 1:
+            small, large = (a, brep) if a.n < brep.n else (brep, a)
+            inter.append((small.n, large.n, strict_interlacing(small.eigenvalues, large.eigenvalues)))
     return SpectrumDiagnostics(
-        min_spacing_near_zero=min_spacing,
-        cross_theta_min_gap=cross_gap,
+        min_spacing_near_zero=min(spacings, default=None),
+        cross_theta_min_gap=min(gaps, default=None),
         interlacing=tuple(inter),
     )

@@ -24,13 +24,15 @@ import numpy as np
 
 from .errors import NumericsError
 from .jacobi import (
-    GrowthProfile,
     InitialKind,
     OffDiagonalSequence,
     SectorParams,
     _fill_off_diagonal,
+    cauchy_ratio,
     commutator_weight,
+    envelope_fit,
     log_off_diagonal,
+    log_partial_sums_of_squares,
     solve_recursion,
 )
 
@@ -435,15 +437,17 @@ class DeficiencyEvidence:
     contamination_bound: float | None = None
 
 
-def _flagged(profile: GrowthProfile) -> bool:
-    """Square-summable: a fitted envelope exponent below -0.6 and partial
-    sums that are Cauchy across M/2 -> M within 10%.  At M >= 5000 every
-    entry is finite (_positive_log_solution), so every point of the fit
-    window [M/10, M] can enter the fit and it always has at least 4501."""
+def _flagged(log_abs: np.ndarray) -> tuple[bool, float]:
+    """(square-summable, exponent) of log|f_0..f_M|: square-summable is an
+    envelope exponent over [M/10, M] below -0.6 and partial sums that are
+    Cauchy across M/2 -> M within 10%.  At M >= 5000 every entry is finite
+    (_positive_log_solution), so the fit always has at least 4501 points."""
+    M = len(log_abs) - 1
+    exponent = envelope_fit(log_abs, M // 10, M)[0]
     return (
-        profile.exponent < _SQUARE_SUMMABLE_EXPONENT
-        and profile.cauchy_ratio() < _CAUCHY_WINDOW
-    )
+        exponent < _SQUARE_SUMMABLE_EXPONENT
+        and cauchy_ratio(log_partial_sums_of_squares(log_abs)) < _CAUCHY_WINDOW
+    ), exponent
 
 
 def _block_steps(rows: np.ndarray, y_prev: np.ndarray, y_cur: np.ndarray, out=None):
@@ -552,8 +556,8 @@ def _positive_log_solution(
     return log_y
 
 
-def _minimal_solution_profile(sector: SectorParams, M: int, N: int) -> GrowthProfile:
-    """Growth profile over m = 0..M of the decaying solution at i.
+def _minimal_solution_profile(sector: SectorParams, M: int, N: int) -> np.ndarray:
+    """log|w_0..w_M| of the decaying solution at i.
 
     The minimal solution is aligned with (T_N - i)^{-1} e_0 for N >> M;
     the contamination ~ sqrt(M/N) at the top of the fit window is at most
@@ -567,14 +571,13 @@ def _minimal_solution_profile(sector: SectorParams, M: int, N: int) -> GrowthPro
     """
     b0 = _fill_off_diagonal(sector, np.zeros(1))[0]
     log_y = _positive_log_solution(sector, 0, N - 1, True, N - 1 - M)[::-1]
-    log_abs = log_y - np.logaddexp(log_y[0], math.log(b0) + log_y[1])
-    return GrowthProfile.from_log_abs(sector, 1j, None, log_abs)
+    return log_y - np.logaddexp(log_y[0], math.log(b0) + log_y[1])
 
 
 def deficiency_evidence(sector: SectorParams, M: int) -> DeficiencyEvidence:
     """How many solutions are square-summable at spectral point i.
 
-    Both fundamental solutions are profiled, and each flagged one counts
+    Both fundamental solutions are tested, and each flagged one counts
     (_flagged); two flags mean the full two-dimensional solution space is
     square-summable (count 2).  In the one-dimensional case the
     fundamental solutions align with the dominant solution and neither is
@@ -592,20 +595,19 @@ def deficiency_evidence(sector: SectorParams, M: int) -> DeficiencyEvidence:
     # b_{M-1}, the largest b that they read, is filled with b_0 so that an
     # overflowing b is refused first, at m = M - 1
     b0 = _fill_off_diagonal(sector, np.array([0.0, M - 1.0]))[0]
-    log_second = np.concatenate(([-np.inf], _positive_log_solution(sector, 1, M - 1) - math.log(b0)))
-    poly = GrowthProfile.from_log_abs(
-        sector, 1j, InitialKind.POLYNOMIAL, _positive_log_solution(sector, 0, M)
+    second, exponent_second = _flagged(
+        np.concatenate(([-np.inf], _positive_log_solution(sector, 1, M - 1) - math.log(b0)))
     )
-    second = GrowthProfile.from_log_abs(sector, 1j, InitialKind.SECOND, log_second)
-    exponents = (poly.exponent, second.exponent)
-    count = _flagged(poly) + _flagged(second)
+    poly, exponent_polynomial = _flagged(_positive_log_solution(sector, 0, M))
+    exponents = (exponent_polynomial, exponent_second)
+    count = poly + second
     if count:
         return DeficiencyEvidence(sector, M, count, *exponents, None, True)
     N = min(_MINIMAL_ROWS_PER_M * M, _MAX_MINIMAL_ROWS)
     bound = math.sqrt(M / N)
     if N < _MINIMAL_ROWS_PER_M * M:
         return DeficiencyEvidence(sector, M, None, *exponents, None, False, bound)
-    minimal = _minimal_solution_profile(sector, M, N)
-    if _flagged(minimal):
-        return DeficiencyEvidence(sector, M, 1, *exponents, minimal.exponent, True, bound)
-    return DeficiencyEvidence(sector, M, None, *exponents, minimal.exponent, False, bound)
+    minimal, minimal_exponent = _flagged(_minimal_solution_profile(sector, M, N))
+    if minimal:
+        return DeficiencyEvidence(sector, M, 1, *exponents, minimal_exponent, True, bound)
+    return DeficiencyEvidence(sector, M, None, *exponents, minimal_exponent, False, bound)

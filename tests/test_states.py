@@ -9,7 +9,6 @@ import sys
 import tempfile
 import time
 import tracemalloc
-import types
 from array import array
 from pathlib import Path
 
@@ -20,7 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from powersqueeze import cli, jacobi, states
-from powersqueeze.jacobi import InitialKind, envelope_fit
+from powersqueeze.jacobi import InitialKind, envelope_fit, log_partial_sums_of_squares
 from powersqueeze import (
     FockVector,
     SectorParams,
@@ -529,7 +528,7 @@ class TestRowsFilledInPlace:
         refs = {src: reference_array_positive_log_solution(rows, src[3]) for src, rows in sources.items()}
         log_y = refs[0, N - 1, True, N - 1 - M][::-1]
         log_abs = log_y - np.logaddexp(log_y[0], math.log(b[0]) + log_y[1])
-        assert np.array_equal(states._minimal_solution_profile(sector, M, N).log_abs, log_abs)
+        assert np.array_equal(states._minimal_solution_profile(sector, M, N), log_abs)
         # the default chunks, and one row per chunk
         for budget in (states._CHUNK_BYTES, 1):
             monkeypatch.setattr(states, "_CHUNK_BYTES", budget)
@@ -608,12 +607,13 @@ class TestMinimalSolution:
         # positive recursion and the elimination round differently)
         sector = SectorParams(k, kappa)
         N = min(100 * M, 2_000_000)
-        p = states._minimal_solution_profile(sector, M, N)
-        cauchy = p.cauchy_ratio() < states._CAUCHY_WINDOW
+        log_abs = states._minimal_solution_profile(sector, M, N)
+        got_exponent, count = envelope_fit(log_abs, M // 10, M)
+        cauchy = jacobi.cauchy_ratio(log_partial_sums_of_squares(log_abs)) < states._CAUCHY_WINDOW
         for reference in (reference_minimal_solution_profile, reference_zgtsv_profile):
             exponent, ref_cauchy, ref_count = reference(sector, M, N)
-            assert (cauchy, p.envelope_count) == (ref_cauchy, ref_count)
-            assert p.exponent == pytest.approx(exponent, rel=1e-12, abs=0.0)
+            assert (cauchy, count) == (ref_cauchy, ref_count)
+            assert got_exponent == pytest.approx(exponent, rel=1e-12, abs=0.0)
 
     def test_real_solve_peak_memory(self):
         # no array of b: the recursion keeps only the M + 1 entries it
@@ -668,13 +668,16 @@ class TestMemoryAtTheCap:
         sector = SectorParams(1, 0)
         assert self.traced_peak(lambda: states._positive_log_solution(sector, 0, self.M)) <= 1.18
 
-    def test_deficiency_evidence(self):
-        # both fundamental solutions and their partial sums, and the
-        # envelope fit's selection: 5.933 (with b as an M-array: 6.93; with
-        # a copy of the right neighbours too: 7.72; np.polyfit's
-        # Vandermonde matrix and SVD workspace: 13.2).  A 1 MiB chunk of
-        # rows alive at the fit adds 0.066
-        assert self.traced_peak(lambda: deficiency_evidence(SectorParams(1, 0), self.M)) <= 5.96
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_deficiency_evidence(self, k):
+        # one log solution at a time, each dropped once its verdict is
+        # made, and the envelope fit's selection: 3.934 at k = 1 and 2
+        # (as growth profiles, both log solutions and one's partial sums
+        # alive: 5.934 and 5.008; earlier, b as an M-array: 6.93, and
+        # np.polyfit's Vandermonde matrix and SVD workspace: 13.2).  A
+        # second log solution alive adds 1.0, a 1 MiB chunk of rows alive
+        # at the fit 0.066
+        assert self.traced_peak(lambda: deficiency_evidence(SectorParams(k, 0), self.M)) <= 3.96
 
 
 class TestDeficiencyEvidence:
@@ -794,16 +797,18 @@ class TestPositiveRecursionAccuracy:
         "k, kappa, M", [(1, 0, 20000), (2, 0, 12500), (3, 0, 5000), (4, 1, 5000)]
     )
     def test_fundamental_pair(self, monkeypatch, k, kappa, M):
-        # the log|f| that deficiency_evidence hands to the profiles
-        profiled = {}
+        # the log|f| that deficiency_evidence hands to _flagged: the second
+        # kind first, then the polynomial kind
+        flagged, tested = states._flagged, []
 
-        def record(sector, lambda_prime, kind, log_abs):
-            profiled[kind] = log_abs
-            return jacobi.GrowthProfile.from_log_abs(sector, lambda_prime, kind, log_abs)
+        def record(log_abs):
+            tested.append(log_abs)
+            return flagged(log_abs)
 
-        monkeypatch.setattr(states, "GrowthProfile", types.SimpleNamespace(from_log_abs=record))
+        monkeypatch.setattr(states, "_flagged", record)
         sector = SectorParams(k, kappa)
         deficiency_evidence(sector, M)
+        profiled = dict(zip((InitialKind.SECOND, InitialKind.POLYNOMIAL), tested))
         b = OffDiagonalSequence.build(sector, M).values
         b0 = mpmath.mpf(float(b[0]))
         initial = {InitialKind.POLYNOMIAL: (1, 1j / b0), InitialKind.SECOND: (0, 1 / b0)}
@@ -826,7 +831,7 @@ class TestPositiveRecursionAccuracy:
         with mpmath.workdps(30):
             scale = 1 / (mpmath.mpf(float(b[0])) * v[N - 2] - 1j * v[N - 1])
             exact = log_abs_mp([v[N - 1 - m] * scale for m in range(M + 1)])
-        got = states._minimal_solution_profile(sector, M, N).log_abs
+        got = states._minimal_solution_profile(sector, M, N)
         assert np.max(np.abs(got - exact)) <= 1e-13
 
     def test_minimal_solution_of_the_deficiency_goldens(self):
@@ -843,7 +848,7 @@ class TestPositiveRecursionAccuracy:
         with mpmath.workdps(30):
             scale = 1 / (v[N - 1] + mpmath.mpf(float(b[0])) * v[N - 2])
             exact = log_abs_mp([v[N - 1 - m] * scale for m in range(M + 1)])
-        got = states._minimal_solution_profile(sector, M, N).log_abs
+        got = states._minimal_solution_profile(sector, M, N)
         assert np.max(np.abs(got - exact)) <= 1e-13
 
 
