@@ -219,7 +219,7 @@ def solve_recursion(
 
     max_res = 0.0
     for m in range(1, M):
-        scale = max(logs[m], logs[m - 1])
+        scale = max(logs[m], logs[m - 1])  # never -inf: no two consecutive f are 0
         fm = dirs[m] * math.exp(logs[m] - scale)
         fp = dirs[m - 1] * math.exp(logs[m - 1] - scale)
         bp = b[m - 1]
@@ -264,6 +264,7 @@ class GrowthProfile:
         return math.exp(self.log_partial_sums[m])
 
     def cauchy_ratio(self) -> float:
+        """(S_M - S_{M/2}) / S_M, by the module's cauchy_ratio."""
         return cauchy_ratio(self.log_partial_sums)
 
 
