@@ -12,6 +12,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -128,18 +129,20 @@ def _render_csv(schema: str, header: list[str], rows) -> str:
 
 
 def _emit(
-    args, config: dict, results, diagnostics: dict, schema: str, header: list[str], rows=None
+    args, config: dict, results, diagnostics: dict, header: list[str], rows=None, schema=None
 ) -> None:
-    """Write the {config, results, diagnostics} document as JSON, or the rows
-    as CSV; without rows, one row is read from config and results by name."""
+    """Write the {config, results, diagnostics} document as JSON, the config
+    led by the command, or the rows as CSV under the command's schema unless
+    given one; without rows, one row is read from config and results by name."""
     if args.format == "json":
+        config = {"command": args.command, **config}
         document = {"config": config, "results": results, "diagnostics": diagnostics}
         text = _render_json(document) + "\n"
     else:
         if rows is None:
             fields = {**config, **results}
             rows = [[fields[name] for name in header]]
-        text = _render_csv(schema, header, rows)
+        text = _render_csv(schema or args.command, header, rows)
     if args.out:
         try:
             Path(args.out).write_text(text, encoding="utf-8")
@@ -168,10 +171,13 @@ def _check_b(b: float | None) -> None:
         raise _UsageError(f"--b must be a positive finite weight parameter, got {b}")
 
 
+def _sector_config(sector: SectorParams) -> dict:
+    return {"k": sector.k, "kappa": sector.kappa}
+
+
 def _state_config(params: SqueezeParams) -> dict:
     return {
-        "k": params.sector.k,
-        "kappa": params.sector.kappa,
+        **_sector_config(params.sector),
         "nu": {"re": params.nu.real, "im": params.nu.imag},
         "lambda": {"re": params.lam.real, "im": params.lam.imag},
     }
@@ -188,7 +194,7 @@ def _state_from_flags(args) -> tuple[FockVector, SqueezeParams, dict]:
     lam = _parse_complex(args.lam)
     params = SqueezeParams(sector, nu, lam)
     vec = build_state(params, tol)
-    config = {"command": args.command, **_state_config(params), "tol": tol}
+    config = {**_state_config(params), "tol": tol}
     return vec, params, config
 
 
@@ -208,7 +214,7 @@ def _cmd_state(args) -> None:
         "residual": residual_check(vec, params),
         "mu": params.mu,
     }
-    _emit(args, config, results, diagnostics, "state", ["m", "re_c", "im_c"], rows)
+    _emit(args, config, results, diagnostics, ["m", "re_c", "im_c"], rows)
 
 
 def _cmd_spectrum(args) -> None:
@@ -219,23 +225,15 @@ def _cmd_spectrum(args) -> None:
     if args.ell and sector.k != 2:
         raise _UsageError("--ell converts to the quarter-scaled variable; needs --k 2")
     report = eigenvalues_bisect(TridiagonalMatrix.truncation(sector, args.n), tol)
-    config = {
-        "command": "spectrum",
-        "k": sector.k,
-        "kappa": sector.kappa,
-        "n": args.n,
-        "tol": tol,
-        "ell": args.ell,
-    }
+    config = {**_sector_config(sector), "n": args.n, "tol": tol, "ell": args.ell}
     results = {"eigenvalues": list(report.eigenvalues)}
     diagnostics = {"bisect_tol": report.bisect_tol, "n": report.n}
-    schema, header = "spectrum", ["rank", "eigenvalue"]
-    rows = list(enumerate(report.eigenvalues))
+    header, rows, schema = ["rank", "eigenvalue"], list(enumerate(report.eigenvalues)), None
     if args.ell:
         results["ell"] = [e / 4.0 for e in report.eigenvalues]
-        schema, header = "spectrum-ell", [*header, "ell"]
+        header, schema = [*header, "ell"], "spectrum-ell"
         rows = [(r, e, e / 4.0) for r, e in rows]
-    _emit(args, config, results, diagnostics, schema, header, rows)
+    _emit(args, config, results, diagnostics, header, rows, schema)
 
 
 def _cmd_extensions(args) -> None:
@@ -252,14 +250,7 @@ def _cmd_extensions(args) -> None:
         )
     reports = extension_sweep(sector, args.n, thetas, tol)
     reports.sort(key=lambda rep: rep.boundary_theta)  # theta is the row index
-    config = {
-        "command": "extensions",
-        "k": sector.k,
-        "kappa": sector.kappa,
-        "n": args.n,
-        "theta": sorted(thetas),
-        "tol": tol,
-    }
+    config = {**_sector_config(sector), "n": args.n, "theta": sorted(thetas), "tol": tol}
     gaps = [
         float(np.min(nearest_distance(b.eigenvalues, a.central(5))))
         for i, a in enumerate(reports)
@@ -274,7 +265,7 @@ def _cmd_extensions(args) -> None:
         for rep in reports
         for rank, e in enumerate(rep.eigenvalues)
     ]
-    _emit(args, config, results, diagnostics, "extensions", ["theta", "rank", "eigenvalue"], rows)
+    _emit(args, config, results, diagnostics, ["theta", "rank", "eigenvalue"], rows)
 
 
 def _cmd_classify(args) -> None:
@@ -282,12 +273,7 @@ def _cmd_classify(args) -> None:
     if not 1000 <= args.M <= _MAX_M:
         raise _UsageError(f"--M must be in [1000, {_MAX_M}] for classify, got {args.M}")
     verdict = classify_determinacy(sector.k, sector.kappa, args.M)
-    config = {
-        "command": "classify",
-        "k": sector.k,
-        "kappa": sector.kappa,
-        "M": args.M,
-    }
+    config = {**_sector_config(sector), "M": args.M}
     results = {
         "verdict": verdict.verdict.value,
         "partial_sum": verdict.partial_sum,
@@ -296,17 +282,9 @@ def _cmd_classify(args) -> None:
         "divergence_lower_bound": verdict.lower_bound,
         "log_concave_from": verdict.log_concave_from,
     }
-    header = [
-        "k",
-        "kappa",
-        "M",
-        "verdict",
-        "partial_sum",
-        "tail_upper_bound",
-        "divergence_lower_bound",
-        "log_concave_from",
-    ]
-    _emit(args, config, results, {}, "classify", header)
+    # reciprocal_sum_divergent repeats tail_upper_bound = inf, and the CSV leaves it out
+    header = [name for name in {**config, **results} if name != "reciprocal_sum_divergent"]
+    _emit(args, config, results, {}, header)
 
 
 def _cmd_moments(args) -> None:
@@ -315,10 +293,10 @@ def _cmd_moments(args) -> None:
         raise _UsageError(f"--M (highest moment order) must be in [0, 24], got {args.M}")
     tol = _check_tol(args.tol)
     seq = moments(args.b, args.M, tol)
-    config = {"command": "moments", "b": args.b, "M": args.M, "tol": tol}
+    config = {"b": args.b, "M": args.M, "tol": tol}
     rows = [(m, v, e) for m, (v, e) in enumerate(zip(seq.values, seq.quad_error))]
     results = {"moments": [{"m": m, "value": v, "quad_error": e} for m, v, e in rows]}
-    _emit(args, config, results, {}, "moments", ["m", "value", "quad_error"], rows)
+    _emit(args, config, results, {}, ["m", "value", "quad_error"], rows)
 
 
 def _cmd_pollaczek(args) -> None:
@@ -339,9 +317,9 @@ def _cmd_pollaczek(args) -> None:
         (m, pollaczek(m, x, args.b) if m <= _POLLACZEK_CHECKED else float(v))
         for m, v in enumerate(table)
     ]
-    config = {"command": "pollaczek", "b": args.b, "M": args.M, "x": x}
+    config = {"b": args.b, "M": args.M, "x": x}
     results = {"values": [{"m": m, "value": v} for m, v in rows]}
-    _emit(args, config, results, {}, "pollaczek", ["m", "value"], rows)
+    _emit(args, config, results, {}, ["m", "value"], rows)
 
 
 def _load_state_json(path: str) -> tuple[FockVector, SqueezeParams]:
@@ -371,25 +349,16 @@ def _load_state_json(path: str) -> tuple[FockVector, SqueezeParams]:
 def _cmd_verify_sr(args) -> None:
     if args.state_json:
         vec, params = _load_state_json(args.state_json)
-        config = {"command": "verify-sr", "state_json": args.state_json, **_state_config(params)}
+        config = {"state_json": args.state_json, **_state_config(params)}
     elif args.nu is None or args.lam is None:
         raise _UsageError("verify-sr needs either a state JSON path or --nu and --lambda")
     else:
         vec, params, config = _state_from_flags(args)
     report = sr_report(vec, params.sector.k)
-    results = {
-        "var_a": report.var_a,
-        "var_b": report.var_b,
-        "cov_ab": report.cov_ab,
-        "commutator_expectation": report.commutator_expectation,
-        "lhs": report.lhs,
-        "rhs": report.rhs,
-        "gap": report.gap,
-        "gap_over_rhs": report.gap / report.rhs if report.rhs > 0 else None,
-    }
+    fields = asdict(report)  # the CSV row; the JSON results add gap_over_rhs
+    results = {**fields, "gap_over_rhs": report.gap / report.rhs if report.rhs > 0 else None}
     diagnostics = {"residual": residual_check(vec, params), "cutoff": vec.cutoff}
-    header = ["var_a", "var_b", "cov_ab", "commutator_expectation", "lhs", "rhs", "gap"]
-    _emit(args, config, results, diagnostics, "verify-sr", header)
+    _emit(args, config, results, diagnostics, list(fields))
 
 
 def _cmd_deficiency(args) -> None:
@@ -397,12 +366,7 @@ def _cmd_deficiency(args) -> None:
     if not 5000 <= args.M <= _MAX_M:
         raise _UsageError(f"--M must be in [5000, {_MAX_M}] for deficiency, got {args.M}")
     evidence = deficiency_evidence(sector, args.M)
-    config = {
-        "command": "deficiency",
-        "k": sector.k,
-        "kappa": sector.kappa,
-        "M": args.M,
-    }
+    config = {**_sector_config(sector), "M": args.M}
     results = {
         "count_square_summable": evidence.count,
         "exponent_polynomial": evidence.exponent_polynomial,
@@ -411,7 +375,7 @@ def _cmd_deficiency(args) -> None:
         "conclusive": evidence.conclusive,
     }
     diagnostics = {"contamination_bound": evidence.contamination_bound}
-    _emit(args, config, results, diagnostics, "deficiency", list(results))
+    _emit(args, config, results, diagnostics, list(results))
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,10 @@ _LOG_SWITCH_BITS = 1000
 _LOG_FLOAT_MAX = math.log(np.finfo(np.float64).max)
 
 _NEG_INF = float("-inf")
+# below this many local maxima envelope_fit fits every finite point, and
+# growth_profile flags a fit over fewer points as not ok
+_ENVELOPE_POINTS = 20
+_BUILD_CHUNK = 1 << 17  # entries of b per fill in OffDiagonalSequence.build
 
 
 @dataclass(frozen=True)
@@ -126,13 +130,17 @@ class OffDiagonalSequence:
 
     @classmethod
     def build(cls, sector: SectorParams, length: int) -> "OffDiagonalSequence":
-        """b_m for m = 0..length - 1 by _fill_off_diagonal; NumericsError
+        """b_m for m = 0..length - 1 by _fill_off_diagonal, a chunk at a time
+        from the top, so that its factor copy is one chunk long; NumericsError
         when b_{length-1} exceeds binary64 (b_m increases with m)."""
         if length < 1:
             raise ValueError(
                 f"jacobi.OffDiagonalSequence.build: length must be >= 1, got {length}"
             )
-        return cls(sector, _fill_off_diagonal(sector, np.arange(length, dtype=np.float64)))
+        values = np.arange(length, dtype=np.float64)
+        for start in reversed(range(0, length, _BUILD_CHUNK)):
+            _fill_off_diagonal(sector, values[start : start + _BUILD_CHUNK])
+        return cls(sector, values)
 
     def __len__(self) -> int:
         return len(self.values)
@@ -268,48 +276,47 @@ class GrowthProfile:
         return cauchy_ratio(self.log_partial_sums)
 
 
-def envelope_fit(log_abs: np.ndarray, lo: int, hi: int) -> tuple[float | None, int]:
-    """Least-squares slope of log|f_m| vs log m over [lo, hi].
+def envelope_fit(log_abs: np.ndarray) -> tuple[float | None, int]:
+    """Least-squares slope of log|f_m| vs log m over the final decade
+    [M/10, M] of log_abs = log|f_0..f_M|.
 
     Only local maxima of |f_m| enter the fit, which skips the near-zero
     nodes of oscillatory solutions; monotone (node-free) sequences have no
     interior maxima, so the fit then falls back to every finite point.
     A local maximum is a finite entry at or above both neighbours, the
-    right neighbour of the last entry counting as -inf; the selection is
-    done with array masks, each entry compared with its right neighbour in
-    place.  The slope is sum(dx dy) / sum(dx^2) over the
-    centered x = log m and y = log|f_m|, with no Vandermonde matrix.  Both
-    sums are numpy's pairwise sums of the rounded products, whose order is
-    fixed: a BLAS dot product splits across threads and so moves its last
-    bits with the thread count.  (Exact math.fsum sums took 0.19 s of the
-    0.66 s of `deficiency --k 1 --M 2000000`, whose node-free fits run over
-    1.8e6 points each.)
+    right neighbour of f_M counting as -inf; the selection is done with
+    array masks, each entry compared with its right neighbour in place; a
+    fit over every point of the window needs no index array.  The slope is
+    sum(dx dy) / sum(dx^2) over the centered x = log m and y = log|f_m|,
+    with no Vandermonde matrix.  Both sums are numpy's pairwise sums of the
+    rounded products, whose order is fixed: a BLAS dot product splits
+    across threads and so moves its last bits with the thread count.
+    (Exact math.fsum sums took 0.19 s of the 0.66 s of `deficiency --k 1
+    --M 2000000`, whose node-free fits run over 1.8e6 points each.)
     Returns (slope, number of points); slope is None below 2 points.
     """
-    lo = max(lo, 1)
-    if hi < lo:
-        return None, 0
-    if hi >= len(log_abs):
-        raise IndexError(f"jacobi.envelope_fit: hi = {hi} is past the end ({len(log_abs)})")
-    v = log_abs[lo : hi + 1]
+    M = len(log_abs) - 1
+    lo = max(M // 10, 1)
+    v = log_abs[lo:]
     finite = v != _NEG_INF
-    peak = v >= log_abs[lo - 1 : hi]
+    peak = v >= log_abs[lo - 1 : M]
     peak[:-1] &= v[:-1] >= v[1:]
-    peak[-1] &= v[-1] >= (log_abs[hi + 1] if hi + 1 < len(log_abs) else _NEG_INF)
     peak &= finite
     idx = np.flatnonzero(peak)
-    if len(idx) < 20:
-        idx = np.flatnonzero(finite)
-    if len(idx) < 2:
-        return None, len(idx)
-    idx += lo
-    xs = np.log(idx)
-    ys = log_abs[idx]
+    if len(idx) < _ENVELOPE_POINTS and finite.all():
+        xs, ys = np.log(np.arange(lo, M + 1.0)), v.copy()
+    else:
+        if len(idx) < _ENVELOPE_POINTS:
+            idx = np.flatnonzero(finite)
+        idx += lo
+        xs, ys = np.log(idx), log_abs[idx]
+    if len(xs) < 2:
+        return None, len(xs)
     xs -= xs.mean()
     ys -= ys.mean()
     ys *= xs
     xs *= xs
-    return float(np.sum(ys) / np.sum(xs)), len(idx)
+    return float(np.sum(ys) / np.sum(xs)), len(ys)
 
 
 def log_partial_sums_of_squares(log_abs: np.ndarray) -> np.ndarray:
@@ -330,13 +337,12 @@ def growth_profile(
     M: int,
     kind: InitialKind = InitialKind.POLYNOMIAL,
 ) -> GrowthProfile:
-    """Solve to M and profile the solution: the exponent is fitted over the
-    final decade m in [M/10, M], and the fit is flagged not-ok when fewer
-    than 20 envelope points exist there."""
+    """Solve to M and profile the solution by envelope_fit, the fit flagged
+    not-ok below _ENVELOPE_POINTS points."""
     if M < 100:
         raise ValueError(f"jacobi.growth_profile: M must be >= 100, got {M}")
     log_abs = solve_recursion(sector, lambda_prime, M, kind).log_abs
-    exponent, count = envelope_fit(log_abs, M // 10, M)
+    exponent, count = envelope_fit(log_abs)
     return GrowthProfile(
         sector=sector,
         lambda_prime=complex(lambda_prime),
@@ -346,7 +352,7 @@ def growth_profile(
         log_partial_sums=log_partial_sums_of_squares(log_abs),
         exponent=exponent,
         envelope_count=count,
-        fit_ok=count >= 20,
+        fit_ok=count >= _ENVELOPE_POINTS,
     )
 
 

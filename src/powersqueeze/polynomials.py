@@ -111,20 +111,17 @@ def _pollaczek_series_exact(m: int, x: float, b: float) -> float:
         ) from None
 
 
-def _recursion_c(b: float, m: int) -> float:
-    # m - 1 first: at m = 1, (1 + 2b) - 1 rounds to 0 once 2b is below half an ulp of 1
-    return math.sqrt(m * (m - 1 + 2.0 * b)) / 2.0
-
-
-def _pollaczek_recursion(m: int, x: float, b: float) -> float:
-    if m == 0:
-        return 1.0
-    c = _recursion_c(b, 1)  # c_j, carried into the step after the one that forms it
-    p_prev, p = 1.0, x / c
-    for j in range(1, m):
-        c_next = _recursion_c(b, j + 1)
+def _pollaczek_rows(max_degree: int, x, b: float):
+    """P_0, P_1, .., P_max_degree at x, a float or an array, by route (ii)
+    from P_{-1} = 0 and c_0 = 0; each value is yielded as it is formed."""
+    p_prev, p, c = 0.0, 1.0, 0.0
+    yield p
+    for j in range(max_degree):
+        # c_{j+1}, with j = m - 1 added first: (1 + 2b) - 1 rounds to 0 once
+        # 2b is below half an ulp of 1
+        c_next = math.sqrt((j + 1) * (j + 2.0 * b)) / 2.0
         p_prev, p, c = p, (x * p - c * p_prev) / c_next, c_next
-    return p
+        yield p
 
 
 def pollaczek(m: int, x: float, b: float) -> float:
@@ -138,7 +135,8 @@ def pollaczek(m: int, x: float, b: float) -> float:
         raise ValueError(f"polynomials.pollaczek: m must be >= 0, got {m}")
     if b <= 0:
         raise ValueError(f"polynomials.pollaczek: b must be > 0, got {b}")
-    value = _pollaczek_recursion(m, float(x), b)
+    for value in _pollaczek_rows(m, float(x), b):
+        pass
     if m <= _CROSS_CHECK_LIMIT:
         oracle = _pollaczek_series_exact(m, float(x), b)
         if abs(value - oracle) > _CROSS_CHECK_TOL * max(1.0, abs(oracle)):
@@ -152,19 +150,13 @@ def pollaczek(m: int, x: float, b: float) -> float:
 def pollaczek_table(max_degree: int, x: np.ndarray, b: float) -> np.ndarray:
     """P_0..P_max_degree at an array of points, shape (max_degree+1, len(x)).
 
-    Vectorized recursion route only (no per-point cross-check); quadrature
-    uses this.  Agreement with pollaczek() is exercised by the tests.
+    The recursion route of pollaczek() on the whole array, without the
+    cross-check, so each entry has pollaczek()'s bits; quadrature uses this.
     """
     x = np.asarray(x, dtype=np.float64)
     out = np.empty((max_degree + 1, x.size))
-    out[0] = 1.0
-    if max_degree >= 1:
-        c = _recursion_c(b, 1)  # c_j, carried as in _pollaczek_recursion
-        out[1] = x / c
-    for j in range(1, max_degree):
-        c_next = _recursion_c(b, j + 1)
-        out[j + 1] = (x * out[j] - c * out[j - 1]) / c_next
-        c = c_next
+    for j, row in enumerate(_pollaczek_rows(max_degree, x, b)):
+        out[j] = row
     return out
 
 

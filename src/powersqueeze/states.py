@@ -19,6 +19,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -362,8 +363,8 @@ def sr_report(v: FockVector, k: int) -> SRReport:
     # (AB + BA)/2 = (a^{2k} - a+^{2k}) / 4i
     cov = float(((e2 - e2d) / 4.0j - mean_a * mean_b).real)
 
-    n_photon = np.arange(keep) * sector.k + sector.kappa
-    weights = np.array([commutator_weight(k, int(n)) for n in n_photon], dtype=np.float64)
+    n_photon = range(sector.kappa, sector.kappa + k * keep, k)
+    weights = np.fromiter(map(commutator_weight, repeat(k), n_photon), np.float64, keep)
     fk_mean = float(np.sum(weights * np.abs(bra) ** 2) / norm)
     direct = float((e_lr - e_rl).real)
     if abs(direct - fk_mean) > 1e-8 * (1.0 + abs(fk_mean)):
@@ -442,8 +443,7 @@ def _flagged(log_abs: np.ndarray) -> tuple[bool, float]:
     envelope exponent over [M/10, M] below -0.6 and partial sums that are
     Cauchy across M/2 -> M within 10%.  At M >= 5000 every entry is finite
     (_positive_log_solution), so the fit always has at least 4501 points."""
-    M = len(log_abs) - 1
-    exponent = envelope_fit(log_abs, M // 10, M)[0]
+    exponent = envelope_fit(log_abs)[0]
     return (
         exponent < _SQUARE_SUMMABLE_EXPONENT
         and cauchy_ratio(log_partial_sums_of_squares(log_abs)) < _CAUCHY_WINDOW

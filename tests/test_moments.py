@@ -373,9 +373,10 @@ class TestClassifyDeterminacy:
             classify_determinacy(3, 0, 500)
 
     def test_peak_memory_at_the_cap(self):
-        # b_m and, while it is built, its factor copy: 2.00 M-arrays of
-        # float64.  1/b is taken in place and summed straight from the
-        # array; a list of the M floats adds 4 (a pointer and a float
+        # b_m and, while it is built, the factor copy of one chunk of 2^17
+        # entries: 1.066 M-arrays of float64 (a factor copy of the whole
+        # array: 2.00).  1/b is taken in place and summed straight from
+        # the array; a list of the M floats adds 4 (a pointer and a float
         # object per entry), as the route through .tolist() did: 6.00
         M = 2_000_000
         tracemalloc.start()
@@ -384,7 +385,7 @@ class TestClassifyDeterminacy:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2.5 * 8 * M
+        assert peak <= 1.08 * 8 * M
 
 
 class TestErrorsNameTheModule:

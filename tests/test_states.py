@@ -401,7 +401,7 @@ def reference_minimal_solution_profile(sector: SectorParams, M: int, N: int):
     mag = np.abs(u[: M + 1])
     with np.errstate(divide="ignore"):
         log_abs = np.where(mag > 0.0, np.log(np.where(mag > 0.0, mag, 1.0)), -np.inf)
-    exponent, count = envelope_fit(log_abs, M // 10, M)
+    exponent, count = envelope_fit(log_abs)
     sums = np.cumsum(mag**2)
     cauchy = (sums[M] - sums[M // 2]) / sums[M] < states._CAUCHY_WINDOW
     return exponent, cauchy, count
@@ -433,7 +433,7 @@ def reference_zgtsv_profile(sector: SectorParams, M: int, N: int):
     mag = np.abs(u[: M + 1])
     with np.errstate(divide="ignore"):
         log_abs = np.where(mag > 0.0, np.log(np.where(mag > 0.0, mag, 1.0)), -np.inf)
-    exponent, count = envelope_fit(log_abs, M // 10, M)
+    exponent, count = envelope_fit(log_abs)
     sums = np.cumsum(mag**2)
     cauchy = (sums[M] - sums[M // 2]) / sums[M] < states._CAUCHY_WINDOW
     return exponent, cauchy, count
@@ -608,7 +608,7 @@ class TestMinimalSolution:
         sector = SectorParams(k, kappa)
         N = min(100 * M, 2_000_000)
         log_abs = states._minimal_solution_profile(sector, M, N)
-        got_exponent, count = envelope_fit(log_abs, M // 10, M)
+        got_exponent, count = envelope_fit(log_abs)
         cauchy = jacobi.cauchy_ratio(log_partial_sums_of_squares(log_abs)) < states._CAUCHY_WINDOW
         for reference in (reference_minimal_solution_profile, reference_zgtsv_profile):
             exponent, ref_cauchy, ref_count = reference(sector, M, N)
@@ -671,13 +671,15 @@ class TestMemoryAtTheCap:
     @pytest.mark.parametrize("k", [1, 2])
     def test_deficiency_evidence(self, k):
         # one log solution at a time, each dropped once its verdict is
-        # made, and the envelope fit's selection: 3.934 at k = 1 and 2
-        # (as growth profiles, both log solutions and one's partial sums
-        # alive: 5.934 and 5.008; earlier, b as an M-array: 6.93, and
-        # np.polyfit's Vandermonde matrix and SVD workspace: 13.2).  A
-        # second log solution alive adds 1.0, a 1 MiB chunk of rows alive
-        # at the fit 0.066
-        assert self.traced_peak(lambda: deficiency_evidence(SectorParams(k, 0), self.M)) <= 3.96
+        # made, and the envelope fit over every point of the final decade,
+        # x from a float range and y a copy, with no index array: 3.034 at
+        # k = 1 and 2 (with the int64 indices and a gather: 3.934; as
+        # growth profiles, both log solutions and one's partial sums alive:
+        # 5.934 and 5.008; earlier, b as an M-array: 6.93, and np.polyfit's
+        # Vandermonde matrix and SVD workspace: 13.2).  A second log
+        # solution alive adds 1.0, a 1 MiB chunk of rows alive at the fit
+        # 0.066
+        assert self.traced_peak(lambda: deficiency_evidence(SectorParams(k, 0), self.M)) <= 3.05
 
 
 class TestDeficiencyEvidence:

@@ -18,7 +18,7 @@ check the evidence of the fundamental pair alone, just past the bound,
 far past it and at the cap; (100, 0, 5000) and (100, 99, 5000) check it
 where b_m nears the top of binary64.  A classify grid case compares the repr of
 every `DeterminacyVerdict` field, or the error raised, for k = 1..6 and
-M up to 1e5.  A b_m grid case compares the `OffDiagonalSequence.build`
+M up to 1e5, and at (k, kappa, M) = (5, 0, 2000000), the CLI's cap.  A b_m grid case compares the `OffDiagonalSequence.build`
 value bytes, or the error raised, by digest, for k up to 250 and lengths
 up to 2e6: it reaches float products that overflow into the log sum
 (k >= 40) and b_m that overflow binary64 (k >= 80).  A quadrature grid
@@ -121,10 +121,11 @@ DEFICIENCY_WORKER = fields_worker(
     sector_grid((1, 2, 3, 4), (5000, 12500, 20000, 20001))
     + [(1, 0, 600_000), (1, 0, 2_000_000), (2, 0, 2_000_000), (100, 0, 5000), (100, 99, 5000)],
 )
+# (5, 0, 2000000): the CLI's cap, where b is filled a chunk at a time
 CLASSIFY_WORKER = fields_worker(
     "from powersqueeze import classify_determinacy",
     "classify_determinacy(k, kappa, M)",
-    sector_grid((1, 2, 3, 4, 5, 6), (1000, 10_000, 100_000)),
+    sector_grid((1, 2, 3, 4, 5, 6), (1000, 10_000, 100_000)) + [(5, 0, 2_000_000)],
 )
 
 B_KS = (1, 2, 3, 4, 5, 6, 7, 10, 20, 40, 80, 100, 250)  # kappa in {0, k // 2, k - 1}
