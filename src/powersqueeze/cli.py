@@ -33,8 +33,8 @@ from .states import (
 
 # caps on the array-sizing flags, so that a huge value is refused up front
 # instead of failing in allocation.  --M of classify and deficiency: at
-# 2e6, deficiency --k 1 took 0.4-0.5 s and 91 MB peak RSS, classify --k 5
-# 0.3 s and 60 MB (one Xeon core)
+# 2e6, deficiency --k 1 took 0.4-0.5 s and 77 MB peak RSS, classify --k 5
+# 0.3 s and 46 MB (one Xeon core)
 _MAX_M = 2_000_000
 # pollaczek holds M + 1 output rows in memory, and --M 100000 takes about a
 # second

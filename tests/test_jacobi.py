@@ -458,7 +458,7 @@ class TestEnvelopeFitSelection:
     @given(envelope_arrays())
     # plateau: every point is a maximum; zigzags: 18, 19, 20 and 37 maxima
     # in the final decade, the last one at the end of the array; a plateau
-    # of ties at every peak; -inf holes between 27 maxima; monotone and all
+    # of ties at every peak; -inf holes between 28 maxima; monotone and all
     # -inf: the fallbacks, to every point of the window and to none
     @example(np.zeros(50))
     @example(np.tile([0.0, 1.0], 19))
