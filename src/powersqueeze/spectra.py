@@ -3,13 +3,17 @@ matrices by Sturm-sequence bisection, seeded by LAPACK.
 
 Every eigenvalue is returned as the midpoint of a Sturm-count bisection
 bracket, with a fixed iteration count, so the result carries a bracket
-certificate and does not depend on the LAPACK build.  LAPACK (`dsterf`,
-eigenvalues only) only decides which Sturm counts need computing: one
-Sturm pass over the 2n shifts seed_j -/+ delta_j certifies a bracket
-[a_j, b_j] with count(a_j) <= j < count(b_j), widening delta_j where it
-does not (an index never certified, or every index when `dsterf` fails,
-bisects the whole Gershgorin range).  Each index then replays its own
-bisection steps in Python floats, and a midpoint not strictly inside both
+certificate and does not depend on the LAPACK build.  LAPACK eigenvalues
+only decide which Sturm counts need computing.  They come from numpy's
+`eigvalsh` on the dense matrix up to 512 rows while `scipy.linalg` is not
+loaded, so `spectrum` and `extensions` at README sizes never import it,
+and from scipy's `dsterf` otherwise; `eigvalsh` runs `dsterf` after a
+reduction that leaves a tridiagonal matrix as it is.  One Sturm pass over
+the 2n shifts seed_j -/+ delta_j certifies a bracket [a_j, b_j] with
+count(a_j) <= j < count(b_j), widening delta_j where it does not (an index
+never certified, or every index when LAPACK fails, bisects the whole
+Gershgorin range).  Each index then replays its own bisection steps in
+Python floats, and a midpoint not strictly inside both
 [a_j, b_j] and its own bracket [lo_j, hi_j] (certified the same way) is
 decided without a count: the floating-point Sturm count is monotone in the
 shift (Demmel, Dhillon & Ren, ETNA 3, 1995), so mid <= a_j gives
@@ -35,6 +39,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,6 +104,10 @@ _SCALAR_SHIFTS = 16
 # from 200 to 8000 shifts 256 KiB and 1 MiB blocks ran alike (one Xeon
 # core, 2 MiB L2).
 _BLOCK_BYTES = 1 << 20
+# The Sturm recurrence reads the squared off-diagonals, which overflow to
+# inf from here on: at k = 80, n = 300 that put the middle eigenvalue at
+# 2.5e175 instead of 2.7e59.
+_MAX_OFFDIAG = math.sqrt(sys.float_info.max)
 
 
 def _sturm_counts(T: TridiagonalMatrix, xs: np.ndarray) -> np.ndarray:
@@ -208,6 +217,44 @@ class SpectrumReport:
         return np.sort(self.eigenvalues[order[:count]])
 
 
+# Up to this many rows, while scipy.linalg is not loaded, the seed is the
+# dense eigvalsh: 2 MiB and about 20 ms at 512 rows, a tenth of the 0.21 s
+# and 25 MB that importing scipy.linalg costs a process; at 1024 rows it
+# takes 106 ms against 19 ms for dsterf.
+_DENSE_SEED_ROWS = 512
+
+
+def _lapack_seed(T: TridiagonalMatrix) -> np.ndarray | None:
+    """LAPACK's eigenvalues of T, ascending, or None where LAPACK fails.
+
+    The diagonal at n = 1.  Up to `_DENSE_SEED_ROWS` rows, while
+    `scipy.linalg` is not in `sys.modules`, numpy's `eigvalsh` of the
+    dense lower triangle (a `LinAlgError` gives None); otherwise scipy's
+    `dsterf` (info != 0 gives None).  The seed only decides which Sturm
+    counts run, never an eigenvalue's bits, so the route may depend on
+    what the process has loaded: a process that never loads scipy and
+    seeds matrices of about 512 rows many times pays up to about 15 ms
+    more per seed than `dsterf` would take.
+    """
+    n = T.n
+    if n == 1:
+        return T.diag
+    if n <= _DENSE_SEED_ROWS and "scipy.linalg" not in sys.modules:
+        lower = np.zeros((n, n))
+        lower.flat[:: n + 1] = T.diag
+        lower.flat[n :: n + 1] = T.offdiag  # entries (i + 1, i)
+        try:
+            return np.linalg.eigvalsh(lower)
+        except np.linalg.LinAlgError:
+            return None
+    # loaded only past the dense route: the import takes 0.21 s and 25 MB,
+    # half of a README-sized spectrum command
+    from scipy.linalg import lapack
+
+    seed, info = lapack.dsterf(T.diag, T.offdiag)
+    return seed if info == 0 else None
+
+
 def _seed_brackets(
     T: TridiagonalMatrix, tol: float, span: float
 ) -> tuple[np.ndarray, np.ndarray, int]:
@@ -220,13 +267,11 @@ def _seed_brackets(
     and once that exceeds span they keep (-inf, inf).  Returns a, b and the
     Sturm passes spent.
     """
-    from scipy.linalg import lapack  # loaded on first use: it doubles every CLI start
-
     n = T.n
     a = np.full(n, -np.inf)
     b = np.full(n, np.inf)
-    seed, info = (T.diag, 0) if n == 1 else lapack.dsterf(T.diag, T.offdiag)
-    if info != 0:  # no seed: every index bisects the full range
+    seed = _lapack_seed(T)
+    if seed is None:  # no seed: every index bisects the full range
         return a, b, 0
     eps = np.finfo(np.float64).eps
     delta = np.maximum(
@@ -326,6 +371,11 @@ def eigenvalues_bisect(
     if tol <= 0:
         raise ValueError(f"spectra.eigenvalues_bisect: tol must be > 0, got {tol}")
     n = T.n
+    if n > 1 and float(np.max(T.offdiag)) >= _MAX_OFFDIAG:
+        raise NumericsError(
+            f"spectra.eigenvalues_bisect: off-diagonal entry {float(np.max(T.offdiag))!r} "
+            f"is at least sqrt(max double) {_MAX_OFFDIAG!r}: its square overflows"
+        )
     glo, ghi = T.gershgorin()
     span = max(ghi - glo, tol)
     glo -= 1e-3 * span

@@ -471,6 +471,18 @@ class TestValidationAndErrors:
         )
         assert len(result.stderr.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("k, n", [(80, 300), (200, 3)])
+    def test_overflowing_off_diagonal_square(self, k, n):
+        # b_m^2 overflowed in the Sturm recurrence: k = 80, n = 300 put the
+        # middle eigenvalue at 2.5e175 and k = 200, n = 3 printed
+        # [-9.03e246, 9.03e246, 9.03e246], both with a RuntimeWarning and exit 0
+        result = run_cli("spectrum", "--k", str(k), "--kappa", "0", "--n", str(n))
+        assert result.returncode == 1
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: spectra.eigenvalues_bisect: off-diagonal entry ")
+        assert len(result.stderr.splitlines()) == 1
+        assert "RuntimeWarning" not in result.stderr
+
     def test_overflowing_boundary_entry(self):
         # theta * b_{n-1} overflows: refused as a non-finite diagonal
         result = run_cli("extensions", "--k", "3", "--n", "60", "--theta", "1e308", "--theta", "0")
@@ -643,7 +655,7 @@ class TestContractProperty:
 class TestStartup:
     def test_scipy_linalg_loads_only_when_called(self, tmp_path):
         # scipy.linalg doubles the start time of every command; only the
-        # eigen seed of spectrum and extensions may load it
+        # eigen seed of a spectrum of more than 512 rows may load it
         code = (
             "import sys\n"
             "import powersqueeze, powersqueeze.cli\n"
@@ -651,9 +663,15 @@ class TestStartup:
             "assert powersqueeze.cli.main(['state', '--k', '2', '--nu', '0.5',"
             " '--lambda', '1', '--out', sys.argv[1]]) == 0\n"
             "assert 'scipy.linalg' not in sys.modules, 'loaded by state'\n"
-            "assert powersqueeze.cli.main(['spectrum', '--k', '3', '--n', '20',"
+            "assert powersqueeze.cli.main(['spectrum', '--k', '3', '--n', '400',"
             " '--out', sys.argv[1]]) == 0\n"
-            "assert 'scipy.linalg' in sys.modules\n"
+            "assert 'scipy.linalg' not in sys.modules, 'loaded by spectrum --n 400'\n"
+            "assert powersqueeze.cli.main(['extensions', '--k', '3', '--n', '400',"
+            " '--theta', '0', '--theta', '0.5', '--out', sys.argv[1]]) == 0\n"
+            "assert 'scipy.linalg' not in sys.modules, 'loaded by extensions --n 400'\n"
+            "assert powersqueeze.cli.main(['spectrum', '--k', '3', '--n', '513',"
+            " '--out', sys.argv[1]]) == 0\n"
+            "assert 'scipy.linalg' in sys.modules, 'not loaded by spectrum --n 513'\n"
         )
         result = subprocess.run(
             [sys.executable, "-c", code, str(tmp_path / "out.csv")],

@@ -2,7 +2,9 @@
 
 import functools
 import math
+import sys
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -23,6 +25,7 @@ from powersqueeze import (
     sturm_count,
 )
 from powersqueeze import spectra
+from powersqueeze.errors import NumericsError
 from powersqueeze.spectra import _sturm_counts
 
 
@@ -514,6 +517,30 @@ class TestEigenvaluesBisect:
         plain = plain_bisection_midpoints(T, (1e-300,))[1e-300]
         assert np.array_equal(eigenvalues_bisect(T, 1e-300).eigenvalues, plain)
 
+    @pytest.mark.parametrize("k, n", [(80, 300), (200, 3)])
+    def test_overflowing_off_diagonal_square_is_refused(self, k, n):
+        # b_m^2 overflowed in the Sturm recurrence: k = 80, n = 300 put the
+        # middle eigenvalue at 2.5e175 (a scaled eigvalsh gives 2.7e59), and
+        # k = 200, n = 3 returned [-9.03e246, 9.03e246, 9.03e246]
+        T = TridiagonalMatrix.truncation(SectorParams(k, 0), n)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(
+                NumericsError, match=r"^spectra\.eigenvalues_bisect: off-diagonal entry "
+            ):
+                eigenvalues_bisect(T, 1e-9)
+
+    def test_largest_off_diagonal_whose_square_is_finite(self):
+        top = math.sqrt(sys.float_info.max)
+        below = math.nextafter(top, 0.0)
+        T = TridiagonalMatrix(diag=[0.0, 0.0], offdiag=[below])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ev = eigenvalues_bisect(T, 1e-9).eigenvalues
+        assert np.allclose(ev, [-below, below], rtol=4 * np.finfo(np.float64).eps)
+        with pytest.raises(NumericsError, match=r"^spectra\.eigenvalues_bisect: "):
+            eigenvalues_bisect(TridiagonalMatrix(diag=[0.0, 0.0], offdiag=[top]), 1e-9)
+
     def test_one_by_one_matrix(self):
         T = TridiagonalMatrix(diag=[2.5], offdiag=[])
         report = eigenvalues_bisect(T, 1e-12)
@@ -521,6 +548,61 @@ class TestEigenvaluesBisect:
         # here the starting range d -/+ 1e-3 tol rounds to d itself
         T = TridiagonalMatrix(diag=[-20.28792744466521], offdiag=[])
         assert eigenvalues_bisect(T, 1e-12).eigenvalues[0] == T.diag[0]
+
+
+SEED_ROUTES = ("dsterf", "eigvalsh")
+
+
+def hide_scipy_linalg(monkeypatch, route: str) -> None:
+    """Seeds come from scipy's dsterf, which this module loads, or, with
+    scipy.linalg hidden from sys.modules, from numpy's dense eigvalsh up to
+    spectra._DENSE_SEED_ROWS rows."""
+    if route == "eigvalsh":
+        monkeypatch.delitem(sys.modules, "scipy.linalg")
+
+
+def fake_lapack(monkeypatch, route: str, wrong_seed) -> list:
+    """Make the routine of `route` return wrong_seed(its eigenvalues) ->
+    (seed, info); info != 0 is dsterf's failure, and makes eigvalsh raise
+    LinAlgError.  Returns the list of the sizes it is called with."""
+    calls = []
+    if route == "dsterf":
+        real_sterf = scipy.linalg.lapack.dsterf
+
+        def fake_sterf(d, e):
+            calls.append(len(d))
+            return wrong_seed(real_sterf(d, e)[0])
+
+        monkeypatch.setattr(scipy.linalg.lapack, "dsterf", fake_sterf)
+    else:
+        real_eigvalsh = np.linalg.eigvalsh
+
+        def fake_eigvalsh(A):
+            calls.append(len(A))
+            seed, info = wrong_seed(real_eigvalsh(A))
+            if info != 0:
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return seed
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", fake_eigvalsh)
+    return calls
+
+
+def seed_by(route: str, T: TridiagonalMatrix) -> np.ndarray:
+    with pytest.MonkeyPatch.context() as mp:
+        hide_scipy_linalg(mp, route)
+        return spectra._lapack_seed(T)
+
+
+WRONG_SEEDS = pytest.mark.parametrize(
+    "wrong_seed",
+    [
+        lambda ev: (ev[::-1] + 1.0, 0),  # some certify after widening, some never
+        lambda ev: (np.full_like(ev, np.nan), 0),  # never certifies
+        lambda ev: (ev + 1.0, 1),  # LAPACK reports failure
+    ],
+    ids=["reversed-shifted", "nan", "lapack-error"],
+)
 
 
 class TestSeededBisection:
@@ -533,30 +615,25 @@ class TestSeededBisection:
                 SectorParams(k, kappa), IDENTITY_SIZES, IDENTITY_THETAS, IDENTITY_TOLS
             )
 
-    @pytest.mark.parametrize(
-        "wrong_seed",
-        [
-            lambda ev: (ev[::-1] + 1.0, 0),  # some certify after widening, some never
-            lambda ev: (np.full_like(ev, np.nan), 0),  # never certifies
-            lambda ev: (ev + 1.0, 1),  # LAPACK reports failure: info != 0
-        ],
-        ids=["reversed-shifted", "nan", "lapack-error"],
-    )
-    def test_bits_survive_a_wrong_seed(self, monkeypatch, wrong_seed):
-        real = scipy.linalg.lapack.dsterf
-        calls = []
-
-        def fake(d, e):
-            calls.append(len(d))
-            return wrong_seed(real(d, e)[0])
-
-        monkeypatch.setattr(scipy.linalg.lapack, "dsterf", fake)
+    @staticmethod
+    def assert_bits_survive(monkeypatch, route, wrong_seed):
+        hide_scipy_linalg(monkeypatch, route)
+        calls = fake_lapack(monkeypatch, route, wrong_seed)
         for k in (1, 2, 3, 4):
             for kappa in range(k):
                 assert_bits_match_plain_bisection(
                     SectorParams(k, kappa), (2, 5, 41, 44), IDENTITY_THETAS, (1e-10,)
                 )
         assert calls  # the seed really came from the fake
+
+    @WRONG_SEEDS
+    def test_bits_survive_a_wrong_seed(self, monkeypatch, wrong_seed):
+        self.assert_bits_survive(monkeypatch, "dsterf", wrong_seed)
+
+    @WRONG_SEEDS
+    def test_bits_survive_a_wrong_dense_seed(self, monkeypatch, wrong_seed):
+        # the LAPACK error is a LinAlgError here
+        self.assert_bits_survive(monkeypatch, "eigvalsh", wrong_seed)
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(T=random_tridiagonal())
@@ -569,12 +646,51 @@ class TestSeededBisection:
         for tol in tols:
             assert np.array_equal(eigenvalues_bisect(T, tol).eigenvalues, plain[tol]), tol
 
-    def test_lapack_failure_seeds_nothing(self, monkeypatch):
-        # info != 0 leaves every index the whole range and spends no pass
-        monkeypatch.setattr(scipy.linalg.lapack, "dsterf", lambda d, e: (d + 1.0, 1))
+    @staticmethod
+    def assert_failure_seeds_nothing(monkeypatch, route):
+        hide_scipy_linalg(monkeypatch, route)
+        calls = fake_lapack(monkeypatch, route, lambda ev: (ev + 1.0, 1))
         T = TridiagonalMatrix.truncation(SectorParams(3, 0), 44)
         a, b, passes = spectra._seed_brackets(T, 1e-10, 1e3)
         assert np.all(a == -np.inf) and np.all(b == np.inf) and passes == 0
+        assert calls == [44]
+
+    def test_lapack_failure_seeds_nothing(self, monkeypatch):
+        # info != 0 leaves every index the whole range and spends no pass
+        self.assert_failure_seeds_nothing(monkeypatch, "dsterf")
+
+    def test_dense_seed_failure_seeds_nothing(self, monkeypatch):
+        # so does a LinAlgError from eigvalsh
+        self.assert_failure_seeds_nothing(monkeypatch, "eigvalsh")
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_seed_routes_agree(self, k):
+        eps = np.finfo(np.float64).eps
+        for kappa in range(k):
+            for theta in (0.0, 0.5):
+                for n in (2, 41, spectra._DENSE_SEED_ROWS):
+                    T = TridiagonalMatrix.truncation(SectorParams(k, kappa), n, theta=theta)
+                    sterf, dense_seed = (seed_by(route, T) for route in SEED_ROUTES)
+                    bound = 2 * n * eps * float(np.max(np.abs(sterf)))
+                    assert float(np.max(np.abs(dense_seed - sterf))) <= bound, (k, kappa, theta, n)
+
+    def test_seed_routes_give_the_same_bits(self, monkeypatch):
+        def bisect_all():
+            return [
+                eigenvalues_bisect(
+                    TridiagonalMatrix.truncation(SectorParams(k, kappa), n, theta=theta), 1e-10
+                ).eigenvalues.tobytes()
+                for k in (1, 2, 3, 4)
+                for kappa in range(k)
+                for n in (2, 41, 200, spectra._DENSE_SEED_ROWS)
+                for theta in IDENTITY_THETAS
+            ]
+
+        sterf = bisect_all()
+        sterf_calls = fake_lapack(monkeypatch, "dsterf", lambda ev: (ev, 0))
+        monkeypatch.delitem(sys.modules, "scipy.linalg")
+        assert bisect_all() == sterf
+        assert not sterf_calls  # every seed came from eigvalsh
 
     def test_certificate_skips_passes(self):
         T = TridiagonalMatrix.truncation(SectorParams(2, 0), 41)

@@ -4,11 +4,15 @@ determinacy, off-diagonal, quadrature and Pollaczek bits as revision REV.
     python tools/compare_bits.py REV
 
 Exports REV's `src/` with `git archive` into a temporary directory.  Then,
-in fresh interpreters with each tree's `src/` on PYTHONPATH, it runs five
+in fresh interpreters with each tree's `src/` on PYTHONPATH, it runs six
 fixed grids and the CLI commands pinned by
 `tests/test_cli.py::TestGoldenBytes`, under REV and under this checkout.
 A spectra grid case compares the `eigenvalues_bisect` eigenvalue bytes and
-`max_bracket`, or the error raised, by digest.  A deficiency grid case
+`max_bracket`, or the error raised, by digest.  The spectra grid runs with
+`scipy.linalg` loaded first, so every seed comes from `dsterf`; the
+"spectra dense-seed" grid runs its sizes up to 512 again in an interpreter
+that never loads `scipy.linalg`, where the seeds come from numpy's
+`eigvalsh`.  A deficiency grid case
 compares the repr of every `DeficiencyEvidence` field, or the error
 raised; M reaches the CLI's cap, 2e6.  M = 20000 is the largest M whose
 minimal solution is built (its system has N = 2e6 rows).  Past the
@@ -51,14 +55,22 @@ SIZES = (1, 2, 3, 5, 8, 12, 25, 41, 44, 60, 100, 150, 200, 300, 401, 888, 1315)
 THETAS = (0.0, -0.7, 0.5)
 TOLS = (1e-9, 1e-10, 1e-12)
 
-# Runs in a fresh interpreter: one line per grid case, the case and a digest
-# of its eigenvalue bytes and max_bracket (or of the error it raised).
-GRID_WORKER = f"""
+# the sizes seeded by numpy's dense eigvalsh while scipy.linalg is not
+# loaded (spectra._DENSE_SEED_ROWS)
+DENSE_SEED_ROWS = 512
+
+
+def grid_worker(preload: str, sizes: tuple) -> str:
+    """Code for a fresh interpreter that runs `preload` first: one line per
+    grid case, the case and a digest of its eigenvalue bytes and
+    max_bracket (or of the error it raised)."""
+    return f"""
 import hashlib, struct
+{preload}
 from powersqueeze import SectorParams, TridiagonalMatrix, eigenvalues_bisect
 for k in {KS!r}:
     for kappa in sorted({{0, k - 1}}):
-        for n in {SIZES!r}:
+        for n in {sizes!r}:
             for theta in {THETAS!r}:
                 T = TridiagonalMatrix.truncation(SectorParams(k, kappa), n, theta=theta)
                 for tol in {TOLS!r}:
@@ -70,6 +82,12 @@ for k in {KS!r}:
                     digest = hashlib.sha256(data).hexdigest()
                     print(k, kappa, n, theta, tol, digest)
 """
+
+
+# every size seeded by scipy's dsterf, and the sizes up to DENSE_SEED_ROWS
+# again in a process that never loads scipy.linalg, seeded by eigvalsh
+SPECTRA_WORKER = grid_worker("import scipy.linalg", SIZES)
+DENSE_SEED_WORKER = grid_worker("", tuple(n for n in SIZES if n <= DENSE_SEED_ROWS))
 
 
 def sector_grid(ks: tuple, ms: tuple) -> list[tuple[int, int, int]]:
@@ -185,7 +203,8 @@ for b in {POLY_BS!r}:
 """
 
 WORKERS = {
-    "spectra": GRID_WORKER,
+    "spectra": SPECTRA_WORKER,
+    "spectra dense-seed": DENSE_SEED_WORKER,
     "deficiency": DEFICIENCY_WORKER,
     "classify": CLASSIFY_WORKER,
     "b_m": B_WORKER,
@@ -251,7 +270,7 @@ def main(argv: list[str]) -> int:
             old, new = ((tmp / f"{grid}.{name}").read_text().splitlines() for name in trees)
             diffs = [(o, c) for o, c in zip(old, new) if o != c]
             for o, c in diffs:
-                if grid in ("spectra", "b_m", "quadrature"):
+                if grid in ("spectra", "spectra dense-seed", "b_m", "quadrature"):
                     print(f"{grid} grid differs:\n  {rev}: {o}\n  checkout: {c}")
                 else:
                     print(f"{grid} case {' '.join(o.split(' ', 3)[:3])} differs from {rev}:")
