@@ -13,8 +13,8 @@ the 2n shifts seed_j -/+ delta_j certifies a bracket [a_j, b_j] with
 count(a_j) <= j < count(b_j), widening delta_j where it does not (an index
 never certified, or every index when LAPACK fails, bisects the whole
 Gershgorin range).  Each index then replays its own bisection steps in
-Python floats, and a midpoint not strictly inside both
-[a_j, b_j] and its own bracket [lo_j, hi_j] (certified the same way) is
+Python floats, and a midpoint not strictly inside both [a_j, b_j] and
+its own bracket [lo_j, hi_j] (certified the same way) is
 decided without a count: the floating-point Sturm count is monotone in the
 shift (Demmel, Dhillon & Ren, ETNA 3, 1995), so mid <= a_j gives
 count(mid) <= j and mid >= b_j gives count(mid) >= j + 1, the verdicts a
@@ -371,10 +371,10 @@ def eigenvalues_bisect(
     if tol <= 0:
         raise ValueError(f"spectra.eigenvalues_bisect: tol must be > 0, got {tol}")
     n = T.n
-    if n > 1 and float(np.max(T.offdiag)) >= _MAX_OFFDIAG:
+    if n > 1 and (top := float(np.max(T.offdiag))) >= _MAX_OFFDIAG:
         raise NumericsError(
-            f"spectra.eigenvalues_bisect: off-diagonal entry {float(np.max(T.offdiag))!r} "
-            f"is at least sqrt(max double) {_MAX_OFFDIAG!r}: its square overflows"
+            f"spectra.eigenvalues_bisect: off-diagonal entry {top!r} is at least "
+            f"sqrt(max double) {_MAX_OFFDIAG!r}: its square overflows"
         )
     glo, ghi = T.gershgorin()
     span = max(ghi - glo, tol)

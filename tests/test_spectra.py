@@ -688,7 +688,7 @@ class TestSeededBisection:
 
         sterf = bisect_all()
         sterf_calls = fake_lapack(monkeypatch, "dsterf", lambda ev: (ev, 0))
-        monkeypatch.delitem(sys.modules, "scipy.linalg")
+        hide_scipy_linalg(monkeypatch, "eigvalsh")
         assert bisect_all() == sterf
         assert not sterf_calls  # every seed came from eigvalsh
 

@@ -270,11 +270,11 @@ def main(argv: list[str]) -> int:
             old, new = ((tmp / f"{grid}.{name}").read_text().splitlines() for name in trees)
             diffs = [(o, c) for o, c in zip(old, new) if o != c]
             for o, c in diffs:
-                if grid in ("spectra", "spectra dense-seed", "b_m", "quadrature"):
-                    print(f"{grid} grid differs:\n  {rev}: {o}\n  checkout: {c}")
-                else:
+                if grid in ("deficiency", "classify"):
                     print(f"{grid} case {' '.join(o.split(' ', 3)[:3])} differs from {rev}:")
                     print("\n".join(moved_fields(o, c)))
+                else:
+                    print(f"{grid} grid differs:\n  {rev}: {o}\n  checkout: {c}")
             if len(old) != len(new):
                 diffs.append((f"{len(old)} cases", f"{len(new)} cases"))
                 print(f"{grid} grid: {len(old)} cases under {rev}, {len(new)} in the checkout")
