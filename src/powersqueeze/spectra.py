@@ -6,9 +6,13 @@ bracket, with a fixed iteration count, so the result carries a bracket
 certificate and does not depend on the LAPACK build.  LAPACK eigenvalues
 only decide which Sturm counts need computing.  They come from numpy's
 `eigvalsh` on the dense matrix up to 512 rows while `scipy.linalg` is not
-loaded, so `spectrum` and `extensions` at README sizes never import it,
-and from scipy's `dsterf` otherwise; `eigvalsh` runs `dsterf` after a
-reduction that leaves a tridiagonal matrix as it is.  One Sturm pass over
+loaded, so `spectrum` and `extensions` at README sizes never import it;
+`eigvalsh` runs `dsterf` after a reduction that leaves a tridiagonal
+matrix as it is.  Otherwise a matrix with an all-zero diagonal (every
+truncation at theta = 0) is seeded with -/+ the singular values of its
+bidiagonal half, from LAPACK's dqds (`dlasq1`), which are relatively
+accurate and 4 times cheaper than `dsterf` at n = 1315; any other matrix,
+or one where `dlasq1` fails, from scipy's `dsterf`.  One Sturm pass over
 the 2n shifts seed_j -/+ delta_j certifies a bracket [a_j, b_j] with
 count(a_j) <= j < count(b_j), widening delta_j where it does not (an index
 never certified, or every index when LAPACK fails, bisects the whole
@@ -37,6 +41,7 @@ a tiny pivot is recounted by that loop, which replaces the pivot.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import sys
@@ -189,8 +194,23 @@ def _sturm_count_scalar(diag: list, off_sq: list, pivmin: float, x: float) -> in
     return count
 
 
+def _refuse_overflowing_squares(T: TridiagonalMatrix, caller: str) -> None:
+    """NumericsError naming spectra.caller where an off-diagonal square
+    overflows: the Sturm recurrence would count from inf."""
+    if T.n > 1 and (top := float(np.max(T.offdiag))) >= _MAX_OFFDIAG:
+        raise NumericsError(
+            f"spectra.{caller}: off-diagonal entry {top!r} is at least "
+            f"sqrt(max double) {_MAX_OFFDIAG!r}: its square overflows"
+        )
+
+
 def sturm_count(T: TridiagonalMatrix, x: float) -> int:
-    """Number of eigenvalues of T strictly below x."""
+    """Number of eigenvalues of T strictly below x.
+
+    Raises NumericsError where an off-diagonal entry is at least
+    sqrt(max double), as `eigenvalues_bisect` does.
+    """
+    _refuse_overflowing_squares(T, "sturm_count")
     return int(_sturm_counts(T, np.array([x], dtype=np.float64))[0])
 
 
@@ -222,37 +242,107 @@ class SpectrumReport:
 # and 25 MB that importing scipy.linalg costs a process; at 1024 rows it
 # takes 106 ms against 19 ms for dsterf.
 _DENSE_SEED_ROWS = 512
+# The relative half-width, in eps |seed_j|, that a seed bracket starts at
+# (see `_seed_brackets`): at k = 1..40 and n = 41..1601, against
+# eigenvalues bisected to adjacent doubles, dsterf's seeds (and eigvalsh's,
+# which are dsterf's) were 1.5 to 11 eps |lambda_j| off in the median and
+# up to 104 eps, dlasq1's 0.7 to 3.4 eps in the median and up to 32 eps
+_STERF_WIDTH = 32
+_BIDIAGONAL_WIDTH = 8
 
 
-def _lapack_seed(T: TridiagonalMatrix) -> np.ndarray | None:
-    """LAPACK's eigenvalues of T, ascending, or None where LAPACK fails.
+@functools.cache
+def _dlasq1_routine():
+    """LAPACK's dlasq1 from scipy's `cython_lapack`, as a ctypes function
+    of five pointers: n, d, e, work and info.
+
+    scipy.linalg.lapack has no wrapper for it; `cython_lapack` exports the
+    function pointer in a PyCapsule.  Importing scipy.linalg has loaded
+    both `cython_lapack` and `ctypes` already.
+    """
+    import ctypes
+
+    from scipy.linalg import cython_lapack
+
+    capsule = cython_lapack.__pyx_capi__["dlasq1"]
+    api = ctypes.pythonapi
+    get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", api))
+    get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", api)
+    )
+    address = get_pointer(capsule, get_name(capsule))
+    return ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * 5)(address)
+
+
+def _dlasq1(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, int]:
+    """LAPACK dlasq1 (dqds): the singular values of the bidiagonal matrix
+    with diagonal d and off-diagonal e (one entry fewer), decreasing, and
+    its info.  They are determined to high relative accuracy (Demmel &
+    Kahan 1990), and dqds computes them so (Fernando & Parlett 1994)."""
+    m = len(d)
+    buf = np.zeros(6 * m)  # d; e, whose last entry is workspace; work (4 m)
+    buf[:m] = d
+    buf[m : 2 * m - 1] = e
+    ints = np.array([m, 0], dtype=np.intc)  # n, info
+    at, base = ints.ctypes.data, buf.ctypes.data
+    _dlasq1_routine()(at, base, base + 8 * m, base + 16 * m, at + ints.itemsize)
+    return buf[:m], int(ints[1])
+
+
+def _bidiagonal_seed(offdiag: np.ndarray) -> np.ndarray | None:
+    """The eigenvalues of the zero-diagonal matrix with these off-diagonals,
+    ascending, or None where dlasq1 fails or returns a non-finite value.
+
+    Ordering the rows even first, then odd, makes the matrix [[0, B],
+    [B^T, 0]] with B bidiagonal: diagonal b_0, b_2, ..., off-diagonal b_1,
+    b_3, ....  Its eigenvalues are -/+ the singular values of B.  At odd n,
+    B has one row more than columns and is padded with a zero column; the
+    zero singular value that adds is the zero eigenvalue, once.
+    """
+    n = len(offdiag) + 1
+    d = np.zeros((n + 1) // 2)
+    d[: n // 2] = offdiag[0::2]
+    sigma, info = _dlasq1(d, offdiag[1::2])
+    if info != 0 or not np.isfinite(sigma).all():
+        return None
+    return np.concatenate([-sigma, sigma[::-1][n % 2 :]])
+
+
+def _lapack_seed(T: TridiagonalMatrix) -> tuple[np.ndarray, int] | None:
+    """LAPACK's eigenvalues of T, ascending, and the relative half-width in
+    eps that their brackets start at; None where LAPACK fails.
 
     The diagonal at n = 1.  Up to `_DENSE_SEED_ROWS` rows, while
     `scipy.linalg` is not in `sys.modules`, numpy's `eigvalsh` of the
-    dense lower triangle (a `LinAlgError` gives None); otherwise scipy's
-    `dsterf` (info != 0 gives None).  The seed only decides which Sturm
-    counts run, never an eigenvalue's bits, so the route may depend on
-    what the process has loaded: a process that never loads scipy and
-    seeds matrices of about 512 rows many times pays up to about 15 ms
-    more per seed than `dsterf` would take.
+    dense lower triangle (a `LinAlgError` gives None).  Otherwise, at an
+    all-zero diagonal, -/+ the singular values of T's bidiagonal half from
+    dlasq1 (`_bidiagonal_seed`): O(n) per dqds sweep, 4 times cheaper than
+    dsterf at n = 1315 and relatively accurate; otherwise, or where dlasq1
+    fails, scipy's `dsterf` (info != 0 gives None).  The seed only decides
+    which Sturm counts run, never an eigenvalue's bits, so the route may
+    depend on what the process has loaded: a process that never loads
+    scipy and seeds matrices of about 512 rows many times pays up to about
+    15 ms more per seed than `dsterf` would take.
     """
     n = T.n
     if n == 1:
-        return T.diag
+        return T.diag, _STERF_WIDTH
     if n <= _DENSE_SEED_ROWS and "scipy.linalg" not in sys.modules:
         lower = np.zeros((n, n))
         lower.flat[:: n + 1] = T.diag
         lower.flat[n :: n + 1] = T.offdiag  # entries (i + 1, i)
         try:
-            return np.linalg.eigvalsh(lower)
+            return np.linalg.eigvalsh(lower), _STERF_WIDTH
         except np.linalg.LinAlgError:
             return None
+    if not T.diag.any() and (seed := _bidiagonal_seed(T.offdiag)) is not None:
+        return seed, _BIDIAGONAL_WIDTH
     # loaded only past the dense route: the import takes 0.21 s and 25 MB,
     # half of a README-sized spectrum command
     from scipy.linalg import lapack
 
     seed, info = lapack.dsterf(T.diag, T.offdiag)
-    return seed if info == 0 else None
+    return (seed, _STERF_WIDTH) if info == 0 else None
 
 
 def _seed_brackets(
@@ -261,22 +351,29 @@ def _seed_brackets(
     """Certified brackets a_j <= lambda_j <= b_j around the LAPACK eigenvalues.
 
     A bracket is kept only when count(a_j) <= j < count(b_j).  Index j
-    starts at half-width max(delta, 32 eps |seed_j|): LAPACK's error is
-    about eps max|seed| near 0 and a few to a hundred eps |seed_j| at large
-    |seed_j|.  Uncertified indices are retried with a 4x wider half-width,
-    and once that exceeds span they keep (-inf, inf).  Returns a, b and the
-    Sturm passes spent.
+    starts at half-width max(delta, w eps |seed_j|), with w from
+    `_lapack_seed`.  dsterf's error is about eps max|seed| near 0 and up
+    to about 100 eps |seed_j| at large |seed_j|, 2.6 to 11 eps in the
+    median at n >= 300, so w = 32 certifies most indices in the first
+    pass.  dlasq1's seeds are relatively accurate, up to 3.4 eps in the
+    median and 32 eps at worst, so w = 8 certifies most of them; a
+    narrower start leaves fewer bisection steps inside the bracket, but
+    w = 4 took one pass more at k = 4, n = 1315, and w = 32 was slower at
+    n >= 888.  Uncertified indices are retried with a 4x wider half-width,
+    and once that exceeds span they keep (-inf, inf).  Returns a, b and
+    the Sturm passes spent.
     """
     n = T.n
     a = np.full(n, -np.inf)
     b = np.full(n, np.inf)
-    seed = _lapack_seed(T)
-    if seed is None:  # no seed: every index bisects the full range
+    seeded = _lapack_seed(T)
+    if seeded is None:  # no seed: every index bisects the full range
         return a, b, 0
+    seed, width = seeded
     eps = np.finfo(np.float64).eps
     delta = np.maximum(
         min(tol / 2, 8 * eps * max(float(np.max(np.abs(seed))), 1.0)),
-        32 * eps * np.abs(seed),
+        width * eps * np.abs(seed),
     )
     todo = np.arange(n)
     passes = 0
@@ -371,11 +468,7 @@ def eigenvalues_bisect(
     if tol <= 0:
         raise ValueError(f"spectra.eigenvalues_bisect: tol must be > 0, got {tol}")
     n = T.n
-    if n > 1 and (top := float(np.max(T.offdiag))) >= _MAX_OFFDIAG:
-        raise NumericsError(
-            f"spectra.eigenvalues_bisect: off-diagonal entry {top!r} is at least "
-            f"sqrt(max double) {_MAX_OFFDIAG!r}: its square overflows"
-        )
+    _refuse_overflowing_squares(T, "eigenvalues_bisect")
     glo, ghi = T.gershgorin()
     span = max(ghi - glo, tol)
     glo -= 1e-3 * span

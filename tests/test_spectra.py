@@ -189,6 +189,30 @@ class TestSturmCount:
         for x in (0.37, 1.9, 14.2, 55.0):
             assert sturm_count(T, x) == 30 - sturm_count(T, -x)
 
+    @pytest.mark.parametrize("k, n", [(80, 300), (200, 3)])
+    def test_overflowing_off_diagonal_square_is_refused(self, k, n):
+        # with b_m^2 = inf, k = 200, n = 3 (eigenvalues about -9.0e246, 0
+        # and 9.0e246) counted 1 at -1e250, 0, 1 and 1e250, and k = 80,
+        # n = 300 counted 90 at 1e300, with only a RuntimeWarning
+        T = TridiagonalMatrix.truncation(SectorParams(k, 0), n)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for x in (-1e250, 0.0, 1.0, 1e250, 1e300):
+                with pytest.raises(
+                    NumericsError, match=r"^spectra\.sturm_count: off-diagonal entry "
+                ):
+                    sturm_count(T, x)
+
+    def test_largest_off_diagonal_whose_square_is_finite(self):
+        top = math.sqrt(sys.float_info.max)
+        below = math.nextafter(top, 0.0)
+        T = TridiagonalMatrix(diag=[0.0, 0.0], offdiag=[below])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert [sturm_count(T, x) for x in (-1.5 * below, 0.0, 1.5 * below)] == [0, 1, 2]
+        with pytest.raises(NumericsError, match=r"^spectra\.sturm_count: "):
+            sturm_count(TridiagonalMatrix(diag=[0.0, 0.0], offdiag=[top]), 0.0)
+
 
 SHIFT_CASES = dict(
     k=st.integers(1, 6),
@@ -221,12 +245,20 @@ def shifts_near_eigenvalues(k, kappa_frac, n, theta, picks, spread):
 
 @st.composite
 def random_tridiagonal(draw):
-    """Entries log-uniform over 16 decades, signed on the diagonal; n up to
-    120, so that more than _SCALAR_SHIFTS indices wait on some passes."""
+    """Entries log-uniform over 16 decades, signed on the diagonal, or an
+    all-zero diagonal (seeded from the bidiagonal half's singular values);
+    n up to 120, so that more than _SCALAR_SHIFTS indices wait on some
+    passes."""
     n = draw(st.integers(1, 120))
     magnitudes = st.lists(st.floats(-8.0, 8.0), min_size=n, max_size=n)
-    signs = draw(st.lists(st.sampled_from((-1.0, 1.0)), min_size=n, max_size=n))
-    diag = [sign * 10.0**e for sign, e in zip(signs, draw(magnitudes))]
+    # half the draws in principle; in the 40 derandomized examples of the
+    # bisection test st.booleans() drew 3 zero diagonals, this draws 19
+    # (n from 2 to 100, odd and even)
+    if draw(st.integers(0, 3)) >= 2:
+        diag = [0.0] * n
+    else:
+        signs = draw(st.lists(st.sampled_from((-1.0, 1.0)), min_size=n, max_size=n))
+        diag = [sign * 10.0**e for sign, e in zip(signs, draw(magnitudes))]
     offdiag = [10.0**e for e in draw(magnitudes)[1:]]
     return TridiagonalMatrix(diag=diag, offdiag=offdiag)
 
@@ -550,21 +582,26 @@ class TestEigenvaluesBisect:
         assert eigenvalues_bisect(T, 1e-12).eigenvalues[0] == T.diag[0]
 
 
-SEED_ROUTES = ("dsterf", "eigvalsh")
+SEED_ROUTES = ("dsterf", "eigvalsh", "dlasq1")
 
 
-def hide_scipy_linalg(monkeypatch, route: str) -> None:
-    """Seeds come from scipy's dsterf, which this module loads, or, with
-    scipy.linalg hidden from sys.modules, from numpy's dense eigvalsh up to
-    spectra._DENSE_SEED_ROWS rows."""
-    if route == "eigvalsh":
+def select_seed_route(monkeypatch, route: str) -> None:
+    """Seeds come from scipy's dsterf, which this module loads, with the
+    bidiagonal seed turned off; or, with scipy.linalg hidden from
+    sys.modules, from numpy's dense eigvalsh up to spectra._DENSE_SEED_ROWS
+    rows; or, as this module runs by default, from dlasq1 at an all-zero
+    diagonal and from dsterf at any other."""
+    if route == "dsterf":
+        monkeypatch.setattr(spectra, "_bidiagonal_seed", lambda offdiag: None)
+    elif route == "eigvalsh":
         monkeypatch.delitem(sys.modules, "scipy.linalg")
 
 
 def fake_lapack(monkeypatch, route: str, wrong_seed) -> list:
-    """Make the routine of `route` return wrong_seed(its eigenvalues) ->
-    (seed, info); info != 0 is dsterf's failure, and makes eigvalsh raise
-    LinAlgError.  Returns the list of the sizes it is called with."""
+    """Make the routine of `route` return wrong_seed(its output) -> (seed,
+    info): eigenvalues, or dlasq1's singular values; info != 0 is dsterf's
+    or dlasq1's failure, and makes eigvalsh raise LinAlgError.  Returns the
+    list of the sizes it is called with (B's order for dlasq1)."""
     calls = []
     if route == "dsterf":
         real_sterf = scipy.linalg.lapack.dsterf
@@ -574,6 +611,14 @@ def fake_lapack(monkeypatch, route: str, wrong_seed) -> list:
             return wrong_seed(real_sterf(d, e)[0])
 
         monkeypatch.setattr(scipy.linalg.lapack, "dsterf", fake_sterf)
+    elif route == "dlasq1":
+        real_dlasq1 = spectra._dlasq1
+
+        def fake_dlasq1(d, e):
+            calls.append(len(d))
+            return wrong_seed(real_dlasq1(d, e)[0])
+
+        monkeypatch.setattr(spectra, "_dlasq1", fake_dlasq1)
     else:
         real_eigvalsh = np.linalg.eigvalsh
 
@@ -590,8 +635,15 @@ def fake_lapack(monkeypatch, route: str, wrong_seed) -> list:
 
 def seed_by(route: str, T: TridiagonalMatrix) -> np.ndarray:
     with pytest.MonkeyPatch.context() as mp:
-        hide_scipy_linalg(mp, route)
-        return spectra._lapack_seed(T)
+        select_seed_route(mp, route)
+        return spectra._lapack_seed(T)[0]
+
+
+def bisected_to_adjacent_doubles(T: TridiagonalMatrix) -> np.ndarray:
+    """Eigenvalues bisected until no double lies inside their brackets; at
+    a zero diagonal the Sturm count is relatively accurate (Demmel & Kahan
+    1990), so these are within a few eps |lambda_j| of the exact ones."""
+    return eigenvalues_bisect(T, 1e-290 * float(np.max(T.offdiag))).eigenvalues
 
 
 WRONG_SEEDS = pytest.mark.parametrize(
@@ -617,7 +669,7 @@ class TestSeededBisection:
 
     @staticmethod
     def assert_bits_survive(monkeypatch, route, wrong_seed):
-        hide_scipy_linalg(monkeypatch, route)
+        select_seed_route(monkeypatch, route)
         calls = fake_lapack(monkeypatch, route, wrong_seed)
         for k in (1, 2, 3, 4):
             for kappa in range(k):
@@ -635,6 +687,12 @@ class TestSeededBisection:
         # the LAPACK error is a LinAlgError here
         self.assert_bits_survive(monkeypatch, "eigvalsh", wrong_seed)
 
+    @WRONG_SEEDS
+    def test_bits_survive_a_wrong_bidiagonal_seed(self, monkeypatch, wrong_seed):
+        # theta = 0 seeds from the fake; a NaN or info != 0 falls back to
+        # dsterf's seed
+        self.assert_bits_survive(monkeypatch, "dlasq1", wrong_seed)
+
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(T=random_tridiagonal())
     def test_bits_match_plain_bisection_on_random_matrices(self, T):
@@ -647,50 +705,114 @@ class TestSeededBisection:
             assert np.array_equal(eigenvalues_bisect(T, tol).eigenvalues, plain[tol]), tol
 
     @staticmethod
-    def assert_failure_seeds_nothing(monkeypatch, route):
-        hide_scipy_linalg(monkeypatch, route)
-        calls = fake_lapack(monkeypatch, route, lambda ev: (ev + 1.0, 1))
-        T = TridiagonalMatrix.truncation(SectorParams(3, 0), 44)
+    def assert_failure_seeds_nothing(monkeypatch, route, routines, theta):
+        select_seed_route(monkeypatch, route)
+        calls = [
+            fake_lapack(monkeypatch, routine, lambda ev: (ev + 1.0, 1)) for routine in routines
+        ]
+        T = TridiagonalMatrix.truncation(SectorParams(3, 0), 44, theta=theta)
         a, b, passes = spectra._seed_brackets(T, 1e-10, 1e3)
         assert np.all(a == -np.inf) and np.all(b == np.inf) and passes == 0
-        assert calls == [44]
+        return calls
 
     def test_lapack_failure_seeds_nothing(self, monkeypatch):
-        # info != 0 leaves every index the whole range and spends no pass
-        self.assert_failure_seeds_nothing(monkeypatch, "dsterf")
+        # info != 0 leaves every index the whole range and spends no pass;
+        # theta = 0.5 puts a nonzero entry on the diagonal, so the seed is
+        # dsterf's
+        calls = self.assert_failure_seeds_nothing(monkeypatch, "dsterf", ["dsterf"], 0.5)
+        assert calls == [[44]]
 
     def test_dense_seed_failure_seeds_nothing(self, monkeypatch):
         # so does a LinAlgError from eigvalsh
-        self.assert_failure_seeds_nothing(monkeypatch, "eigvalsh")
+        calls = self.assert_failure_seeds_nothing(monkeypatch, "eigvalsh", ["eigvalsh"], 0.0)
+        assert calls == [[44]]
+
+    def test_bidiagonal_and_sterf_failures_seed_nothing(self, monkeypatch):
+        # at theta = 0 a dlasq1 failure falls back to dsterf, and only when
+        # that fails too is there no seed
+        calls = self.assert_failure_seeds_nothing(
+            monkeypatch, "dlasq1", ["dlasq1", "dsterf"], 0.0
+        )
+        assert calls == [[22], [44]]  # B is 22 x 22
+
+    @pytest.mark.parametrize(
+        "wrong_seed",
+        [lambda sv: (sv, 1), lambda sv: (np.where(sv == sv.max(), np.inf, sv), 0)],
+        ids=["lapack-error", "non-finite"],
+    )
+    def test_bidiagonal_failure_falls_back_to_sterf(self, monkeypatch, wrong_seed):
+        calls = fake_lapack(monkeypatch, "dlasq1", wrong_seed)
+        for n in (44, 45):
+            T = TridiagonalMatrix.truncation(SectorParams(3, 0), n)
+            seed, width = spectra._lapack_seed(T)
+            sterf, info = scipy.linalg.lapack.dsterf(T.diag, T.offdiag)
+            assert info == 0 and np.array_equal(seed, sterf)
+            assert width == spectra._STERF_WIDTH
+        assert calls == [22, 23]
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_seed_routes_agree(self, k):
+        # every route within 2 n eps max|lambda| of dsterf, the order of
+        # dsterf's own error; dlasq1 seeds only at theta = 0, where the
+        # largest gap measured was 0.19 n eps max|lambda| (k = 1..40,
+        # n = 41..1601)
         eps = np.finfo(np.float64).eps
         for kappa in range(k):
             for theta in (0.0, 0.5):
                 for n in (2, 41, spectra._DENSE_SEED_ROWS):
                     T = TridiagonalMatrix.truncation(SectorParams(k, kappa), n, theta=theta)
-                    sterf, dense_seed = (seed_by(route, T) for route in SEED_ROUTES)
+                    sterf, dense_seed, bidiagonal = (seed_by(route, T) for route in SEED_ROUTES)
                     bound = 2 * n * eps * float(np.max(np.abs(sterf)))
                     assert float(np.max(np.abs(dense_seed - sterf))) <= bound, (k, kappa, theta, n)
+                    assert float(np.max(np.abs(bidiagonal - sterf))) <= bound, (k, kappa, theta, n)
+
+    @pytest.mark.parametrize("k, n", [(1, 2), (2, 3), (3, 41), (4, 512), (3, 513), (40, 300)])
+    def test_bidiagonal_seeds_are_relatively_accurate(self, k, n):
+        # dlasq1's seeds were up to 32 eps |lambda_j| off (k = 1..40, n up
+        # to 1601), dsterf's up to 104 eps, and only eps max|lambda| near 0;
+        # at odd n the padded zero column gives the zero eigenvalue exactly
+        T = TridiagonalMatrix.truncation(SectorParams(k, 0), n)
+        seed, width = spectra._lapack_seed(T)
+        assert width == spectra._BIDIAGONAL_WIDTH
+        exact = bisected_to_adjacent_doubles(T)
+        if n % 2:
+            assert seed[n // 2] == 0.0
+            seed, exact = np.delete(seed, n // 2), np.delete(exact, n // 2)
+        eps = np.finfo(np.float64).eps
+        assert np.all(np.abs(seed - exact) <= 64 * eps * np.abs(exact)), (k, n)
 
     def test_seed_routes_give_the_same_bits(self, monkeypatch):
-        def bisect_all():
-            return [
-                eigenvalues_bisect(
-                    TridiagonalMatrix.truncation(SectorParams(k, kappa), n, theta=theta), 1e-10
-                ).eigenvalues.tobytes()
-                for k in (1, 2, 3, 4)
-                for kappa in range(k)
-                for n in (2, 41, 200, spectra._DENSE_SEED_ROWS)
-                for theta in IDENTITY_THETAS
-            ]
+        cases = [
+            (k, kappa, n, theta)
+            for k in (1, 2, 3, 4)
+            for kappa in range(k)
+            for n in (2, 41, 200, spectra._DENSE_SEED_ROWS)
+            for theta in IDENTITY_THETAS
+        ]
 
-        sterf = bisect_all()
-        sterf_calls = fake_lapack(monkeypatch, "dsterf", lambda ev: (ev, 0))
-        hide_scipy_linalg(monkeypatch, "eigvalsh")
-        assert bisect_all() == sterf
-        assert not sterf_calls  # every seed came from eigvalsh
+        def bisect_all(route):
+            with pytest.MonkeyPatch.context() as mp:
+                calls = {r: fake_lapack(mp, r, lambda ev: (ev, 0)) for r in SEED_ROUTES}
+                select_seed_route(mp, route)
+                bits = [
+                    eigenvalues_bisect(
+                        TridiagonalMatrix.truncation(SectorParams(k, kappa), n, theta=theta),
+                        1e-10,
+                    ).eigenvalues.tobytes()
+                    for k, kappa, n, theta in cases
+                ]
+            return bits, {r: len(c) for r, c in calls.items()}
+
+        at_zero = sum(theta == 0.0 for *_, theta in cases)
+        sterf, sterf_calls = bisect_all("dsterf")
+        assert sterf_calls == {"dsterf": len(cases), "eigvalsh": 0, "dlasq1": 0}
+        for route, route_calls in (
+            ("eigvalsh", {"dsterf": 0, "eigvalsh": len(cases), "dlasq1": 0}),
+            ("dlasq1", {"dsterf": len(cases) - at_zero, "eigvalsh": 0, "dlasq1": at_zero}),
+        ):
+            bits, calls = bisect_all(route)
+            assert bits == sterf, route
+            assert calls == route_calls, route
 
     def test_certificate_skips_passes(self):
         T = TridiagonalMatrix.truncation(SectorParams(2, 0), 41)
@@ -713,6 +835,13 @@ class TestSeededBisection:
         # also counts each waiting index's next midpoint in both halves
         T = TridiagonalMatrix.truncation(SectorParams(4, 0), 1315)
         assert eigenvalues_bisect(T, 1e-10).sturm_passes <= 7
+
+    def test_bidiagonal_seed_passes(self):
+        # k = 3, n = 3200 took 10 passes from dsterf's seeds at a start
+        # half-width of 32 eps |seed_j|, and takes 6 from dlasq1's, which
+        # start at 8 eps
+        T = TridiagonalMatrix.truncation(SectorParams(3, 0), 3200)
+        assert eigenvalues_bisect(T, 1e-9).sturm_passes <= 6
 
     def test_tol_below_float_spacing_returns(self):
         # |lambda| reaches 5.4e7, where adjacent doubles are 7.5e-9 > tol apart

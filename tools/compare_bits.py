@@ -9,10 +9,13 @@ fixed grids and the CLI commands pinned by
 `tests/test_cli.py::TestGoldenBytes`, under REV and under this checkout.
 A spectra grid case compares the `eigenvalues_bisect` eigenvalue bytes and
 `max_bracket`, or the error raised, by digest.  The spectra grid runs with
-`scipy.linalg` loaded first, so every seed comes from `dsterf`; the
-"spectra dense-seed" grid runs its sizes up to 512 again in an interpreter
-that never loads `scipy.linalg`, where the seeds come from numpy's
-`eigvalsh`.  A deficiency grid case
+`scipy.linalg` loaded first, so the seeds come from LAPACK: from `dlasq1`,
+the singular values of the bidiagonal half, at theta = 0 (all-zero
+diagonal), and from `dsterf` at theta != 0 (a revision older than the
+bidiagonal seed takes every seed from `dsterf`); the "spectra dense-seed"
+grid runs its sizes up to 512 again in an interpreter that never loads
+`scipy.linalg`, where the seeds come from numpy's `eigvalsh`.  A
+deficiency grid case
 compares the repr of every `DeficiencyEvidence` field, or the error
 raised; M reaches the CLI's cap, 2e6.  M = 20000 is the largest M whose
 minimal solution is built (its system has N = 2e6 rows).  Past the
@@ -84,8 +87,9 @@ for k in {KS!r}:
 """
 
 
-# every size seeded by scipy's dsterf, and the sizes up to DENSE_SEED_ROWS
-# again in a process that never loads scipy.linalg, seeded by eigvalsh
+# every size seeded by LAPACK (dlasq1 at theta = 0, dsterf otherwise), and
+# the sizes up to DENSE_SEED_ROWS again in a process that never loads
+# scipy.linalg, seeded by eigvalsh
 SPECTRA_WORKER = grid_worker("import scipy.linalg", SIZES)
 DENSE_SEED_WORKER = grid_worker("", tuple(n for n in SIZES if n <= DENSE_SEED_ROWS))
 
