@@ -33,7 +33,7 @@ from .states import (
 
 # caps on the array-sizing flags, so that a huge value is refused up front
 # instead of failing in allocation.  --M of classify and deficiency: at
-# 2e6, deficiency --k 1 took 0.4-0.5 s and 77 MB peak RSS, classify --k 5
+# 2e6, deficiency --k 1 took 0.35 s and 74 MB peak RSS, classify --k 5
 # 0.3 s and 46 MB (one Xeon core)
 _MAX_M = 2_000_000
 # pollaczek holds M + 1 output rows in memory, and --M 100000 takes about a
@@ -41,8 +41,8 @@ _MAX_M = 2_000_000
 _MAX_POLLACZEK_M = 100_000
 # --n of spectrum and extensions: the LAPACK seed and the Sturm passes are
 # O(n^2), so past a few thousand rows the cap is set by time.  At 12800 one
-# spectrum took 4.8 to 9.2 s and 62 to 70 MB peak RSS for k = 1, 2, 3, 4
-# and 40 (extensions: that per --theta), and 18 s at k = 1, n = 25600 (one
+# spectrum at theta = 0 took 1.7 to 4.2 s and 62 to 70 MB peak RSS for
+# k = 1, 2, 3, 4 and 40, and extensions --k 3 6.9 s per --theta 0.5 (one
 # Xeon core)
 _MAX_SPECTRUM_N = 12_800
 # --theta of extensions: each flag costs one full spectrum, up to 10 s at

@@ -273,7 +273,7 @@ class GrowthProfile:
 
     def cauchy_ratio(self) -> float:
         """(S_M - S_{M/2}) / S_M, by the module's cauchy_ratio."""
-        return cauchy_ratio(self.log_partial_sums)
+        return cauchy_ratio(self.log_abs)
 
 
 def envelope_fit(log_abs: np.ndarray) -> tuple[float | None, int]:
@@ -303,11 +303,12 @@ def envelope_fit(log_abs: np.ndarray) -> tuple[float | None, int]:
     peak[:-1] &= v[:-1] >= v[1:]
     peak &= finite
     idx = np.flatnonzero(peak)
-    if len(idx) < _ENVELOPE_POINTS and finite.all():
+    if len(idx) < _ENVELOPE_POINTS:
+        idx = None if finite.all() else np.flatnonzero(finite)
+    del finite, peak  # before x and y: the masks would add to the fit's peak
+    if idx is None:
         xs, ys = np.log(np.arange(lo, M + 1.0)), v.copy()
     else:
-        if len(idx) < _ENVELOPE_POINTS:
-            idx = np.flatnonzero(finite)
         idx += lo
         xs, ys = np.log(idx), log_abs[idx]
     if len(xs) < 2:
@@ -324,11 +325,18 @@ def log_partial_sums_of_squares(log_abs: np.ndarray) -> np.ndarray:
     return np.logaddexp.accumulate(2.0 * log_abs)
 
 
-def cauchy_ratio(log_partial_sums: np.ndarray) -> float:
-    """(S_M - S_{M/2}) / S_M from log S_0..log S_M; small means the sum has
-    stabilized."""
-    M = len(log_partial_sums) - 1
-    return 1.0 - math.exp(log_partial_sums[M // 2] - log_partial_sums[M])
+def cauchy_ratio(log_abs: np.ndarray) -> float:
+    """(S_M - S_{M/2}) / S_M with S_j = sum_{m<=j} |f_m|^2, from
+    log_abs = log|f_0..f_M|; small means the sum has stabilized.
+
+    log S_{M/2} and log S_M come from two sequential np.logaddexp
+    reductions, the second started from the first with initial=: the bits
+    of log_partial_sums_of_squares at M/2 and M, with half of 2 log_abs
+    alive at a time instead of two M-arrays."""
+    split = (len(log_abs) - 1) // 2 + 1  # entries 0..M/2
+    log_half = np.logaddexp.reduce(2.0 * log_abs[:split])
+    log_full = np.logaddexp.reduce(2.0 * log_abs[split:], initial=log_half)
+    return 1.0 - math.exp(log_half - log_full)
 
 
 def growth_profile(

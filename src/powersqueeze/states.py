@@ -33,13 +33,20 @@ from .jacobi import (
     commutator_weight,
     envelope_fit,
     log_off_diagonal,
-    log_partial_sums_of_squares,
     solve_recursion,
 )
 
 _MAX_CUTOFF = 100_000
+# the verdicts of _flagged: square-summable below both of the first pair,
+# not square-summable at or above both of the second.  |f_m| ~ m^e with
+# e > -1/2 puts the Cauchy ratio near 1 - 2^-(2e+1): 0.293 at e = -1/4,
+# 0.129 at e = -0.4.  Measured at lambda' = i, M = 5000 to 2e6, every
+# kappa: k = 1 reads e = 22 to 448 and ratio 1, k = 2 e = -0.261 to -0.250
+# and ratio 0.2928 to 0.2929, k >= 3 e <= -0.748 and ratio <= 6.4e-3
 _SQUARE_SUMMABLE_EXPONENT = -0.5 - 0.1  # decay strictly faster than 1/sqrt
 _CAUCHY_WINDOW = 0.10
+_NOT_SUMMABLE_EXPONENT = -0.5 + 0.1  # decay strictly slower than 1/sqrt
+_NOT_SUMMABLE_RATIO = 0.20
 # the minimal solution's recursion runs over N = 100 M rows, so that its
 # contamination sqrt(M/N) is 10%; N stops at 2e6 (M <= 20000), where the
 # solve builds no array of b and its traced peak is 0.09 N-arrays (1.4 MiB)
@@ -419,13 +426,15 @@ def residual_check(v: FockVector, params: SqueezeParams) -> float:
 class DeficiencyEvidence:
     """Count of independent square-summable solutions at lambda' = i.
 
-    count is None when the contamination bound is not met, or if the
-    minimal solution built within it is not flagged either (never a silent
-    guess).  Exponents are the fitted envelope slopes.  When neither
-    fundamental solution is square-summable, contamination_bound is
-    sqrt(M/N) for the minimal solution's recursion over N = min(100 M, 2e6)
-    rows; the bound is met at N = 100 M, that is up to M = 20000, and only
-    there is the minimal solution built and minimal_exponent reported.
+    count is None when neither fundamental solution is decided (_flagged)
+    and the minimal solution is either past its contamination bound or not
+    flagged square-summable (never a silent guess).  Exponents are the
+    fitted envelope slopes.  contamination_bound and minimal_exponent are
+    None unless both fundamental solutions are undecided; then
+    contamination_bound is sqrt(M/N) for the minimal solution's recursion
+    over N = min(100 M, 2e6) rows.  The bound is met at N = 100 M, that is
+    up to M = 20000, and only there is the minimal solution built and
+    minimal_exponent reported.
     """
 
     sector: SectorParams
@@ -438,16 +447,23 @@ class DeficiencyEvidence:
     contamination_bound: float | None = None
 
 
-def _flagged(log_abs: np.ndarray) -> tuple[bool, float]:
-    """(square-summable, exponent) of log|f_0..f_M|: square-summable is an
-    envelope exponent over [M/10, M] below -0.6 and partial sums that are
-    Cauchy across M/2 -> M within 10%.  At M >= 5000 every entry is finite
+def _flagged(log_abs: np.ndarray, decide: bool = True) -> tuple[bool | None, float]:
+    """(verdict, exponent) of log|f_0..f_M|, from the envelope exponent
+    over [M/10, M] and the Cauchy ratio of the partial sums across
+    M/2 -> M: True (square-summable) for an exponent below -0.6 and a ratio
+    below 10%, False (not square-summable) for an exponent at or above -0.4
+    and a ratio at or above 20%, None (undecided) otherwise.  The ratio is
+    computed only when the exponent takes a side, and not at all when
+    decide is false (verdict None).  At M >= 5000 every entry is finite
     (_positive_log_solution), so the fit always has at least 4501 points."""
     exponent = envelope_fit(log_abs)[0]
-    return (
-        exponent < _SQUARE_SUMMABLE_EXPONENT
-        and cauchy_ratio(log_partial_sums_of_squares(log_abs)) < _CAUCHY_WINDOW
-    ), exponent
+    if not decide:
+        return None, exponent
+    if exponent < _SQUARE_SUMMABLE_EXPONENT:
+        return (True if cauchy_ratio(log_abs) < _CAUCHY_WINDOW else None), exponent
+    if exponent >= _NOT_SUMMABLE_EXPONENT:
+        return (False if cauchy_ratio(log_abs) >= _NOT_SUMMABLE_RATIO else None), exponent
+    return None, exponent
 
 
 def _block_steps(rows: np.ndarray, y_prev: np.ndarray, y_cur: np.ndarray, out=None):
@@ -577,15 +593,18 @@ def _minimal_solution_profile(sector: SectorParams, M: int, N: int) -> np.ndarra
 def deficiency_evidence(sector: SectorParams, M: int) -> DeficiencyEvidence:
     """How many solutions are square-summable at spectral point i.
 
-    Both fundamental solutions are tested, and each flagged one counts
-    (_flagged); two flags mean the full two-dimensional solution space is
-    square-summable (count 2).  In the one-dimensional case the
-    fundamental solutions align with the dominant solution and neither is
-    flagged, so the decaying combination is constructed separately and
-    tested the same way (count 1).  It is constructed only while its
-    contamination bound sqrt(M/N) is at most 10%, that is up to
+    Both fundamental solutions are tested (_flagged).  By Weyl's
+    limit-point / limit-circle alternative the count at a non-real point is
+    1 or 2: 2 when every solution is square-summable, 1 otherwise.  So one
+    fundamental solution flagged not square-summable decides count 1 (k <=
+    2 at every M, where the moment problem is determinate), and two flagged
+    square-summable decide count 2 (k >= 3).  A single square-summable flag
+    with the other undecided counts 1.  Only when both are undecided is the
+    decaying combination, the minimal solution, constructed and tested the
+    same way (count 1 if it is square-summable).  It is constructed only
+    while its contamination bound sqrt(M/N) is at most 10%, that is up to
     M = 20000; above it minimal_exponent is None and the evidence is not
-    conclusive.  All three solutions come from one positive recursion
+    conclusive.  All solutions come from one positive recursion
     (_positive_log_solution).
     """
     if M < 5000:
@@ -598,9 +617,15 @@ def deficiency_evidence(sector: SectorParams, M: int) -> DeficiencyEvidence:
     second, exponent_second = _flagged(
         np.concatenate(([-np.inf], _positive_log_solution(sector, 1, M - 1) - math.log(b0)))
     )
-    poly, exponent_polynomial = _flagged(_positive_log_solution(sector, 0, M))
+    # a second kind that is not square-summable already decides count 1, and
+    # the polynomial kind then needs only its exponent
+    poly, exponent_polynomial = _flagged(
+        _positive_log_solution(sector, 0, M), decide=second is not False
+    )
     exponents = (exponent_polynomial, exponent_second)
-    count = poly + second
+    if False in (poly, second):  # not every solution is square-summable
+        return DeficiencyEvidence(sector, M, 1, *exponents, None, True)
+    count = (poly, second).count(True)
     if count:
         return DeficiencyEvidence(sector, M, count, *exponents, None, True)
     N = min(_MINIMAL_ROWS_PER_M * M, _MAX_MINIMAL_ROWS)

@@ -22,6 +22,7 @@ from powersqueeze import (
     build_state,
     sr_report,
 )
+from powersqueeze import states
 from powersqueeze.cli import main
 
 
@@ -255,11 +256,28 @@ class TestDeficiencyCommand:
         assert doc["results"]["conclusive"] is True
 
     @pytest.mark.parametrize("k, bound", [(1, 0.1), (3, None)])
-    def test_json_diagnostics_carry_the_contamination_bound(self, capsys, k, bound):
-        # null where no minimal solution is needed
+    def test_json_diagnostics_carry_the_contamination_bound(self, capsys, monkeypatch, k, bound):
+        # with the not-square-summable verdict switched off, k = 1's
+        # fundamental solutions are undecided and the minimal solution is
+        # built within its bound; null where no minimal solution is needed
+        monkeypatch.setattr(states, "_NOT_SUMMABLE_EXPONENT", math.inf)
         assert main(["deficiency", "--k", str(k), "--M", "5000", "--format", "json"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["diagnostics"] == {"contamination_bound": bound}
+        assert (doc["results"]["minimal_exponent"] is None) == (bound is None)
+
+    @pytest.mark.parametrize("M", [5000, 20_001, 600_000, 2_000_000])
+    @pytest.mark.parametrize("k, kappa", [(1, 0), (2, 1)])
+    def test_weyl_alternative_decides_k_up_to_2(self, capsys, k, kappa, M):
+        # one fundamental solution not square-summable: count 1, conclusive
+        # at every M up to the cap, with no minimal solution and no bound
+        argv = ["deficiency", "--k", str(k), "--kappa", str(kappa), "--M", str(M), "--format", "json"]
+        assert main(argv) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["results"]["count_square_summable"] == 1
+        assert doc["results"]["conclusive"] is True
+        assert doc["results"]["minimal_exponent"] is None
+        assert doc["diagnostics"] == {"contamination_bound": None}
 
     def test_csv_row(self, capsys):
         code = main(["deficiency", "--k", "2", "--M", "5000"])
@@ -711,7 +729,9 @@ class TestGoldenBytes:
             # the cases where counting per index changes the passes most
             ("spectrum_k4_n1315", ["spectrum", "--k", "4", "--n", "1315", "--tol", "1e-10"]),
             ("spectrum_k40_n300", ["spectrum", "--k", "40", "--n", "300", "--tol", "1e-10"]),
-            # count 1 through the minimal-solution solve, not the count-2 path
+            # count 1 by Weyl's alternative, not the count-2 path: k = 1's
+            # fundamental solutions grow, k = 2's decay like m^(-1/4), so
+            # neither is square-summable and no minimal solution is built
             ("deficiency_k1_m5000", ["deficiency", "--k", "1", "--M", "5000"]),
             ("deficiency_k2_kappa1_m5000",
              ["deficiency", "--k", "2", "--kappa", "1", "--M", "5000"]),

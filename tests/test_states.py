@@ -609,7 +609,7 @@ class TestMinimalSolution:
         N = min(100 * M, 2_000_000)
         log_abs = states._minimal_solution_profile(sector, M, N)
         got_exponent, count = envelope_fit(log_abs)
-        cauchy = jacobi.cauchy_ratio(log_partial_sums_of_squares(log_abs)) < states._CAUCHY_WINDOW
+        cauchy = jacobi.cauchy_ratio(log_abs) < states._CAUCHY_WINDOW
         for reference in (reference_minimal_solution_profile, reference_zgtsv_profile):
             exponent, ref_cauchy, ref_count = reference(sector, M, N)
             assert (cauchy, count) == (ref_cauchy, ref_count)
@@ -671,23 +671,43 @@ class TestMemoryAtTheCap:
     @pytest.mark.parametrize("k", [1, 2])
     def test_deficiency_evidence(self, k):
         # one log solution at a time, each dropped once its verdict is
-        # made, and the envelope fit over every point of the final decade,
-        # x from a float range and y a copy, with no index array: 3.034 at
-        # k = 1 and 2 (with the int64 indices and a gather: 3.934; as
-        # growth profiles, both log solutions and one's partial sums alive:
-        # 5.934 and 5.008; earlier, b as an M-array: 6.93, and np.polyfit's
-        # Vandermonde matrix and SVD workspace: 13.2).  A second log
-        # solution alive adds 1.0, a 1 MiB chunk of rows alive at the fit
-        # 0.066
-        assert self.traced_peak(lambda: deficiency_evidence(SectorParams(k, 0), self.M)) <= 3.05
+        # made; the envelope fit over every point of the final decade, x
+        # from a float range and y a copy, with no index array and its
+        # window masks dropped first; the Cauchy ratio from two reductions
+        # over half of 2 log|f| each: 2.809 at k = 1 and 2 (the masks alive
+        # through the fit and the whole partial-sum array: 3.034; with the
+        # int64 indices and a gather: 3.934; as growth profiles, both log
+        # solutions and one's partial sums alive: 5.934 and 5.008; earlier,
+        # b as an M-array: 6.93, and np.polyfit's Vandermonde matrix and SVD
+        # workspace: 13.2).  A second log solution alive adds 1.0, one
+        # window mask alive at the fit 0.11, a 1 MiB chunk of rows 0.066
+        assert self.traced_peak(lambda: deficiency_evidence(SectorParams(k, 0), self.M)) <= 2.83
+
+
+def refuse_minimal_solution(sector, M, N):
+    raise AssertionError(f"minimal solution built at M = {M}, N = {N}")
+
+
+@pytest.fixture
+def undecided(monkeypatch):
+    """Switch off the not-square-summable verdict: at k <= 2 both
+    fundamental solutions are then undecided, and deficiency_evidence
+    takes the minimal-solution route as it did before Weyl's alternative
+    decided these sectors."""
+    monkeypatch.setattr(states, "_NOT_SUMMABLE_EXPONENT", math.inf)
 
 
 class TestDeficiencyEvidence:
-    def test_limit_point_k1(self):
+    def test_limit_point_k1(self, monkeypatch):
+        # both fundamental solutions grow (exponent 22.16), so Weyl's
+        # alternative decides count 1 and no minimal solution is built
+        monkeypatch.setattr(states, "_minimal_solution_profile", refuse_minimal_solution)
         ev = deficiency_evidence(SectorParams(1, 0), 5000)
         assert ev.conclusive
         assert ev.count == 1
-        assert ev.minimal_exponent is not None and ev.minimal_exponent < -0.6
+        assert ev.minimal_exponent is None and ev.contamination_bound is None
+        assert ev.exponent_polynomial >= states._NOT_SUMMABLE_EXPONENT
+        assert ev.exponent_second >= states._NOT_SUMMABLE_EXPONENT
 
     def test_limit_point_k2_odd_sector(self):
         ev = deficiency_evidence(SectorParams(2, 1), 5000)
@@ -720,38 +740,140 @@ class TestDeficiencyEvidence:
         with pytest.raises(ValueError):
             deficiency_evidence(SectorParams(3, 0), 1000)
 
-    def test_contamination_bound(self):
-        # N = min(100 M, 2e6): M = 20000 is the largest M with sqrt(M/N) <= 0.1
+    def test_contamination_bound(self, monkeypatch):
+        # N = min(100 M, 2e6): M = 20000 is the largest M with
+        # sqrt(M/N) <= 0.1.  The bound is reported where the minimal
+        # solution is built, that is where both fundamental solutions are
+        # undecided, and is None where Weyl's alternative or two
+        # square-summable flags decide the count
+        assert deficiency_evidence(SectorParams(1, 0), 20_000).contamination_bound is None
+        assert deficiency_evidence(SectorParams(3, 0), 5000).contamination_bound is None
+        monkeypatch.setattr(states, "_NOT_SUMMABLE_EXPONENT", math.inf)
         ev = deficiency_evidence(SectorParams(1, 0), 20_000)
         assert ev.conclusive and ev.count == 1
         assert ev.contamination_bound == 0.1
-        assert deficiency_evidence(SectorParams(3, 0), 5000).contamination_bound is None
+        assert ev.minimal_exponent is not None and ev.minimal_exponent < -0.6
 
-    def test_contamination_bound_fails_above_m_20000(self):
+    def test_contamination_bound_fails_above_m_20000(self, monkeypatch):
+        ev = deficiency_evidence(SectorParams(1, 0), 20_001)
+        assert (ev.count, ev.conclusive, ev.contamination_bound) == (1, True, None)
+        monkeypatch.setattr(states, "_NOT_SUMMABLE_EXPONENT", math.inf)
         ev = deficiency_evidence(SectorParams(1, 0), 20_001)
         assert not ev.conclusive and ev.count is None
         assert ev.contamination_bound == math.sqrt(20_001 / 2_000_000) > 0.1
         assert ev.minimal_exponent is None
 
-    def test_no_minimal_solve_past_the_bound(self, monkeypatch):
+    def test_no_minimal_solve_past_the_bound(self, monkeypatch, undecided):
         # past M = 20000 the bound cannot be met, so the 2e6-row system is
         # not solved at all
-        def refuse(sector, M, N):
-            raise AssertionError(f"minimal solution built at M = {M}, N = {N}")
-
-        monkeypatch.setattr(states, "_minimal_solution_profile", refuse)
+        monkeypatch.setattr(states, "_minimal_solution_profile", refuse_minimal_solution)
         ev = deficiency_evidence(SectorParams(1, 0), 20_001)
         assert ev.minimal_exponent is None and ev.count is None and not ev.conclusive
         assert ev.contamination_bound == math.sqrt(20_001 / 2_000_000)
 
-    def test_fit_window_past_the_minimal_solution_rows(self, monkeypatch):
+    def test_fit_window_past_the_minimal_solution_rows(self, monkeypatch, undecided):
         # N = min(100 M, cap) <= M: the window [M/10, M] would read past
         # w[N - 1]; met at M >= 2e6 with the real cap, here at M = 5000
         monkeypatch.setattr(states, "_MAX_MINIMAL_ROWS", 5000)
+        monkeypatch.setattr(states, "_minimal_solution_profile", refuse_minimal_solution)
         ev = deficiency_evidence(SectorParams(1, 0), 5000)
         assert not ev.conclusive and ev.count is None
         assert ev.minimal_exponent is None and ev.contamination_bound == 1.0
         assert ev.exponent_polynomial is not None
+
+
+class TestWeylAlternative:
+    """At a non-real point the count is 1 (limit point) or 2 (limit
+    circle); one fundamental solution that is not square-summable decides
+    count 1 without the minimal solution, at every M up to the CLI's cap."""
+
+    @pytest.mark.parametrize("M", [5000, 20_001, 600_000, 2_000_000])
+    @pytest.mark.parametrize("k, kappa", [(1, 0), (2, 0), (2, 1)])
+    def test_limit_point_without_the_minimal_solution(self, monkeypatch, k, kappa, M):
+        monkeypatch.setattr(states, "_minimal_solution_profile", refuse_minimal_solution)
+        ev = deficiency_evidence(SectorParams(k, kappa), M)
+        assert (ev.count, ev.conclusive) == (1, True)
+        assert (ev.minimal_exponent, ev.contamination_bound) == (None, None)
+
+    @pytest.mark.parametrize("k, kappa", [(3, 0), (3, 1), (3, 2), (4, 0), (4, 3), (100, 0), (100, 50), (100, 99)])
+    def test_limit_circle_counts_two(self, monkeypatch, k, kappa):
+        monkeypatch.setattr(states, "_minimal_solution_profile", refuse_minimal_solution)
+        ev = deficiency_evidence(SectorParams(k, kappa), 5000)
+        assert (ev.count, ev.conclusive) == (2, True)
+        assert (ev.minimal_exponent, ev.contamination_bound) == (None, None)
+
+    @pytest.mark.parametrize("k, kappa", [(1, 0), (2, 1)])
+    def test_undecided_takes_the_minimal_route(self, monkeypatch, undecided, k, kappa):
+        # within the contamination bound the minimal solution decides
+        # count 1; past it nothing is built and the count is None
+        built, minimal = [], states._minimal_solution_profile
+
+        def record(sector, M, N):
+            built.append((M, N))
+            return minimal(sector, M, N)
+
+        monkeypatch.setattr(states, "_minimal_solution_profile", record)
+        for M in (5000, 20_000):
+            ev = deficiency_evidence(SectorParams(k, kappa), M)
+            assert (ev.count, ev.conclusive, ev.contamination_bound) == (1, True, 0.1)
+            assert ev.minimal_exponent < states._SQUARE_SUMMABLE_EXPONENT
+        ev = deficiency_evidence(SectorParams(k, kappa), 20_001)
+        assert (ev.count, ev.conclusive, ev.minimal_exponent) == (None, False, None)
+        assert built == [(5000, 500_000), (20_000, 2_000_000)]
+
+    @pytest.mark.parametrize("M", [5000, 20_000])
+    def test_readings_keep_their_margins(self, monkeypatch, M):
+        # the envelope exponent and Cauchy ratio of both fundamental
+        # solutions, as _flagged reads them: every k = 2 reading at least
+        # 0.1 above the not-square-summable exponent and 0.05 above its
+        # ratio, every k = 3 reading at least 0.1 below the square-summable
+        # exponent and 0.05 below its ratio.  Measured: k = 2 from -0.261
+        # and 0.2928 (M = 5000; closer to -1/4 and 1 - 2^-1/2 as M grows,
+        # to 2e6), k = 3 up to -0.748 and 6.4e-3 (M = 5000; smaller as M
+        # grows)
+        flagged, readings = states._flagged, []
+
+        def record(log_abs, **kwargs):
+            readings.append((envelope_fit(log_abs)[0], jacobi.cauchy_ratio(log_abs)))
+            return flagged(log_abs, **kwargs)
+
+        monkeypatch.setattr(states, "_flagged", record)
+        for k in (2, 3):
+            readings.clear()
+            for kappa in range(k):
+                deficiency_evidence(SectorParams(k, kappa), M)
+            assert len(readings) == 2 * k
+            for exponent, ratio in readings:
+                if k == 2:
+                    assert exponent >= states._NOT_SUMMABLE_EXPONENT + 0.1
+                    assert ratio >= states._NOT_SUMMABLE_RATIO + 0.05
+                else:
+                    assert exponent <= states._SQUARE_SUMMABLE_EXPONENT - 0.1
+                    assert ratio <= states._CAUCHY_WINDOW - 0.05
+
+    def test_cauchy_ratio_keeps_the_bits_of_the_partial_sums(self, monkeypatch):
+        # the two reductions give the bits of the accumulated log partial
+        # sums at M/2 and M, for every log|f| that deficiency_evidence
+        # tests on its grid (k = 1..4, kappa in {0, k - 1}, M = 5000,
+        # 12500, 20001), the minimal solutions (undecided) included
+        flagged, tested = states._flagged, []
+
+        def record(log_abs, **kwargs):
+            tested.append(log_abs)
+            return flagged(log_abs, **kwargs)
+
+        monkeypatch.setattr(states, "_flagged", record)
+        monkeypatch.setattr(states, "_NOT_SUMMABLE_EXPONENT", math.inf)
+        for k in (1, 2, 3, 4):
+            for kappa in sorted({0, k - 1}):
+                for M in (5000, 12_500, 20_001):
+                    deficiency_evidence(SectorParams(k, kappa), M)
+        assert len(tested) == 2 * 7 * 3 + 3 * 2  # 21 fundamental pairs, 6 minimal solutions
+        for log_abs in tested:
+            sums = log_partial_sums_of_squares(log_abs)
+            M = len(log_abs) - 1
+            old = 1.0 - math.exp(sums[M // 2] - sums[M])
+            assert np.array_equal(jacobi.cauchy_ratio(log_abs), old)
 
 
 class TestOneMechanism:
@@ -759,9 +881,15 @@ class TestOneMechanism:
     states._positive_log_solution: no LAPACK, no forward kernel."""
 
     def test_no_scipy_linalg(self):
+        # by Weyl's alternative, and by the minimal-solution route that
+        # the undecided evidence takes (the not-square-summable verdict
+        # switched off)
         code = (
-            "import sys\n"
-            "from powersqueeze import SectorParams, deficiency_evidence\n"
+            "import math, sys\n"
+            "from powersqueeze import SectorParams, deficiency_evidence, states\n"
+            "ev = deficiency_evidence(SectorParams(1, 0), 5000)\n"
+            "assert (ev.count, ev.conclusive, ev.minimal_exponent) == (1, True, None)\n"
+            "states._NOT_SUMMABLE_EXPONENT = math.inf\n"
             "ev = deficiency_evidence(SectorParams(1, 0), 5000)\n"
             "assert ev.count == 1 and ev.minimal_exponent is not None\n"
             "assert 'scipy.linalg' not in sys.modules\n"
@@ -803,9 +931,9 @@ class TestPositiveRecursionAccuracy:
         # kind first, then the polynomial kind
         flagged, tested = states._flagged, []
 
-        def record(log_abs):
+        def record(log_abs, **kwargs):
             tested.append(log_abs)
-            return flagged(log_abs)
+            return flagged(log_abs, **kwargs)
 
         monkeypatch.setattr(states, "_flagged", record)
         sector = SectorParams(k, kappa)

@@ -18,12 +18,14 @@ grid runs its sizes up to 512 again in an interpreter that never loads
 deficiency grid case
 compares the repr of every `DeficiencyEvidence` field, or the error
 raised; M reaches the CLI's cap, 2e6.  M = 20000 is the largest M whose
-minimal solution is built (its system has N = 2e6 rows).  Past the
-contamination bound no minimal solution is built, so the M = 20001 cases
-and (k, kappa, M) = (1, 0, 600000), (1, 0, 2000000) and (2, 0, 2000000)
-check the evidence of the fundamental pair alone, just past the bound,
-far past it and at the cap; (100, 0, 5000) and (100, 99, 5000) check it
-where b_m nears the top of binary64.  A classify grid case compares the repr of
+minimal solution could be built (its system has N = 2e6 rows); a
+revision that builds it for k <= 2 differs from one that decides those
+sectors by Weyl's alternative in minimal_exponent and
+contamination_bound only.  The M = 20001 cases and (k, kappa, M) =
+(1, 0, 600000), (1, 0, 2000000), (2, 0, 2000000) and (2, 1, 2000000)
+check the evidence of the fundamental pair alone, just past the
+contamination bound, far past it and at the cap; (100, 0, 5000) and
+(100, 99, 5000) check it where b_m nears the top of binary64.  A classify grid case compares the repr of
 every `DeterminacyVerdict` field, or the error raised, for k = 1..6 and
 M up to 1e5, and at (k, kappa, M) = (5, 0, 2000000), the CLI's cap.  A b_m grid case compares the `OffDiagonalSequence.build`
 value bytes, or the error raised, by digest, for k up to 250 and lengths
@@ -134,14 +136,15 @@ def moved_fields(old: str, new: str) -> list[str]:
 
 
 # past M = 20000 no minimal solution is built: the M = 20001 cases,
-# (1, 0, 600000) and the two cases at the CLI's cap M = 2e6 check the
+# (1, 0, 600000) and the three cases at the CLI's cap M = 2e6 check the
 # fundamental pair's evidence there; at k = 100, b_m reaches 1e285 by
 # M = 5000
 DEFICIENCY_WORKER = fields_worker(
     "from powersqueeze import SectorParams, deficiency_evidence",
     "deficiency_evidence(SectorParams(k, kappa), M)",
     sector_grid((1, 2, 3, 4), (5000, 12500, 20000, 20001))
-    + [(1, 0, 600_000), (1, 0, 2_000_000), (2, 0, 2_000_000), (100, 0, 5000), (100, 99, 5000)],
+    + [(1, 0, 600_000), (1, 0, 2_000_000), (2, 0, 2_000_000), (2, 1, 2_000_000)]
+    + [(100, 0, 5000), (100, 99, 5000)],
 )
 # (5, 0, 2000000): the CLI's cap, where b is filled a chunk at a time
 CLASSIFY_WORKER = fields_worker(
