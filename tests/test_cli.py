@@ -266,11 +266,12 @@ class TestDeficiencyCommand:
         assert doc["diagnostics"] == {"contamination_bound": bound}
         assert (doc["results"]["minimal_exponent"] is None) == (bound is None)
 
-    @pytest.mark.parametrize("M", [5000, 20_001, 600_000, 2_000_000])
+    @pytest.mark.parametrize("M", [20_001, 600_000, 2_000_000])
     @pytest.mark.parametrize("k, kappa", [(1, 0), (2, 1)])
     def test_weyl_alternative_decides_k_up_to_2(self, capsys, k, kappa, M):
         # one fundamental solution not square-summable: count 1, conclusive
-        # at every M up to the cap, with no minimal solution and no bound
+        # past the contamination bound up to the cap (M = 5000 is pinned by
+        # the deficiency goldens), with no minimal solution and no bound
         argv = ["deficiency", "--k", str(k), "--kappa", str(kappa), "--M", str(M), "--format", "json"]
         assert main(argv) == 0
         doc = json.loads(capsys.readouterr().out)

@@ -596,7 +596,8 @@ class TestBlockTransfer:
 
 class TestMinimalSolution:
     # (1, 0, 20000) and (2, 0, 12500) are the certificates benchmark's
-    # points; the first is the largest system, N = 2e6
+    # deficiency points, where undecided evidence would build the minimal
+    # solution; the first is the largest system, N = 2e6
     @pytest.mark.parametrize(
         "k, kappa, M",
         [(1, 0, 5000), (2, 1, 5000), (2, 0, 7000), (3, 2, 5000), (1, 0, 20000), (2, 0, 12500)],
@@ -692,8 +693,7 @@ def refuse_minimal_solution(sector, M, N):
 def undecided(monkeypatch):
     """Switch off the not-square-summable verdict: at k <= 2 both
     fundamental solutions are then undecided, and deficiency_evidence
-    takes the minimal-solution route as it did before Weyl's alternative
-    decided these sectors."""
+    takes the minimal-solution route."""
     monkeypatch.setattr(states, "_NOT_SUMMABLE_EXPONENT", math.inf)
 
 
@@ -795,7 +795,9 @@ class TestWeylAlternative:
         assert (ev.count, ev.conclusive) == (1, True)
         assert (ev.minimal_exponent, ev.contamination_bound) == (None, None)
 
-    @pytest.mark.parametrize("k, kappa", [(3, 0), (3, 1), (3, 2), (4, 0), (4, 3), (100, 0), (100, 50), (100, 99)])
+    @pytest.mark.parametrize(
+        "k, kappa", [(3, 0), (3, 1), (3, 2), (4, 0), (4, 3), (100, 0), (100, 50), (100, 99)]
+    )
     def test_limit_circle_counts_two(self, monkeypatch, k, kappa):
         monkeypatch.setattr(states, "_minimal_solution_profile", refuse_minimal_solution)
         ev = deficiency_evidence(SectorParams(k, kappa), 5000)
@@ -965,8 +967,10 @@ class TestPositiveRecursionAccuracy:
         assert np.max(np.abs(got - exact)) <= 1e-13
 
     def test_minimal_solution_of_the_deficiency_goldens(self):
-        # (1, 0, M = 5000, N = 5e5) is the system of the deficiency
-        # goldens.  The oracle is the real form: |u| is the positive
+        # (1, 0, M = 5000, N = 5e5) is the system that the deficiency
+        # goldens' sector builds when its evidence is undecided (the
+        # goldens themselves are decided by Weyl's alternative and build
+        # none).  The oracle is the real form: |u| is the positive
         # recursion on the reversed b, scaled to meet row 0,
         # b_0 |u_1| + |u_0| = 1; test_minimal_solution ties the real form
         # to the complex one at N = 5e4
