@@ -41,8 +41,8 @@ _MAX_M = 2_000_000
 _MAX_POLLACZEK_M = 100_000
 # --n of spectrum and extensions: the LAPACK seed and the Sturm passes are
 # O(n^2), so past a few thousand rows the cap is set by time.  At 12800 one
-# spectrum at theta = 0 took 1.7 to 4.2 s and 62 to 70 MB peak RSS for
-# k = 1, 2, 3, 4 and 40, and extensions --k 3 6.9 s per --theta 0.5 (one
+# spectrum at theta = 0 took 1.4 to 4.5 s and 36 to 43 MB peak RSS for
+# k = 1, 2, 3, 4 and 40, and extensions --k 3 7.2 s per --theta 0.5 (one
 # Xeon core)
 _MAX_SPECTRUM_N = 12_800
 # --theta of extensions: each flag costs one full spectrum, up to 10 s at

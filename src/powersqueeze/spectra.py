@@ -4,15 +4,14 @@ matrices by Sturm-sequence bisection, seeded by LAPACK.
 Every eigenvalue is returned as the midpoint of a Sturm-count bisection
 bracket, with a fixed iteration count, so the result carries a bracket
 certificate and does not depend on the LAPACK build.  LAPACK eigenvalues
-only decide which Sturm counts need computing.  They come from numpy's
-`eigvalsh` on the dense matrix up to 512 rows while `scipy.linalg` is not
-loaded, so `spectrum` and `extensions` at README sizes never import it;
-`eigvalsh` runs `dsterf` after a reduction that leaves a tridiagonal
-matrix as it is.  Otherwise a matrix with an all-zero diagonal (every
-truncation at theta = 0) is seeded with -/+ the singular values of its
-bidiagonal half, from LAPACK's dqds (`dlasq1`), which are relatively
-accurate and 4 times cheaper than `dsterf` at n = 1315; any other matrix,
-or one where `dlasq1` fails, from scipy's `dsterf`.  One Sturm pass over
+only decide which Sturm counts need computing.  They come from the LAPACK
+in numpy's bundled OpenBLAS, which `import numpy` has loaded, called with
+ctypes: a matrix with an all-zero diagonal (every truncation at theta = 0)
+is seeded with -/+ the singular values of its bidiagonal half, from dqds
+(`dlasq1`), which are relatively accurate and 4 times cheaper than
+`dsterf` at n = 1315; any other matrix, or one where `dlasq1` fails, from
+`dsterf`.  Where numpy bundles no such library, scipy's `dsterf` seeds
+every matrix.  One Sturm pass over
 the 2n shifts seed_j -/+ delta_j certifies a bracket [a_j, b_j] with
 count(a_j) <= j < count(b_j), widening delta_j where it does not (an index
 never certified, or every index when LAPACK fails, bisects the whole
@@ -237,41 +236,56 @@ class SpectrumReport:
         return np.sort(self.eigenvalues[order[:count]])
 
 
-# Up to this many rows, while scipy.linalg is not loaded, the seed is the
-# dense eigvalsh: 2 MiB and about 20 ms at 512 rows, a tenth of the 0.21 s
-# and 25 MB that importing scipy.linalg costs a process; at 1024 rows it
-# takes 106 ms against 19 ms for dsterf.
-_DENSE_SEED_ROWS = 512
 # The relative half-width, in eps |seed_j|, that a seed bracket starts at
 # (see `_seed_brackets`): at k = 1..40 and n = 41..1601, against
-# eigenvalues bisected to adjacent doubles, dsterf's seeds (and eigvalsh's,
-# which are dsterf's) were 1.5 to 11 eps |lambda_j| off in the median and
-# up to 104 eps, dlasq1's 0.7 to 3.4 eps in the median and up to 32 eps
+# eigenvalues bisected to adjacent doubles, dsterf's seeds were 1.5 to 11
+# eps |lambda_j| off in the median and up to 104 eps, dlasq1's 0.7 to 3.4
+# eps in the median and up to 32 eps
 _STERF_WIDTH = 32
 _BIDIAGONAL_WIDTH = 8
 
 
-@functools.cache
-def _dlasq1_routine():
-    """LAPACK's dlasq1 from scipy's `cython_lapack`, as a ctypes function
-    of five pointers: n, d, e, work and info.
+def _bundled_library() -> str | None:
+    """The path of the OpenBLAS in numpy's wheel, `numpy.libs/libscipy_openblas64_*`
+    beside the package, which `import numpy` loads; None where there is none."""
+    import glob
+    import os
 
-    scipy.linalg.lapack has no wrapper for it; `cython_lapack` exports the
-    function pointer in a PyCapsule.  Importing scipy.linalg has loaded
-    both `cython_lapack` and `ctypes` already.
-    """
+    libs = os.path.join(os.path.dirname(np.__file__), "..", "numpy.libs")
+    return min(glob.glob(os.path.join(libs, "libscipy_openblas64_*")), default=None)
+
+
+@functools.cache
+def _bundled_lapack():
+    """`_bundled_library` opened with ctypes, with its 64-bit-integer
+    `scipy_dsterf_64_` and `scipy_dlasq1_64_` declared as functions of
+    pointers; None where the library or either symbol is missing."""
     import ctypes
 
-    from scipy.linalg import cython_lapack
+    if (path := _bundled_library()) is None:
+        return None
+    try:
+        lib = ctypes.CDLL(path)
+        for routine, pointers in ((lib.scipy_dsterf_64_, 4), (lib.scipy_dlasq1_64_, 5)):
+            routine.argtypes, routine.restype = [ctypes.c_void_p] * pointers, None
+    except (OSError, AttributeError):
+        return None
+    return lib
 
-    capsule = cython_lapack.__pyx_capi__["dlasq1"]
-    api = ctypes.pythonapi
-    get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", api))
-    get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
-        ("PyCapsule_GetPointer", api)
-    )
-    address = get_pointer(capsule, get_name(capsule))
-    return ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * 5)(address)
+
+def _call(routine, n: int, buf: np.ndarray, *offsets: int) -> int:
+    """`routine`(n, pointers into buf at these entry offsets, info); its info."""
+    ints = np.array([n, 0], dtype=np.int64)  # n, info
+    at, base = ints.ctypes.data, buf.ctypes.data
+    routine(at, *(base + 8 * i for i in offsets), at + 8)
+    return int(ints[1])
+
+
+def _dsterf(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, int]:
+    """LAPACK dsterf: the eigenvalues of the tridiagonal matrix with diagonal
+    d and off-diagonal e (one entry fewer), ascending, and its info."""
+    n, buf = len(d), np.concatenate([d, e], dtype=np.float64)  # e is overwritten
+    return buf[:n], _call(_bundled_lapack().scipy_dsterf_64_, n, buf, 0, n)
 
 
 def _dlasq1(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, int]:
@@ -280,13 +294,8 @@ def _dlasq1(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, int]:
     its info.  They are determined to high relative accuracy (Demmel &
     Kahan 1990), and dqds computes them so (Fernando & Parlett 1994)."""
     m = len(d)
-    buf = np.zeros(6 * m)  # d; e, whose last entry is workspace; work (4 m)
-    buf[:m] = d
-    buf[m : 2 * m - 1] = e
-    ints = np.array([m, 0], dtype=np.intc)  # n, info
-    at, base = ints.ctypes.data, buf.ctypes.data
-    _dlasq1_routine()(at, base, base + 8 * m, base + 16 * m, at + ints.itemsize)
-    return buf[:m], int(ints[1])
+    buf = np.concatenate([d, e, np.zeros(4 * m + 1)], dtype=np.float64)  # work: 4 m entries
+    return buf[:m], _call(_bundled_lapack().scipy_dlasq1_64_, m, buf, 0, m, 2 * m)
 
 
 def _bidiagonal_seed(offdiag: np.ndarray) -> np.ndarray | None:
@@ -312,36 +321,25 @@ def _lapack_seed(T: TridiagonalMatrix) -> tuple[np.ndarray, int] | None:
     """LAPACK's eigenvalues of T, ascending, and the relative half-width in
     eps that their brackets start at; None where LAPACK fails.
 
-    The diagonal at n = 1.  Up to `_DENSE_SEED_ROWS` rows, while
-    `scipy.linalg` is not in `sys.modules`, numpy's `eigvalsh` of the
-    dense lower triangle (a `LinAlgError` gives None).  Otherwise, at an
-    all-zero diagonal, -/+ the singular values of T's bidiagonal half from
-    dlasq1 (`_bidiagonal_seed`): O(n) per dqds sweep, 4 times cheaper than
-    dsterf at n = 1315 and relatively accurate; otherwise, or where dlasq1
-    fails, scipy's `dsterf` (info != 0 gives None).  The seed only decides
-    which Sturm counts run, never an eigenvalue's bits, so the route may
-    depend on what the process has loaded: a process that never loads
-    scipy and seeds matrices of about 512 rows many times pays up to about
-    15 ms more per seed than `dsterf` would take.
+    The diagonal at n = 1.  Otherwise numpy's bundled LAPACK
+    (`_bundled_lapack`): at an all-zero diagonal, -/+ the singular values
+    of T's bidiagonal half from dlasq1 (`_bidiagonal_seed`), O(n) per dqds
+    sweep, 4 times cheaper than dsterf at n = 1315 and relatively
+    accurate; otherwise, or where dlasq1 fails, dsterf (info != 0 gives
+    None).  Where numpy bundles none, scipy's `dsterf` seeds every matrix.
+    The seed only decides which Sturm counts run, never an eigenvalue's
+    bits.
     """
-    n = T.n
-    if n == 1:
+    if T.n == 1:
         return T.diag, _STERF_WIDTH
-    if n <= _DENSE_SEED_ROWS and "scipy.linalg" not in sys.modules:
-        lower = np.zeros((n, n))
-        lower.flat[:: n + 1] = T.diag
-        lower.flat[n :: n + 1] = T.offdiag  # entries (i + 1, i)
-        try:
-            return np.linalg.eigvalsh(lower), _STERF_WIDTH
-        except np.linalg.LinAlgError:
-            return None
-    if not T.diag.any() and (seed := _bidiagonal_seed(T.offdiag)) is not None:
-        return seed, _BIDIAGONAL_WIDTH
-    # loaded only past the dense route: the import takes 0.21 s and 25 MB,
-    # half of a README-sized spectrum command
-    from scipy.linalg import lapack
+    if _bundled_lapack() is None:
+        from scipy.linalg import lapack
 
-    seed, info = lapack.dsterf(T.diag, T.offdiag)
+        seed, info = lapack.dsterf(T.diag, T.offdiag)
+    elif not T.diag.any() and (seed := _bidiagonal_seed(T.offdiag)) is not None:
+        return seed, _BIDIAGONAL_WIDTH
+    else:
+        seed, info = _dsterf(T.diag, T.offdiag)
     return (seed, _STERF_WIDTH) if info == 0 else None
 
 

@@ -428,13 +428,14 @@ class DeficiencyEvidence:
 
     count is None when neither fundamental solution is decided (_flagged)
     and the minimal solution is either past its contamination bound or not
-    flagged square-summable (never a silent guess).  Exponents are the
-    fitted envelope slopes.  contamination_bound and minimal_exponent are
-    None unless both fundamental solutions are undecided; then
-    contamination_bound is sqrt(M/N) for the minimal solution's recursion
-    over N = min(100 M, 2e6) rows.  The bound is met at N = 100 M, that is
-    up to M = 20000, and only there is the minimal solution built and
-    minimal_exponent reported.
+    flagged square-summable, and when one is flagged square-summable and
+    the other not, which Weyl's alternative rules out (never a silent
+    guess).  Exponents are the fitted envelope slopes.  contamination_bound
+    and minimal_exponent are None unless both fundamental solutions are
+    undecided; then contamination_bound is sqrt(M/N) for the minimal
+    solution's recursion over N = min(100 M, 2e6) rows.  The bound is met
+    at N = 100 M, that is up to M = 20000, and only there is the minimal
+    solution built and minimal_exponent reported.
     """
 
     sector: SectorParams
@@ -595,17 +596,20 @@ def deficiency_evidence(sector: SectorParams, M: int) -> DeficiencyEvidence:
 
     Both fundamental solutions are tested (_flagged).  By Weyl's
     limit-point / limit-circle alternative the count at a non-real point is
-    1 or 2: 2 when every solution is square-summable, 1 otherwise.  So one
+    1 or 2: 2 when every solution is square-summable, 1 otherwise.  At
+    count 1 the one square-summable solution is a combination of both
+    fundamental solutions, neither of which is square-summable.  So one
     fundamental solution flagged not square-summable decides count 1 (k <=
-    2 at every M, where the moment problem is determinate), and two flagged
-    square-summable decide count 2 (k >= 3).  A single square-summable flag
-    with the other undecided counts 1.  Only when both are undecided is the
-    decaying combination, the minimal solution, constructed and tested the
-    same way (count 1 if it is square-summable).  It is constructed only
-    while its contamination bound sqrt(M/N) is at most 10%, that is up to
-    M = 20000; above it minimal_exponent is None and the evidence is not
-    conclusive.  All solutions come from one positive recursion
-    (_positive_log_solution).
+    2 at every M, where the moment problem is determinate), and one flagged
+    square-summable decides count 2 (k >= 3), the other being flagged the
+    same way or undecided.  One flag of each kind contradicts the
+    alternative and gives count None, not conclusive.  Only when both are
+    undecided is the decaying combination, the minimal solution,
+    constructed and tested the same way (count 1 if it is square-summable).
+    It is constructed only while its contamination bound sqrt(M/N) is at
+    most 10%, that is up to M = 20000; above it minimal_exponent is None
+    and the evidence is not conclusive.  All solutions come from one
+    positive recursion (_positive_log_solution).
     """
     if M < 5000:
         raise ValueError(f"states.deficiency_evidence: M must be >= 5000, got {M}")
@@ -622,12 +626,10 @@ def deficiency_evidence(sector: SectorParams, M: int) -> DeficiencyEvidence:
     poly, exponent_polynomial = _flagged(
         _positive_log_solution(sector, 0, M), decide=second is not False
     )
-    exponents = (exponent_polynomial, exponent_second)
-    if False in (poly, second):  # not every solution is square-summable
-        return DeficiencyEvidence(sector, M, 1, *exponents, None, True)
-    count = (poly, second).count(True)
-    if count:
-        return DeficiencyEvidence(sector, M, count, *exponents, None, True)
+    exponents, decided = (exponent_polynomial, exponent_second), {poly, second} - {None}
+    if decided:  # one flag of each kind contradicts the alternative: no count
+        count = None if len(decided) == 2 else 2 if True in decided else 1
+        return DeficiencyEvidence(sector, M, count, *exponents, None, count is not None)
     N = min(_MINIMAL_ROWS_PER_M * M, _MAX_MINIMAL_ROWS)
     bound = math.sqrt(M / N)
     if N < _MINIMAL_ROWS_PER_M * M:

@@ -582,54 +582,46 @@ class TestEigenvaluesBisect:
         assert eigenvalues_bisect(T, 1e-12).eigenvalues[0] == T.diag[0]
 
 
-SEED_ROUTES = ("dsterf", "eigvalsh", "dlasq1")
+SEED_ROUTES = ("dsterf", "scipy", "dlasq1")
+
+
+def hide_bundled_lapack(monkeypatch, library=None) -> None:
+    """Make the lookup of numpy's bundled OpenBLAS find `library` (a path,
+    or None for none), behind a cache of its own."""
+    monkeypatch.setattr(spectra, "_bundled_library", lambda: library)
+    monkeypatch.setattr(
+        spectra, "_bundled_lapack", functools.cache(spectra._bundled_lapack.__wrapped__)
+    )
 
 
 def select_seed_route(monkeypatch, route: str) -> None:
-    """Seeds come from scipy's dsterf, which this module loads, with the
-    bidiagonal seed turned off; or, with scipy.linalg hidden from
-    sys.modules, from numpy's dense eigvalsh up to spectra._DENSE_SEED_ROWS
-    rows; or, as this module runs by default, from dlasq1 at an all-zero
-    diagonal and from dsterf at any other."""
+    """Seeds come from the bundled dsterf, with the bidiagonal seed turned
+    off; or, with the bundled library hidden, from scipy's dsterf; or, as
+    this module runs by default, from the bundled dlasq1 at an all-zero
+    diagonal and from the bundled dsterf at any other."""
     if route == "dsterf":
         monkeypatch.setattr(spectra, "_bidiagonal_seed", lambda offdiag: None)
-    elif route == "eigvalsh":
-        monkeypatch.delitem(sys.modules, "scipy.linalg")
+    elif route == "scipy":
+        hide_bundled_lapack(monkeypatch)
 
 
-def fake_lapack(monkeypatch, route: str, wrong_seed) -> list:
-    """Make the routine of `route` return wrong_seed(its output) -> (seed,
-    info): eigenvalues, or dlasq1's singular values; info != 0 is dsterf's
-    or dlasq1's failure, and makes eigvalsh raise LinAlgError.  Returns the
-    list of the sizes it is called with (B's order for dlasq1)."""
-    calls = []
-    if route == "dsterf":
-        real_sterf = scipy.linalg.lapack.dsterf
+def fake_lapack(monkeypatch, routine: str, wrong_seed) -> list:
+    """Make `routine`, the bundled "dsterf" or "dlasq1" or "scipy"'s
+    dsterf, return wrong_seed(its output) -> (seed, info): eigenvalues, or
+    dlasq1's singular values; info != 0 is the routine's failure.  Returns
+    the list of the sizes it is called with (B's order for dlasq1)."""
+    owner, name = {
+        "dsterf": (spectra, "_dsterf"),
+        "dlasq1": (spectra, "_dlasq1"),
+        "scipy": (scipy.linalg.lapack, "dsterf"),
+    }[routine]
+    real, calls = getattr(owner, name), []
 
-        def fake_sterf(d, e):
-            calls.append(len(d))
-            return wrong_seed(real_sterf(d, e)[0])
+    def fake(d, e):
+        calls.append(len(d))
+        return wrong_seed(real(d, e)[0])
 
-        monkeypatch.setattr(scipy.linalg.lapack, "dsterf", fake_sterf)
-    elif route == "dlasq1":
-        real_dlasq1 = spectra._dlasq1
-
-        def fake_dlasq1(d, e):
-            calls.append(len(d))
-            return wrong_seed(real_dlasq1(d, e)[0])
-
-        monkeypatch.setattr(spectra, "_dlasq1", fake_dlasq1)
-    else:
-        real_eigvalsh = np.linalg.eigvalsh
-
-        def fake_eigvalsh(A):
-            calls.append(len(A))
-            seed, info = wrong_seed(real_eigvalsh(A))
-            if info != 0:
-                raise np.linalg.LinAlgError("Eigenvalues did not converge")
-            return seed
-
-        monkeypatch.setattr(np.linalg, "eigvalsh", fake_eigvalsh)
+    monkeypatch.setattr(owner, name, fake)
     return calls
 
 
@@ -683,9 +675,10 @@ class TestSeededBisection:
         self.assert_bits_survive(monkeypatch, "dsterf", wrong_seed)
 
     @WRONG_SEEDS
-    def test_bits_survive_a_wrong_dense_seed(self, monkeypatch, wrong_seed):
-        # the LAPACK error is a LinAlgError here
-        self.assert_bits_survive(monkeypatch, "eigvalsh", wrong_seed)
+    def test_bits_survive_a_wrong_scipy_seed(self, monkeypatch, wrong_seed):
+        # where numpy bundles no LAPACK every seed, theta = 0 included, is
+        # scipy's dsterf
+        self.assert_bits_survive(monkeypatch, "scipy", wrong_seed)
 
     @WRONG_SEEDS
     def test_bits_survive_a_wrong_bidiagonal_seed(self, monkeypatch, wrong_seed):
@@ -722,9 +715,10 @@ class TestSeededBisection:
         calls = self.assert_failure_seeds_nothing(monkeypatch, "dsterf", ["dsterf"], 0.5)
         assert calls == [[44]]
 
-    def test_dense_seed_failure_seeds_nothing(self, monkeypatch):
-        # so does a LinAlgError from eigvalsh
-        calls = self.assert_failure_seeds_nothing(monkeypatch, "eigvalsh", ["eigvalsh"], 0.0)
+    def test_scipy_seed_failure_seeds_nothing(self, monkeypatch):
+        # so does scipy's, which seeds theta = 0 too where numpy bundles no
+        # LAPACK
+        calls = self.assert_failure_seeds_nothing(monkeypatch, "scipy", ["scipy"], 0.0)
         assert calls == [[44]]
 
     def test_bidiagonal_and_sterf_failures_seed_nothing(self, monkeypatch):
@@ -745,25 +739,53 @@ class TestSeededBisection:
         for n in (44, 45):
             T = TridiagonalMatrix.truncation(SectorParams(3, 0), n)
             seed, width = spectra._lapack_seed(T)
-            sterf, info = scipy.linalg.lapack.dsterf(T.diag, T.offdiag)
+            sterf, info = spectra._dsterf(T.diag, T.offdiag)
             assert info == 0 and np.array_equal(seed, sterf)
             assert width == spectra._STERF_WIDTH
         assert calls == [22, 23]
 
+    @pytest.mark.parametrize(
+        "library",
+        [None, scipy.linalg._flapack.__file__, __file__],
+        ids=["no-library", "no-64-symbols", "not-a-library"],
+    )
+    def test_missing_bundled_lapack_seeds_from_scipy(self, monkeypatch, library):
+        # where the lookup finds no library, one whose LAPACK takes 32-bit
+        # integers (scipy's, with no `_64_` symbols) or a file that does not
+        # load, scipy's dsterf seeds every matrix, theta = 0 included, at
+        # dsterf's start width, and the eigenvalue bits do not move
+        cases = [(n, theta) for n in (2, 44, 45) for theta in (0.0, 0.5)]
+        bundled = [
+            eigenvalues_bisect(TridiagonalMatrix.truncation(SectorParams(3, 0), n, theta), 1e-10)
+            for n, theta in cases
+        ]
+        hide_bundled_lapack(monkeypatch, library)
+        assert spectra._bundled_lapack() is None
+        sterf = scipy.linalg.lapack.dsterf
+        calls = fake_lapack(monkeypatch, "scipy", lambda ev: (ev, 0))
+        for (n, theta), report in zip(cases, bundled):
+            T = TridiagonalMatrix.truncation(SectorParams(3, 0), n, theta)
+            seed, width = spectra._lapack_seed(T)
+            assert np.array_equal(seed, sterf(T.diag, T.offdiag)[0])
+            assert width == spectra._STERF_WIDTH
+            fallback = eigenvalues_bisect(T, 1e-10).eigenvalues
+            assert fallback.tobytes() == report.eigenvalues.tobytes(), (n, theta)
+        assert calls == [n for n, _ in cases for _ in range(2)]  # seed, then bisection
+
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_seed_routes_agree(self, k):
-        # every route within 2 n eps max|lambda| of dsterf, the order of
-        # dsterf's own error; dlasq1 seeds only at theta = 0, where the
-        # largest gap measured was 0.19 n eps max|lambda| (k = 1..40,
-        # n = 41..1601)
+        # every route within 2 n eps max|lambda| of the bundled dsterf, the
+        # order of dsterf's own error; dlasq1 seeds only at theta = 0,
+        # where the largest gap measured was 0.19 n eps max|lambda|
+        # (k = 1..40, n = 41..1601)
         eps = np.finfo(np.float64).eps
         for kappa in range(k):
             for theta in (0.0, 0.5):
-                for n in (2, 41, spectra._DENSE_SEED_ROWS):
+                for n in (2, 41, 512):
                     T = TridiagonalMatrix.truncation(SectorParams(k, kappa), n, theta=theta)
-                    sterf, dense_seed, bidiagonal = (seed_by(route, T) for route in SEED_ROUTES)
+                    sterf, scipy_seed, bidiagonal = (seed_by(route, T) for route in SEED_ROUTES)
                     bound = 2 * n * eps * float(np.max(np.abs(sterf)))
-                    assert float(np.max(np.abs(dense_seed - sterf))) <= bound, (k, kappa, theta, n)
+                    assert float(np.max(np.abs(scipy_seed - sterf))) <= bound, (k, kappa, theta, n)
                     assert float(np.max(np.abs(bidiagonal - sterf))) <= bound, (k, kappa, theta, n)
 
     @pytest.mark.parametrize("k, n", [(1, 2), (2, 3), (3, 41), (4, 512), (3, 513), (40, 300)])
@@ -786,7 +808,7 @@ class TestSeededBisection:
             (k, kappa, n, theta)
             for k in (1, 2, 3, 4)
             for kappa in range(k)
-            for n in (2, 41, 200, spectra._DENSE_SEED_ROWS)
+            for n in (2, 41, 200, 512)
             for theta in IDENTITY_THETAS
         ]
 
@@ -805,10 +827,10 @@ class TestSeededBisection:
 
         at_zero = sum(theta == 0.0 for *_, theta in cases)
         sterf, sterf_calls = bisect_all("dsterf")
-        assert sterf_calls == {"dsterf": len(cases), "eigvalsh": 0, "dlasq1": 0}
+        assert sterf_calls == {"dsterf": len(cases), "scipy": 0, "dlasq1": 0}
         for route, route_calls in (
-            ("eigvalsh", {"dsterf": 0, "eigvalsh": len(cases), "dlasq1": 0}),
-            ("dlasq1", {"dsterf": len(cases) - at_zero, "eigvalsh": 0, "dlasq1": at_zero}),
+            ("scipy", {"dsterf": 0, "scipy": len(cases), "dlasq1": 0}),
+            ("dlasq1", {"dsterf": len(cases) - at_zero, "scipy": 0, "dlasq1": at_zero}),
         ):
             bits, calls = bisect_all(route)
             assert bits == sterf, route

@@ -823,6 +823,36 @@ class TestWeylAlternative:
         assert (ev.count, ev.conclusive, ev.minimal_exponent) == (None, False, None)
         assert built == [(5000, 500_000), (20_000, 2_000_000)]
 
+    @pytest.mark.parametrize(
+        "poly, second, count, conclusive",
+        [
+            (True, True, 2, True),
+            (True, None, 2, True),
+            (None, True, 2, True),
+            (False, False, 1, True),
+            (False, None, 1, True),
+            (None, False, 1, True),
+            # one fundamental solution square-summable makes every solution
+            # so, and one that is not rules that out: no count
+            (True, False, None, False),
+            (False, True, None, False),
+        ],
+    )
+    def test_every_verdict_pair(self, monkeypatch, poly, second, count, conclusive):
+        # the second kind is flagged first, then the polynomial kind
+        verdicts = iter([second, poly])
+        monkeypatch.setattr(states, "_flagged", lambda log_abs, decide=True: (next(verdicts), -1.0))
+        monkeypatch.setattr(states, "_minimal_solution_profile", refuse_minimal_solution)
+        ev = deficiency_evidence(SectorParams(2, 0), 5000)
+        assert (ev.count, ev.conclusive) == (count, conclusive)
+        assert (ev.minimal_exponent, ev.contamination_bound) == (None, None)
+
+    def test_both_undecided_take_the_minimal_route(self, monkeypatch):
+        monkeypatch.setattr(states, "_flagged", lambda log_abs, decide=True: (None, -1.0))
+        monkeypatch.setattr(states, "_minimal_solution_profile", refuse_minimal_solution)
+        with pytest.raises(AssertionError, match="minimal solution built at M = 5000"):
+            deficiency_evidence(SectorParams(2, 0), 5000)
+
     @pytest.mark.parametrize("M", [5000, 20_000])
     def test_readings_keep_their_margins(self, monkeypatch, M):
         # the envelope exponent and Cauchy ratio of both fundamental

@@ -8,14 +8,18 @@ in fresh interpreters with each tree's `src/` on PYTHONPATH, it runs six
 fixed grids and the CLI commands pinned by
 `tests/test_cli.py::TestGoldenBytes`, under REV and under this checkout.
 A spectra grid case compares the `eigenvalues_bisect` eigenvalue bytes and
-`max_bracket`, or the error raised, by digest.  The spectra grid runs with
-`scipy.linalg` loaded first, so the seeds come from LAPACK: from `dlasq1`,
-the singular values of the bidiagonal half, at theta = 0 (all-zero
-diagonal), and from `dsterf` at theta != 0 (a revision older than the
-bidiagonal seed takes every seed from `dsterf`); the "spectra dense-seed"
-grid runs its sizes up to 512 again in an interpreter that never loads
-`scipy.linalg`, where the seeds come from numpy's `eigvalsh`.  A
-deficiency grid case
+`max_bracket`, or the error raised, by digest.  The seeds come from the
+LAPACK in numpy's bundled OpenBLAS: from `dlasq1`, the singular values of
+the bidiagonal half, at theta = 0 (all-zero diagonal), and from `dsterf`
+at theta != 0.  The spectra grid runs with `scipy.linalg` loaded first,
+and the "spectra scipy-free" grid runs its sizes up to 512 again in an
+interpreter that never loads it.  Both take the same route here; they
+stay because older revisions chose the seed by what the process had
+loaded, so a comparison against one exercises each of its routes: with
+`scipy.linalg` loaded, `dlasq1` through scipy's `cython_lapack` at
+theta = 0 and scipy's `dsterf` otherwise (every seed from `dsterf` before
+the bidiagonal seed); without it, numpy's dense `eigvalsh` up to 512
+rows.  A deficiency grid case
 compares the repr of every `DeficiencyEvidence` field, or the error
 raised; M reaches the CLI's cap, 2e6.  M = 20000 is the largest M whose
 minimal solution could be built (its system has N = 2e6 rows); a
@@ -60,8 +64,8 @@ SIZES = (1, 2, 3, 5, 8, 12, 25, 41, 44, 60, 100, 150, 200, 300, 401, 888, 1315)
 THETAS = (0.0, -0.7, 0.5)
 TOLS = (1e-9, 1e-10, 1e-12)
 
-# the sizes seeded by numpy's dense eigvalsh while scipy.linalg is not
-# loaded (spectra._DENSE_SEED_ROWS)
+# the sizes that revisions before the bundled LAPACK binding seeded with
+# numpy's dense eigvalsh while scipy.linalg was not loaded
 DENSE_SEED_ROWS = 512
 
 
@@ -89,11 +93,11 @@ for k in {KS!r}:
 """
 
 
-# every size seeded by LAPACK (dlasq1 at theta = 0, dsterf otherwise), and
-# the sizes up to DENSE_SEED_ROWS again in a process that never loads
-# scipy.linalg, seeded by eigvalsh
+# every size with scipy.linalg loaded, and the sizes up to DENSE_SEED_ROWS
+# again in a process that never loads it: one route here, each of an older
+# revision's routes there (see the module docstring)
 SPECTRA_WORKER = grid_worker("import scipy.linalg", SIZES)
-DENSE_SEED_WORKER = grid_worker("", tuple(n for n in SIZES if n <= DENSE_SEED_ROWS))
+SCIPY_FREE_WORKER = grid_worker("", tuple(n for n in SIZES if n <= DENSE_SEED_ROWS))
 
 
 def sector_grid(ks: tuple, ms: tuple) -> list[tuple[int, int, int]]:
@@ -211,7 +215,7 @@ for b in {POLY_BS!r}:
 
 WORKERS = {
     "spectra": SPECTRA_WORKER,
-    "spectra dense-seed": DENSE_SEED_WORKER,
+    "spectra scipy-free": SCIPY_FREE_WORKER,
     "deficiency": DEFICIENCY_WORKER,
     "classify": CLASSIFY_WORKER,
     "b_m": B_WORKER,
