@@ -41,7 +41,7 @@ _MAX_M = 2_000_000
 _MAX_POLLACZEK_M = 100_000
 # --n of spectrum and extensions: the LAPACK seed and the Sturm passes are
 # O(n^2), so past a few thousand rows the cap is set by time.  At 12800 one
-# spectrum at theta = 0 took 1.4 to 4.5 s and 36 to 43 MB peak RSS for
+# spectrum at theta = 0 took 1.3 to 3.0 s and 35 to 38 MB peak RSS for
 # k = 1, 2, 3, 4 and 40, and extensions --k 3 7.2 s per --theta 0.5 (one
 # Xeon core)
 _MAX_SPECTRUM_N = 12_800

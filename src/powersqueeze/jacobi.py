@@ -329,14 +329,21 @@ def cauchy_ratio(log_abs: np.ndarray) -> float:
     """(S_M - S_{M/2}) / S_M with S_j = sum_{m<=j} |f_m|^2, from
     log_abs = log|f_0..f_M|; small means the sum has stabilized.
 
-    log S_{M/2} and log S_M come from two sequential np.logaddexp
-    reductions, the second started from the first with initial=: the bits
-    of log_partial_sums_of_squares at M/2 and M, with half of 2 log_abs
-    alive at a time instead of two M-arrays."""
+    S_{M/2} and S_M - S_{M/2} are sums of exp(2 log|f_m| - 2 max log|f|),
+    each term at most 1 and the largest exactly 1, over entries 0..M/2 and
+    the rest, with half of 2 log_abs alive at a time.  (Two np.logaddexp
+    reductions, which keep the bits of log_partial_sums_of_squares, an exp
+    and a log1p per entry, took 0.8 ms against 0.04 to 0.06 ms at M = 2e4,
+    and 50 to 82 ms against 5 to 31 ms at M = 2e6, on one Xeon core.)"""
     split = (len(log_abs) - 1) // 2 + 1  # entries 0..M/2
-    log_half = np.logaddexp.reduce(2.0 * log_abs[:split])
-    log_full = np.logaddexp.reduce(2.0 * log_abs[split:], initial=log_half)
-    return 1.0 - math.exp(log_half - log_full)
+    top = 2.0 * float(np.max(log_abs))
+    sums = []
+    for part in (log_abs[:split], log_abs[split:]):
+        terms = np.multiply(part, 2.0)
+        terms -= top
+        sums.append(float(np.sum(np.exp(terms, out=terms))))
+    half, rest = sums
+    return rest / (half + rest)
 
 
 def growth_profile(

@@ -29,6 +29,16 @@ half of its bracket (a one-level lookahead), so about two counts are
 settled per pass; the counts of the last pass are looked up by shift
 before an index waits.  A shift's count does not depend on the other
 shifts of its pass, so the midpoints are bit-identical to plain bisection.
+At an all-zero diagonal (every truncation at theta = 0) S T S = -T with
+S = diag((-1)^m), so the spectrum is symmetric, lambda_{n-1-j} =
+-lambda_j, and only the indices n//2 .. n-1 are certified and bisected;
+index n-1-j takes [-hi_j, -lo_j].  The pivots at -x are the pivots at x
+negated, so count(-x) = n - count(x) and the mirror has plain bisection's
+bits, unless a pivot is tiny (|d| < pivmin, replaced by -pivmin; x = 0
+always meets one).  Where a count on j's path met a tiny pivot, the
+partner n-1-j is bisected on its own from that step, and where a shift
+certifying j's bracket did, the partner is certified around its own seed
+and bisected in full; both in the same replay, from the one LAPACK call.
 A pass over a few shifts runs the O(n) recurrence per shift in Python
 floats.  A pass over many runs it on the negated pivots, two numpy calls
 per row (at a zero diagonal entry) over the shift vector into a block of
@@ -114,8 +124,9 @@ _BLOCK_BYTES = 1 << 20
 _MAX_OFFDIAG = math.sqrt(sys.float_info.max)
 
 
-def _sturm_counts(T: TridiagonalMatrix, xs: np.ndarray) -> np.ndarray:
-    """Eigenvalues strictly below each shift, via the LDL^T pivot signs.
+def _sturm_counts(T: TridiagonalMatrix, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues strictly below each shift, via the LDL^T pivot signs, and
+    which shifts met a tiny pivot (|d| < pivmin).
 
     A shift's count does not depend on the pass it shares.  A few shifts
     are counted one by one by `_sturm_count_scalar`.  A pass over many
@@ -131,10 +142,11 @@ def _sturm_counts(T: TridiagonalMatrix, xs: np.ndarray) -> np.ndarray:
     diag, off_sq = T.diag.tolist(), (T.offdiag**2).tolist()
     pivmin = float(np.finfo(np.float64).tiny) * max(1.0, max(off_sq, default=1.0))
     if len(xs) <= _SCALAR_SHIFTS:
-        return np.array(
+        counted = np.array(
             [_sturm_count_scalar(diag, off_sq, pivmin, x) for x in xs.tolist()],
             dtype=np.int64,
-        )
+        ).reshape(-1, 2)
+        return counted[:, 0], counted[:, 1].astype(bool)
     n, width = T.n, len(xs)
     rows = min(n, max(1, _BLOCK_BYTES // (8 * width)))
     block = np.empty((rows, width))
@@ -169,19 +181,21 @@ def _sturm_counts(T: TridiagonalMatrix, xs: np.ndarray) -> np.ndarray:
                 flagged |= t.any(axis=0)
             counts += np.add.reduce(b, axis=0, out=in_block)
     for j in np.flatnonzero(flagged):
-        counts[j] = _sturm_count_scalar(diag, off_sq, pivmin, float(xs[j]))
-    return counts
+        counts[j] = _sturm_count_scalar(diag, off_sq, pivmin, float(xs[j]))[0]
+    return counts, flagged
 
 
-def _sturm_count_scalar(diag: list, off_sq: list, pivmin: float, x: float) -> int:
-    """`_sturm_counts` at one shift, in Python floats.
+def _sturm_count_scalar(diag: list, off_sq: list, pivmin: float, x: float) -> tuple[int, bool]:
+    """`_sturm_counts` at one shift, in Python floats: the count, and
+    whether a pivot was tiny.
 
     A pivot d is counted when d < pivmin, which is d < 0 after the |d| <
     pivmin -> -pivmin substitution.  No pivot is 0, and float division
     overflows to +/-inf without raising, as numpy does.
     """
     d = diag[0] - x
-    if abs(d) < pivmin:
+    tiny = abs(d) < pivmin
+    if tiny:
         d = -pivmin
     count = 1 if d < 0 else 0
     for di, e in zip(diag[1:], off_sq):
@@ -190,7 +204,8 @@ def _sturm_count_scalar(diag: list, off_sq: list, pivmin: float, x: float) -> in
             count += 1
             if d > -pivmin:
                 d = -pivmin
-    return count
+                tiny = True
+    return count, tiny
 
 
 def _refuse_overflowing_squares(T: TridiagonalMatrix, caller: str) -> None:
@@ -210,7 +225,7 @@ def sturm_count(T: TridiagonalMatrix, x: float) -> int:
     sqrt(max double), as `eigenvalues_bisect` does.
     """
     _refuse_overflowing_squares(T, "sturm_count")
-    return int(_sturm_counts(T, np.array([x], dtype=np.float64))[0])
+    return int(_sturm_counts(T, np.array([x], dtype=np.float64))[0][0])
 
 
 @dataclass(frozen=True)
@@ -344,9 +359,10 @@ def _lapack_seed(T: TridiagonalMatrix) -> tuple[np.ndarray, int] | None:
 
 
 def _seed_brackets(
-    T: TridiagonalMatrix, tol: float, span: float
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """Certified brackets a_j <= lambda_j <= b_j around the LAPACK eigenvalues.
+    T: TridiagonalMatrix, tol: float, span: float, indices: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, int, np.ndarray]:
+    """Certified brackets a_j <= lambda_j <= b_j around the LAPACK
+    eigenvalues, for these indices.
 
     A bracket is kept only when count(a_j) <= j < count(b_j).  Index j
     starts at half-width max(delta, w eps |seed_j|), with w from
@@ -358,33 +374,44 @@ def _seed_brackets(
     narrower start leaves fewer bisection steps inside the bracket, but
     w = 4 took one pass more at k = 4, n = 1315, and w = 32 was slower at
     n >= 888.  Uncertified indices are retried with a 4x wider half-width,
-    and once that exceeds span they keep (-inf, inf).  Returns a, b and
-    the Sturm passes spent.
+    and once that exceeds span they keep (-inf, inf).  An index j whose
+    bracket a shift with a tiny pivot certified brings its partner
+    n - 1 - j into the next pass, where indices lack it: `_replay` mirrors
+    the bracket of an index whose partner is missing, which needs
+    count(-x) = n - count(x) at a_j and b_j.  Returns a, b, the Sturm
+    passes spent and the indices with the partners brought in.
     """
     n = T.n
     a = np.full(n, -np.inf)
     b = np.full(n, np.inf)
     seeded = _lapack_seed(T)
     if seeded is None:  # no seed: every index bisects the full range
-        return a, b, 0
+        return a, b, 0, indices
     seed, width = seeded
     eps = np.finfo(np.float64).eps
     delta = np.maximum(
         min(tol / 2, 8 * eps * max(float(np.max(np.abs(seed))), 1.0)),
         width * eps * np.abs(seed),
     )
-    todo = np.arange(n)
+    member = np.zeros(n, dtype=bool)
+    member[indices] = True
+    todo = indices
     passes = 0
     while len(todo := todo[delta[todo] <= span]):
         below, above = seed[todo] - delta[todo], seed[todo] + delta[todo]
-        counts = _sturm_counts(T, np.concatenate([below, above]))
+        counts, tiny = _sturm_counts(T, np.concatenate([below, above]))
         passes += 1
-        ok = (counts[: len(todo)] <= todo) & (counts[len(todo) :] > todo)
+        m = len(todo)
+        ok = (counts[:m] <= todo) & (counts[m:] > todo)
         a[todo[ok]] = below[ok]
         b[todo[ok]] = above[ok]
+        partners = n - 1 - todo[ok & (tiny[:m] | tiny[m:])]
+        partners = partners[~member[partners]]
+        member[partners] = True
         todo = todo[~ok]
         delta[todo] *= 4
-    return a, b, passes
+        todo = np.concatenate([todo, partners])
+    return a, b, passes, np.flatnonzero(member)
 
 
 def _advance(l: float, h: float, s: int, aj: float, bj: float) -> tuple[float, float, int]:
@@ -407,21 +434,32 @@ def _advance(l: float, h: float, s: int, aj: float, bj: float) -> tuple[float, f
 
 
 def _replay(
-    T: TridiagonalMatrix, glo: float, ghi: float, a: list, b: list, steps: int
+    T: TridiagonalMatrix, glo: float, ghi: float, a: list, b: list, steps: int, indices: list
 ) -> tuple[list, list, int]:
-    """`steps` bisection steps from [glo, ghi] for every index, in Python floats.
+    """`steps` bisection steps from [glo, ghi] for these indices, in Python floats.
 
     An index takes the steps its brackets or the last pass's counts decide
     on its own; one whose midpoint they do not decide waits, and once every
     unfinished index waits, one pass counts them all.  A numpy pass also
     counts, for each waiting index, the next midpoint to need a count in
     each half of its bracket, so whichever half the count picks goes on
-    without waiting.  Returns lo, hi and the passes.
+    without waiting.
+
+    At glo = -ghi and an all-zero diagonal, the partner n - 1 - j of an
+    index j that indices lack takes [-hi_j, -lo_j]: its pivots at -x are
+    j's at x negated, so count(-x) = n - count(x) and its midpoints are
+    j's negated, unless a pivot is tiny.  A count of j's that met a tiny
+    pivot puts the partner in the replay at j's bracket negated, and from
+    there it bisects on its own; before it, j's bracket certificate (one
+    with no tiny pivot, see `_seed_brackets`) negated decides the
+    partner's steps that j decided without a count.  Returns lo, hi and
+    the passes.
     """
     n = T.n
     lo, hi, left = [glo] * n, [ghi] * n, [steps] * n
-    todo = range(n)
-    counted = {}  # shift -> count, from the last pass only
+    todo = list(indices)
+    mirrored = set(todo).difference(n - 1 - j for j in todo)
+    counted, tiny = {}, set()  # shift -> count, and the tiny-pivot shifts, of the last pass
     passes = 0
     while True:
         waiting, shifts = [], []
@@ -429,6 +467,11 @@ def _replay(
             aj, bj = a[j], b[j]
             l, h, s = _advance(lo[j], hi[j], left[j], aj, bj)
             while s > 0 and (c := counted.get(m := 0.5 * (l + h))) is not None:
+                if m in tiny and j in mirrored:
+                    mirrored.remove(j)
+                    p = n - 1 - j
+                    lo[p], hi[p], left[p], a[p], b[p] = -h, -l, s, -bj, -aj
+                    todo.append(p)
                 if c > j:  # at least j+1 eigenvalues below m
                     l, h, s = _advance(l, m, s - 1, aj, bj)
                 else:
@@ -438,6 +481,8 @@ def _replay(
                 waiting.append(j)
                 shifts.append(m)
         if not waiting:
+            for j in mirrored:
+                lo[n - 1 - j], hi[n - 1 - j] = -hi[j], -lo[j]
             return lo, hi, passes
         if len(waiting) > _SCALAR_SHIFTS:  # amortize the pass's numpy steps
             for j, m in zip(waiting, shifts[: len(waiting)]):
@@ -445,7 +490,9 @@ def _replay(
                     l, h, s = _advance(l, h, left[j] - 1, a[j], b[j])
                     if s > 0:
                         shifts.append(0.5 * (l + h))
-        counted = dict(zip(shifts, _sturm_counts(T, np.array(shifts)).tolist()))
+        xs = np.array(shifts)
+        counts, flags = _sturm_counts(T, xs)
+        counted, tiny = dict(zip(shifts, counts.tolist())), set(xs[flags].tolist())
         passes += 1
         todo = waiting
 
@@ -479,8 +526,14 @@ def eigenvalues_bisect(
             f"width {width!r}: width / tol overflows binary64"
         )
     iterations = int(math.ceil(math.log2(ratio))) + 2 if width > 0 else 0
-    a, b, passes = _seed_brackets(T, tol, width)
-    lo, hi, counted = _replay(T, glo, ghi, a.tolist(), b.tolist(), iterations)
+    # an all-zero diagonal gives S T S = -T with S = diag((-1)^m): the
+    # spectrum is symmetric, and only its upper half, the centre included
+    # at odd n, is bisected (`_replay` mirrors the rest)
+    first = n // 2 if n > 1 and glo == -ghi and not T.diag.any() else 0
+    a, b, passes, indices = _seed_brackets(T, tol, width, np.arange(first, n))
+    lo, hi, counted = _replay(
+        T, glo, ghi, a.tolist(), b.tolist(), iterations, indices.tolist()
+    )
     lo, hi = np.array(lo), np.array(hi)
     passes += counted
     if np.any((hi - lo > tol) & (np.nextafter(lo, np.inf) < hi)):

@@ -448,18 +448,16 @@ class DeficiencyEvidence:
     contamination_bound: float | None = None
 
 
-def _flagged(log_abs: np.ndarray, decide: bool = True) -> tuple[bool | None, float]:
+def _flagged(log_abs: np.ndarray) -> tuple[bool | None, float]:
     """(verdict, exponent) of log|f_0..f_M|, from the envelope exponent
     over [M/10, M] and the Cauchy ratio of the partial sums across
     M/2 -> M: True (square-summable) for an exponent below -0.6 and a ratio
     below 10%, False (not square-summable) for an exponent at or above -0.4
     and a ratio at or above 20%, None (undecided) otherwise.  The ratio is
-    computed only when the exponent takes a side, and not at all when
-    decide is false (verdict None).  At M >= 5000 every entry is finite
-    (_positive_log_solution), so the fit always has at least 4501 points."""
+    computed only when the exponent takes a side.  At M >= 5000 every entry
+    is finite (_positive_log_solution), so the fit always has at least 4501
+    points."""
     exponent = envelope_fit(log_abs)[0]
-    if not decide:
-        return None, exponent
     if exponent < _SQUARE_SUMMABLE_EXPONENT:
         return (True if cauchy_ratio(log_abs) < _CAUCHY_WINDOW else None), exponent
     if exponent >= _NOT_SUMMABLE_EXPONENT:
@@ -621,11 +619,7 @@ def deficiency_evidence(sector: SectorParams, M: int) -> DeficiencyEvidence:
     second, exponent_second = _flagged(
         np.concatenate(([-np.inf], _positive_log_solution(sector, 1, M - 1) - math.log(b0)))
     )
-    # a second kind that is not square-summable already decides count 1, and
-    # the polynomial kind then needs only its exponent
-    poly, exponent_polynomial = _flagged(
-        _positive_log_solution(sector, 0, M), decide=second is not False
-    )
+    poly, exponent_polynomial = _flagged(_positive_log_solution(sector, 0, M))
     exponents, decided = (exponent_polynomial, exponent_second), {poly, second} - {None}
     if decided:  # one flag of each kind contradicts the alternative: no count
         count = None if len(decided) == 2 else 2 if True in decided else 1

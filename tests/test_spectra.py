@@ -273,7 +273,7 @@ class TestSturmMonotone:
         T, xs = shifts_near_eigenvalues(k, kappa_frac, n, theta, picks, spread)
         counts = reference_sturm_counts(T, xs)
         assert np.all(np.diff(counts) >= 0)
-        assert np.array_equal(_sturm_counts(T, xs), counts)
+        assert np.array_equal(_sturm_counts(T, xs)[0], counts)
         assert np.array_equal(counts, [sturm_count(T, float(x)) for x in xs])
 
     @settings(max_examples=150, deadline=None, derandomize=True)
@@ -282,11 +282,11 @@ class TestSturmMonotone:
         # a shift's count must not depend on how many shifts share its pass:
         # the replay counts each index in whatever pass it waits for
         T, xs = shifts_near_eigenvalues(k, kappa_frac, n, theta, picks, spread)
-        alone = [int(_sturm_counts(T, xs[i : i + 1])[0]) for i in range(len(xs))]
+        alone = [int(_sturm_counts(T, xs[i : i + 1])[0][0]) for i in range(len(xs))]
         lo, hi = T.gershgorin()
         batch = np.concatenate([xs, np.linspace(lo, hi, spectra._SCALAR_SHIFTS + 1)])
         assert len(batch) > spectra._SCALAR_SHIFTS
-        batched = _sturm_counts(T, batch)[: len(xs)]
+        batched = _sturm_counts(T, batch)[0][: len(xs)]
         reference = reference_sturm_counts(T, xs)
         assert np.array_equal(alone, reference)
         assert np.array_equal(batched, reference)
@@ -306,8 +306,8 @@ class TestSturmMonotone:
             batch = np.concatenate([xs, np.zeros(spectra._SCALAR_SHIFTS + 1)])
             with np.errstate(over="ignore", invalid="ignore"):
                 reference = reference_sturm_counts(T, xs)
-                alone = [int(_sturm_counts(T, xs[i : i + 1])[0]) for i in range(len(xs))]
-                batched = _sturm_counts(T, batch)[: len(xs)]
+                alone = [int(_sturm_counts(T, xs[i : i + 1])[0][0]) for i in range(len(xs))]
+                batched = _sturm_counts(T, batch)[0][: len(xs)]
             assert np.array_equal(alone, reference)
             assert np.array_equal(batched, reference)
 
@@ -330,7 +330,7 @@ def wide_batch(T: TridiagonalMatrix, width: int, rng) -> np.ndarray:
 def blocked_counts(T: TridiagonalMatrix, xs: np.ndarray, rows: int) -> np.ndarray:
     """`_sturm_counts` with blocks of `rows` rows (at most n)."""
     with mock.patch.object(spectra, "_BLOCK_BYTES", 8 * rows * len(xs)):
-        return _sturm_counts(T, xs)
+        return _sturm_counts(T, xs)[0]
 
 
 def reference_counts(T: TridiagonalMatrix, xs: np.ndarray) -> np.ndarray:
@@ -378,7 +378,7 @@ class TestBlockedPass:
         ):
             xs = wide_batch(T, 2500, rng)
             xs[[0, 1, 2, 1250, 2499]] = [np.nan, np.inf, -np.inf, np.nan, np.inf]
-            counts = _sturm_counts(T, xs)
+            counts = _sturm_counts(T, xs)[0]
             assert np.array_equal(counts, reference_counts(T, xs))
             assert counts[1] == counts[2499] == T.n and counts[2] == 0
             assert counts[0] == counts[1250] == 0
@@ -413,7 +413,7 @@ class TestBlockedPass:
         xs = np.linspace(lo, hi, 400_000)
         tracemalloc.start()
         try:
-            counts = _sturm_counts(T, xs)
+            counts = _sturm_counts(T, xs)[0]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -704,8 +704,9 @@ class TestSeededBisection:
             fake_lapack(monkeypatch, routine, lambda ev: (ev + 1.0, 1)) for routine in routines
         ]
         T = TridiagonalMatrix.truncation(SectorParams(3, 0), 44, theta=theta)
-        a, b, passes = spectra._seed_brackets(T, 1e-10, 1e3)
+        a, b, passes, indices = spectra._seed_brackets(T, 1e-10, 1e3, np.arange(44))
         assert np.all(a == -np.inf) and np.all(b == np.inf) and passes == 0
+        assert np.array_equal(indices, np.arange(44))
         return calls
 
     def test_lapack_failure_seeds_nothing(self, monkeypatch):
@@ -876,6 +877,109 @@ class TestSeededBisection:
         assert float(np.max(np.abs(report.eigenvalues - oracle))) <= bound
         assert report.max_bracket > tol
         assert report.max_bracket <= 2 * math.ulp(scale)
+
+
+@st.composite
+def zero_diagonal_tridiagonal(draw):
+    """An all-zero diagonal, at odd and even n from 2 to 121, under
+    off-diagonals log-uniform over 16 decades or growing as (m + 1)^p, the
+    sector truncations' shape."""
+    n = 2 * draw(st.integers(1, 60)) + draw(st.sampled_from((0, 1)))
+    if draw(st.booleans()):
+        magnitudes = st.lists(st.floats(-8.0, 8.0), min_size=n - 1, max_size=n - 1)
+        offdiag = [10.0**e for e in draw(magnitudes)]
+    else:
+        offdiag = np.arange(1.0, n) ** draw(st.sampled_from((0.5, 1.0, 1.5, 2.0)))
+    return TridiagonalMatrix(diag=np.zeros(n), offdiag=offdiag)
+
+
+def counted_shifts(monkeypatch) -> list:
+    """Record every pass of `_sturm_counts` as (shifts, tiny flags)."""
+    real, passes = spectra._sturm_counts, []
+
+    def record(T, xs):
+        counts, tiny = real(T, xs)
+        passes.append((xs.copy(), tiny.copy()))
+        return counts, tiny
+
+    monkeypatch.setattr(spectra, "_sturm_counts", record)
+    return passes
+
+
+# at (k, kappa, n) = (4, 0, 41) the last pivot is exactly 0 at this shift,
+# the top eigenvalue to tol 1e-10 and a midpoint of its bisection, so
+# count(x) + count(-x) = n + 1 there
+TINY_PIVOT_SHIFT = 41712.79616257827
+
+
+class TestMirroredHalf:
+    """At an all-zero diagonal only the upper half of the spectrum is
+    bisected and the rest mirrored, unless a tiny pivot breaks the
+    symmetry of the counts: the bits stay those of plain bisection."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(T=zero_diagonal_tridiagonal())
+    def test_bits_match_plain_bisection(self, T):
+        lo, hi = T.gershgorin()
+        tols = (1e-9, 1e-12, 0.25 * math.ulp(max(-lo, hi)))
+        plain = plain_bisection_midpoints(T, tols)
+        for tol in tols:
+            got = eigenvalues_bisect(T, tol).eigenvalues
+            assert got.tobytes() == plain[tol].tobytes(), (T.n, tol)
+
+    def test_plain_negation_is_wrong_at_a_tiny_pivot(self):
+        T = TridiagonalMatrix.truncation(SectorParams(4, 0), 41)
+        diag, off_sq = T.diag.tolist(), (T.offdiag**2).tolist()
+        pivmin = float(np.finfo(np.float64).tiny) * max(off_sq)
+        x = TINY_PIVOT_SHIFT
+        assert spectra._sturm_count_scalar(diag, off_sq, pivmin, x) == (41, True)
+        assert spectra._sturm_count_scalar(diag, off_sq, pivmin, -x) == (1, True)
+        plain = plain_bisection_midpoints(T, (1e-10,))[1e-10]
+        assert plain[0] != -plain[40]
+        got = eigenvalues_bisect(T, 1e-10).eigenvalues
+        assert got.tobytes() == plain.tobytes()
+
+    def test_partner_of_a_tiny_pivot_path_is_bisected(self, monkeypatch):
+        # index 40 counts the tiny-pivot shift on its path, so index 0
+        # goes on from there on its own, counting its negation; before it
+        # no shift below the centre's bracket is counted
+        passes = counted_shifts(monkeypatch)
+        T = TridiagonalMatrix.truncation(SectorParams(4, 0), 41)
+        got = eigenvalues_bisect(T, 1e-10).eigenvalues
+        x = TINY_PIVOT_SHIFT
+        at = next(i for i, (xs, tiny) in enumerate(passes) if x in xs[tiny].tolist())
+        assert all(np.min(xs) > -1.0 for xs, _ in passes[: at + 1])
+        assert any(-x in xs.tolist() for xs, _ in passes[at + 1 :])
+        assert got.tobytes() == plain_midpoints(SectorParams(4, 0), 41, 0.0)[1e-10].tobytes()
+
+    def test_no_tiny_pivot_leaves_the_lower_half_uncounted(self, monkeypatch):
+        passes = counted_shifts(monkeypatch)
+        for n in (40, 41):
+            T = TridiagonalMatrix.truncation(SectorParams(2, 0), n)
+            passes.clear()
+            got = eigenvalues_bisect(T, 1e-9).eigenvalues
+            assert not any(tiny[xs != 0.0].any() for xs, tiny in passes)
+            assert all(np.min(xs) > -1.0 for xs, _ in passes)
+            assert got.tobytes() == plain_midpoints(SectorParams(2, 0), n, 0.0)[1e-9].tobytes()
+
+    def test_partner_of_a_tiny_pivot_certificate_is_certified(self, monkeypatch):
+        # a seed whose upper bracket end is the tiny-pivot shift: index 40
+        # then decides that midpoint by its bracket, with no count, and
+        # index 0 cannot take the bracket negated (count(-x) = 1 > 0), so
+        # it is certified around its own seed and bisected
+        T = TridiagonalMatrix.truncation(SectorParams(4, 0), 41)
+        seed = spectra._lapack_seed(T)[0].copy()
+        # start width 0: every half-width is min(tol / 2, 8 eps max|seed|)
+        half = min(0.5e-10, 8 * np.finfo(np.float64).eps * float(np.max(np.abs(seed))))
+        seed[40] = TINY_PIVOT_SHIFT - half
+        assert seed[40] + half == TINY_PIVOT_SHIFT
+        monkeypatch.setattr(spectra, "_lapack_seed", lambda T: (seed, 0))
+        passes = counted_shifts(monkeypatch)
+        got = eigenvalues_bisect(T, 1e-10).eigenvalues
+        first, second = passes[0][0], passes[1][0]
+        assert TINY_PIVOT_SHIFT in first.tolist() and np.min(first) > -1.0
+        assert np.array_equal(second, [seed[0] - half, seed[0] + half])
+        assert got.tobytes() == plain_midpoints(SectorParams(4, 0), 41, 0.0)[1e-10].tobytes()
 
 
 class TestTruncationInterlacing:

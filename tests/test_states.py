@@ -841,14 +841,33 @@ class TestWeylAlternative:
     def test_every_verdict_pair(self, monkeypatch, poly, second, count, conclusive):
         # the second kind is flagged first, then the polynomial kind
         verdicts = iter([second, poly])
-        monkeypatch.setattr(states, "_flagged", lambda log_abs, decide=True: (next(verdicts), -1.0))
+        monkeypatch.setattr(states, "_flagged", lambda log_abs: (next(verdicts), -1.0))
         monkeypatch.setattr(states, "_minimal_solution_profile", refuse_minimal_solution)
         ev = deficiency_evidence(SectorParams(2, 0), 5000)
         assert (ev.count, ev.conclusive) == (count, conclusive)
         assert (ev.minimal_exponent, ev.contamination_bound) == (None, None)
 
+    def test_second_kind_not_summable_beside_a_summable_polynomial_kind(self, monkeypatch):
+        # both kinds are decided whatever the second kind reads: the real
+        # _flagged, on readings faked one level below it, reads the second
+        # kind (f_0 = 0) as not square-summable and the polynomial kind
+        # as square-summable, which contradicts Weyl's alternative
+        def fit(log_abs):
+            return (0.0 if log_abs[0] == -np.inf else -1.0), len(log_abs)
+
+        def ratio(log_abs):
+            return 1.0 if log_abs[0] == -np.inf else 0.0
+
+        monkeypatch.setattr(states, "envelope_fit", fit)
+        monkeypatch.setattr(states, "cauchy_ratio", ratio)
+        monkeypatch.setattr(states, "_minimal_solution_profile", refuse_minimal_solution)
+        ev = deficiency_evidence(SectorParams(2, 0), 5000)
+        assert (ev.count, ev.conclusive) == (None, False)
+        assert (ev.exponent_polynomial, ev.exponent_second) == (-1.0, 0.0)
+        assert (ev.minimal_exponent, ev.contamination_bound) == (None, None)
+
     def test_both_undecided_take_the_minimal_route(self, monkeypatch):
-        monkeypatch.setattr(states, "_flagged", lambda log_abs, decide=True: (None, -1.0))
+        monkeypatch.setattr(states, "_flagged", lambda log_abs: (None, -1.0))
         monkeypatch.setattr(states, "_minimal_solution_profile", refuse_minimal_solution)
         with pytest.raises(AssertionError, match="minimal solution built at M = 5000"):
             deficiency_evidence(SectorParams(2, 0), 5000)
@@ -865,9 +884,9 @@ class TestWeylAlternative:
         # grows)
         flagged, readings = states._flagged, []
 
-        def record(log_abs, **kwargs):
+        def record(log_abs):
             readings.append((envelope_fit(log_abs)[0], jacobi.cauchy_ratio(log_abs)))
-            return flagged(log_abs, **kwargs)
+            return flagged(log_abs)
 
         monkeypatch.setattr(states, "_flagged", record)
         for k in (2, 3):
@@ -883,16 +902,17 @@ class TestWeylAlternative:
                     assert exponent <= states._SQUARE_SUMMABLE_EXPONENT - 0.1
                     assert ratio <= states._CAUCHY_WINDOW - 0.05
 
-    def test_cauchy_ratio_keeps_the_bits_of_the_partial_sums(self, monkeypatch):
-        # the two reductions give the bits of the accumulated log partial
-        # sums at M/2 and M, for every log|f| that deficiency_evidence
+    def test_cauchy_ratio_agrees_with_the_partial_sums(self, monkeypatch):
+        # the max-shifted sums give the ratio of the accumulated log partial
+        # sums at M/2 and M to 1e-13 (3.5e-14 measured), on the same side
+        # of both thresholds, for every log|f| that deficiency_evidence
         # tests on its grid (k = 1..4, kappa in {0, k - 1}, M = 5000,
         # 12500, 20001), the minimal solutions (undecided) included
         flagged, tested = states._flagged, []
 
-        def record(log_abs, **kwargs):
+        def record(log_abs):
             tested.append(log_abs)
-            return flagged(log_abs, **kwargs)
+            return flagged(log_abs)
 
         monkeypatch.setattr(states, "_flagged", record)
         monkeypatch.setattr(states, "_NOT_SUMMABLE_EXPONENT", math.inf)
@@ -904,8 +924,11 @@ class TestWeylAlternative:
         for log_abs in tested:
             sums = log_partial_sums_of_squares(log_abs)
             M = len(log_abs) - 1
-            old = 1.0 - math.exp(sums[M // 2] - sums[M])
-            assert np.array_equal(jacobi.cauchy_ratio(log_abs), old)
+            from_sums = 1.0 - math.exp(sums[M // 2] - sums[M])
+            ratio = jacobi.cauchy_ratio(log_abs)
+            assert abs(ratio - from_sums) <= 1e-13
+            for threshold in (states._CAUCHY_WINDOW, states._NOT_SUMMABLE_RATIO):
+                assert (ratio < threshold) == (from_sums < threshold)
 
 
 class TestOneMechanism:
@@ -963,9 +986,9 @@ class TestPositiveRecursionAccuracy:
         # kind first, then the polynomial kind
         flagged, tested = states._flagged, []
 
-        def record(log_abs, **kwargs):
+        def record(log_abs):
             tested.append(log_abs)
-            return flagged(log_abs, **kwargs)
+            return flagged(log_abs)
 
         monkeypatch.setattr(states, "_flagged", record)
         sector = SectorParams(k, kappa)
