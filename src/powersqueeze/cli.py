@@ -9,8 +9,11 @@ output can be fed back in without losing precision.
 from __future__ import annotations
 
 import argparse
+import functools
+import itertools
 import json
 import math
+import os
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -36,8 +39,9 @@ from .states import (
 # 2e6, deficiency --k 1 took 0.35 s and 74 MB peak RSS, classify --k 5
 # 0.3 s and 46 MB (one Xeon core)
 _MAX_M = 2_000_000
-# pollaczek holds M + 1 output rows in memory, and --M 100000 takes about a
-# second
+# pollaczek holds one table of M + 1 floats and writes its rows as it
+# formats them: --M 100000 took about a second and 31 MB peak RSS in either
+# format, 1.3 MB more than --M 10 (one Xeon core)
 _MAX_POLLACZEK_M = 100_000
 # --n of spectrum and extensions: the LAPACK seed and the Sturm passes are
 # O(n^2), so past a few thousand rows the cap is set by time.  At 12800 one
@@ -46,13 +50,21 @@ _MAX_POLLACZEK_M = 100_000
 # Xeon core)
 _MAX_SPECTRUM_N = 12_800
 # --theta of extensions: each flag costs one full spectrum, up to 10 s at
-# the --n cap (k = 3, --tol 1e-300); 8 flags took 79 s and 90 MB peak RSS
+# the --n cap (k = 3, --tol 1e-300); 8 flags took 63 s and 47 MB peak RSS
 # there (one Xeon core)
 _MAX_THETAS = 8
+# pieces joined into one write, a piece being about one row: some 40 to
+# 100 KB of text.  A long document is never held whole, and 1 << 14 pieces
+# (1.5 MB of state rows, with their str objects) took 1.5 MB more peak RSS
+_PIECES_PER_WRITE = 1 << 10
 
 
 class _UsageError(Exception):
     """Flag validation failure; printed as a one-line reason, exit 2."""
+
+
+class _WriteError(Exception):
+    """stdout refused a write; printed as one line naming the write, exit 1."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -79,6 +91,11 @@ def _parse_complex(text: str) -> complex:
     return value
 
 
+_SCALARS = (type(None), bool, int, float, str, np.integer, np.floating)
+# a key as JSON text; the keys are the few field names, repeated on every row
+_json_key = functools.cache(json.dumps)
+
+
 def _json_scalar(value) -> str:
     if value is None:
         return "null"
@@ -89,25 +106,36 @@ def _json_scalar(value) -> str:
     if isinstance(value, (float, np.floating)):
         v = float(value)
         return _fmt(v) if math.isfinite(v) else "null"
-    if isinstance(value, str):
-        return json.dumps(value)
-    raise TypeError(f"unsupported JSON scalar {value!r}")
+    return json.dumps(value)  # str, the last of _SCALARS
 
 
-def _render_json(obj, indent: int = 0) -> str:
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
+def _json_pieces(obj, indent: int = 0):
+    """obj as two-space-indented JSON, in pieces whose concatenation is the
+    document.  A dict is an object, a scalar a _json_scalar, and any other
+    iterable a list, read once, as it is rendered.  A dict streams its
+    values; a list gives one piece per element, its rows."""
+    if isinstance(obj, _SCALARS):
+        yield _json_scalar(obj)
+        return
     if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        parts = [f"{inner}{json.dumps(k)}: {_render_json(v, indent + 1)}" for k, v in obj.items()]
-        return "{\n" + ",\n".join(parts) + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        parts = [f"{inner}{_render_json(v, indent + 1)}" for v in obj]
-        return "[\n" + ",\n".join(parts) + "\n" + pad + "]"
-    return _json_scalar(obj)
+        items = ((f"{_json_key(k)}: ", v) for k, v in obj.items())
+        bounds = "{}"
+    else:
+        items = (("", v) for v in obj)
+        bounds = "[]"
+    inner = "  " * (indent + 1)
+    separator = bounds[0]
+    for prefix, value in items:
+        head = f"{separator}\n{inner}{prefix}"
+        if isinstance(value, _SCALARS):
+            yield head + _json_scalar(value)
+        elif bounds == "[]":
+            yield head + "".join(_json_pieces(value, indent + 1))
+        else:
+            yield head
+            yield from _json_pieces(value, indent + 1)
+        separator = ","
+    yield bounds if separator == bounds[0] else f"\n{'  ' * indent}{bounds[1]}"
 
 
 def _csv_cell(cell) -> str:
@@ -122,10 +150,18 @@ def _csv_cell(cell) -> str:
     return _fmt(cell)
 
 
-def _render_csv(schema: str, header: list[str], rows) -> str:
-    lines = [f"#schema={schema}/1", ",".join(header)]
-    lines.extend(",".join(_csv_cell(cell) for cell in row) for row in rows)
-    return "\n".join(lines) + "\n"
+def _csv_pieces(schema: str, header: list[str], rows):
+    yield f"#schema={schema}/1\n{','.join(header)}\n"
+    for row in rows:
+        yield ",".join(_csv_cell(cell) for cell in row) + "\n"
+
+
+def _write(stream, pieces) -> None:
+    """Write the pieces, a batch of _PIECES_PER_WRITE at a time (no piece is
+    empty, so an empty batch means the end)."""
+    pieces = iter(pieces)
+    while batch := "".join(itertools.islice(pieces, _PIECES_PER_WRITE)):
+        stream.write(batch)
 
 
 def _emit(
@@ -133,23 +169,32 @@ def _emit(
 ) -> None:
     """Write the {config, results, diagnostics} document as JSON, the config
     led by the command, or the rows as CSV under the command's schema unless
-    given one; without rows, one row is read from config and results by name."""
+    given one; without rows, one row is read from config and results by name.
+
+    The document is written as it is formatted: any list in results, and
+    rows, may be a generator.  It may only read what is already computed,
+    so that a command that fails has written nothing."""
     if args.format == "json":
         config = {"command": args.command, **config}
         document = {"config": config, "results": results, "diagnostics": diagnostics}
-        text = _render_json(document) + "\n"
+        pieces = itertools.chain(_json_pieces(document), ["\n"])
     else:
         if rows is None:
             fields = {**config, **results}
             rows = [[fields[name] for name in header]]
-        text = _render_csv(schema or args.command, header, rows)
+        pieces = _csv_pieces(schema or args.command, header, rows)
     if args.out:
         try:
-            Path(args.out).write_text(text, encoding="utf-8")
+            with open(args.out, "w", encoding="utf-8") as out:
+                _write(out, pieces)
         except OSError as exc:
             raise _UsageError(f"cannot write --out {args.out!r}: {exc.strerror}") from None
     else:
-        sys.stdout.write(text)
+        try:
+            _write(sys.stdout, pieces)
+            sys.stdout.flush()
+        except OSError as exc:  # a closed pipe, a full disk
+            raise _WriteError(f"cli._emit: cannot write to stdout: {exc.strerror}") from None
 
 
 def _sector(args) -> SectorParams:
@@ -204,9 +249,9 @@ def _state_from_flags(args) -> tuple[FockVector, SqueezeParams, dict]:
 
 def _cmd_state(args) -> None:
     vec, params, config = _state_from_flags(args)
-    rows = [(m, c.real, c.imag) for m, c in enumerate(vec.coefficients)]
+    rows = ((m, c.real, c.imag) for m, c in enumerate(vec.coefficients))
     results = {
-        "coefficients": [{"m": m, "re": re, "im": im} for m, re, im in rows],
+        "coefficients": ({"m": m, "re": re, "im": im} for m, re, im in rows),
         "cutoff": vec.cutoff,
     }
     diagnostics = {
@@ -226,14 +271,14 @@ def _cmd_spectrum(args) -> None:
         raise _UsageError("--ell converts to the quarter-scaled variable; needs --k 2")
     report = eigenvalues_bisect(TridiagonalMatrix.truncation(sector, args.n), tol)
     config = {**_sector_config(sector), "n": args.n, "tol": tol, "ell": args.ell}
-    results = {"eigenvalues": list(report.eigenvalues)}
+    results = {"eigenvalues": report.eigenvalues}
     diagnostics = {"bisect_tol": report.bisect_tol, "n": report.n}
-    header, rows, schema = ["rank", "eigenvalue"], list(enumerate(report.eigenvalues)), None
+    header, columns, schema = ["rank", "eigenvalue"], [report.eigenvalues], None
     if args.ell:
-        results["ell"] = [e / 4.0 for e in report.eigenvalues]
+        results["ell"] = report.eigenvalues / 4.0
         header, schema = [*header, "ell"], "spectrum-ell"
-        rows = [(r, e, e / 4.0) for r, e in rows]
-    _emit(args, config, results, diagnostics, header, rows, schema)
+        columns.append(results["ell"])
+    _emit(args, config, results, diagnostics, header, zip(itertools.count(), *columns), schema)
 
 
 def _cmd_extensions(args) -> None:
@@ -256,15 +301,13 @@ def _cmd_extensions(args) -> None:
         for i, a in enumerate(reports)
         for b in reports[i + 1 :]
     ]
-    results = [
-        {"theta": rep.boundary_theta, "eigenvalues": list(rep.eigenvalues)} for rep in reports
-    ]
+    results = [{"theta": rep.boundary_theta, "eigenvalues": rep.eigenvalues} for rep in reports]
     diagnostics = {"cross_theta_min_gap_central5": min(gaps, default=None)}
-    rows = [
+    rows = (
         (rep.boundary_theta, rank, e)
         for rep in reports
         for rank, e in enumerate(rep.eigenvalues)
-    ]
+    )
     _emit(args, config, results, diagnostics, ["theta", "rank", "eigenvalue"], rows)
 
 
@@ -312,13 +355,12 @@ def _cmd_pollaczek(args) -> None:
     # one pass for all degrees, overflowing to inf and nan as silently as pollaczek()
     with np.errstate(over="ignore", invalid="ignore"):
         table = pollaczek_table(args.M, np.array([x]), args.b)[:, 0]
-    # pollaczek() for the degrees it cross-checks against the exact series
-    rows = [
-        (m, pollaczek(m, x, args.b) if m <= _POLLACZEK_CHECKED else float(v))
-        for m, v in enumerate(table)
-    ]
+    # pollaczek() for the degrees it cross-checks against the exact series,
+    # all of them before a byte is written
+    checked = [pollaczek(m, x, args.b) for m in range(min(args.M, _POLLACZEK_CHECKED) + 1)]
+    rows = enumerate(itertools.chain(checked, table[len(checked) :]))
     config = {"b": args.b, "M": args.M, "x": x}
-    results = {"values": [{"m": m, "value": v} for m, v in rows]}
+    results = {"values": ({"m": m, "value": v} for m, v in rows)}
     _emit(args, config, results, {}, ["m", "value"], rows)
 
 
@@ -445,11 +487,25 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"invalid flags: {exc}", file=sys.stderr)
         return 2
-    except (NumericsError, OverflowError, ValueError) as exc:
+    except (NumericsError, OverflowError, ValueError, _WriteError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0
 
 
+def console_main() -> int:
+    """main() as a process of its own, `python -m powersqueeze.cli` or the
+    `powersqueeze` script.  Once stdout has refused a write, what is left in
+    its buffer goes to the null device, so that the interpreter prints
+    nothing more at exit; callers of main() in a process of theirs keep
+    their stdout."""
+    code = main()
+    try:
+        sys.stdout.flush()
+    except OSError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(console_main())

@@ -561,6 +561,74 @@ class TestValidationAndErrors:
         assert capsys.readouterr().out.startswith("usage: powersqueeze spectrum")
 
 
+def pollaczek_json(M: int) -> list[str]:
+    return ["pollaczek", "--b", "0.25", "--M", str(M), "--lambda", "0.3", "--format", "json"]
+
+
+def peak_rss_mb(*argv: str) -> float:
+    """Peak RSS of one CLI process, spawned from a fresh helper interpreter:
+    a child's ru_maxrss counts from its parent's RSS at the spawn, which
+    for pytest is tens of MB."""
+    helper = (
+        "import os, subprocess, sys\n"
+        "p = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)\n"
+        "_, status, usage = os.wait4(p.pid, 0)\n"
+        "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", helper, sys.executable, "-m", "powersqueeze.cli", *argv],
+        capture_output=True, text=True,
+    )
+    code, kb = map(int, result.stdout.split())
+    assert code == 0, result.stderr
+    return kb / 1024.0
+
+
+class TestStreamedOutput:
+    """Output is written as it is formatted, and only after every number of
+    it is computed."""
+
+    @pytest.mark.parametrize("unbuffered", [None, "1"], ids=["buffered", "unbuffered"])
+    def test_closed_stdout_is_one_line(self, tmp_path, unbuffered):
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = unbuffered
+        err_path = tmp_path / "stderr"
+        with open(err_path, "wb") as err:
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "powersqueeze.cli", *pollaczek_json(100_000)],
+                stdout=subprocess.PIPE, stderr=err, env=env,
+            )
+            head = proc.stdout.read(10)
+            proc.stdout.close()  # the reader goes away, as `| head -c 10` does
+            code = proc.wait(timeout=120)
+        assert head == b'{\n  "confi'
+        assert code == 1
+        assert err_path.read_text() == "error: cli._emit: cannot write to stdout: Broken pipe\n"
+
+    def test_failing_cross_check_writes_nothing(self):
+        # the cross-check fails at m = 2, and degree 31 is past the checked ones
+        result = run_cli("pollaczek", "--b", "0.25", "--M", "31", "--lambda", "1e300")
+        assert result.returncode == 1
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: polynomials.pollaczek: ")
+
+    def test_failing_state_creates_no_out_file(self, tmp_path):
+        out = tmp_path / "s.csv"
+        result = run_cli("state", "--k", "1", "--nu", "1e8", "--lambda", "0", "--out", str(out))
+        assert result.returncode == 1
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: states.build_state: ")
+        assert not out.exists()
+
+    @pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4")
+    def test_memory_does_not_grow_with_the_output(self):
+        # 100001 rows, 7.6 MB of JSON; the whole document as Python objects
+        # took 62 MB more than --M 10
+        small, large = peak_rss_mb(*pollaczek_json(10)), peak_rss_mb(*pollaczek_json(100_000))
+        assert large - small <= 8.0, (small, large)
+
+
 # Flag values for TestContractProperty, as (common, edge) lists.  A flag
 # draws from its edge values (past a validator's bound, non-finite, or
 # overflowing a computation) only now and then, so that about half of the

@@ -5,8 +5,9 @@ determinacy, off-diagonal, quadrature and Pollaczek bits as revision REV.
 
 Exports REV's `src/` with `git archive` into a temporary directory.  Then,
 in fresh interpreters with each tree's `src/` on PYTHONPATH, it runs six
-fixed grids and the CLI commands pinned by
-`tests/test_cli.py::TestGoldenBytes`, under REV and under this checkout.
+fixed grids, the CLI commands pinned by
+`tests/test_cli.py::TestGoldenBytes` and four CLI commands with large
+outputs, under REV and under this checkout.
 A spectra grid case compares the `eigenvalues_bisect` eigenvalue bytes and
 `max_bracket`, or the error raised, by digest.  The seeds come from the
 LAPACK in numpy's bundled OpenBLAS: from `dlasq1`, the singular values of
@@ -41,8 +42,12 @@ of `integrate_weighted` over P_i P_j at b = 0.25; or the bytes of
 `pollaczek(m, x, b)` for m = 0..60, and of `pollaczek_table(60, x, b)`,
 at seven x and four b (or the error raised).  A differing
 deficiency or classify case prints each field
-that moved with both reprs (and the relative change of a float).  A
-command compares stdout, stderr and the exit code.  Prints each
+that moved with both reprs (and the relative change of a float).  The
+commands are those of TestGoldenBytes, and four with large outputs (the
+Pollaczek column at the `--M` cap, a state at cutoff 16384, three
+extension spectra at n = 2000 and a one-row spectrum), which run in both
+formats, to stdout and again with `--out`.  A command compares stdout,
+stderr, the exit code and the bytes of the `--out` file.  Prints each
 difference and a summary, and exits 1 if any byte differs.  Sturm pass counts are not compared: a change may take fewer
 passes to the same bits.
 """
@@ -240,6 +245,40 @@ def golden_commands() -> list[list[str]]:
     ]
 
 
+# large outputs, which the CLI writes as it formats them: the Pollaczek
+# column at the --M cap, a state at cutoff 16384, three full extension
+# spectra, and one eigenvalue; each runs in both formats, to stdout and
+# with --out
+LARGE_COMMANDS = [
+    ["pollaczek", "--b", "0.25", "--M", "100000", "--lambda", "0.3"],
+    ["state", "--k", "1", "--nu", "10", "--lambda", "1i", "--tol", "1e-12"],
+    ["extensions", "--k", "2", "--n", "2000", "--theta", "0", "--theta", "0.5", "--theta", "-0.5"],
+    ["spectrum", "--k", "1", "--n", "1"],
+]
+
+
+def large_commands(out: Path) -> list[list[str]]:
+    """LARGE_COMMANDS crossed with each --format, each to stdout and to
+    `out`."""
+    return [
+        [*argv, "--format", fmt, *target]
+        for argv in LARGE_COMMANDS
+        for fmt in ("csv", "json")
+        for target in ([], ["--out", str(out)])
+    ]
+
+
+def run_command(command: list[str], src: Path, out: Path) -> tuple:
+    """stdout, stderr and exit code of one CLI run under `src`, and the
+    bytes of `out` if the run wrote it."""
+    out.unlink(missing_ok=True)
+    proc = subprocess.run(
+        [sys.executable, "-m", "powersqueeze.cli", *command], env=env_for(src), capture_output=True
+    )
+    written = out.read_bytes() if out.exists() else None
+    return proc.stdout, proc.stderr, proc.returncode, written
+
+
 def env_for(src: Path) -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = str(src)
@@ -292,17 +331,12 @@ def main(argv: list[str]) -> int:
             summary.append(f"{len(diffs)} of {len(old)} {grid} grid cases")
             differing += len(diffs)
 
-        commands = golden_commands()
+        out = tmp / "out"
+        commands = golden_commands() + large_commands(out)
         command_diffs = 0
         for command in commands:
-            o, c = (
-                subprocess.run(
-                    [sys.executable, "-m", "powersqueeze.cli", *command],
-                    env=env_for(src), capture_output=True,
-                )
-                for src in trees.values()
-            )
-            if (o.stdout, o.stderr, o.returncode) != (c.stdout, c.stderr, c.returncode):
+            o, c = (run_command(command, src, out) for src in trees.values())
+            if o != c:
                 command_diffs += 1
                 print(f"command differs: {' '.join(command)}")
 
