@@ -364,11 +364,27 @@ def _cmd_pollaczek(args) -> None:
     _emit(args, config, results, {}, ["m", "value"], rows)
 
 
+def _finite(text: str) -> float:
+    """A JSON number, or the token NaN, Infinity or -Infinity, as a float;
+    ValueError where it is not finite in binary64 (1e400 reads as inf)."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text} is not a finite binary64 number")
+    return value
+
+
 def _load_state_json(path: str) -> tuple[FockVector, SqueezeParams]:
+    """The state and parameters of a `state --format json` document, which
+    holds finite numbers only and the coefficients m = 0..n-1 in order."""
     try:
         # _fmt prints -0.0 as "-0", which json reads as the integer 0
         text = Path(path).read_text(encoding="utf-8")
-        document = json.loads(text, parse_int=lambda s: -0.0 if s == "-0" else int(s))
+        document = json.loads(
+            text,
+            parse_int=lambda s: -0.0 if s == "-0" else int(s),
+            parse_float=_finite,
+            parse_constant=_finite,
+        )
         config = document["config"]
         sector = SectorParams(int(config["k"]), int(config["kappa"]))
         nu = complex(config["nu"]["re"], config["nu"]["im"])
@@ -376,14 +392,15 @@ def _load_state_json(path: str) -> tuple[FockVector, SqueezeParams]:
         coeffs = document["results"]["coefficients"]
         if not coeffs:
             raise ValueError("the coefficient list is empty")
-        arr = np.zeros(len(coeffs), dtype=np.complex128)
-        for entry in coeffs:
-            m = int(entry["m"])
-            if not 0 <= m < len(coeffs):
-                raise ValueError(f"coefficient index m={m} outside 0..{len(coeffs) - 1}")
+        arr = np.empty(len(coeffs), dtype=np.complex128)
+        for m, entry in enumerate(coeffs):
+            if entry["m"] != m:
+                raise ValueError(f"coefficient {m} has m={entry['m']!r}, not {m}")
             arr[m] = complex(entry["re"], entry["im"])
         tail = float(document["diagnostics"]["tail_estimate"])
-    except (OSError, KeyError, ValueError, TypeError) as exc:
+        if not tail >= 0:
+            raise ValueError(f"tail_estimate {tail!r} is negative")
+    except (OSError, KeyError, ValueError, TypeError, OverflowError) as exc:
         raise _UsageError(f"cannot read state JSON {path!r}: {exc}") from None
     return FockVector(sector, arr, tail), SqueezeParams(sector, nu, lam)
 

@@ -23,22 +23,23 @@ shift (Demmel, Dhillon & Ren, ETNA 3, 1995), so mid <= a_j gives
 count(mid) <= j and mid >= b_j gives count(mid) >= j + 1, the verdicts a
 count would give.  An index that needs a count waits for the others, and
 once every unfinished index waits one pass counts them all, so the passes
-number the most counts any one index needs.  A pass over many shifts also
-counts, for each waiting index, the next midpoint to need a count in each
-half of its bracket (a one-level lookahead), so about two counts are
-settled per pass; the counts of the last pass are looked up by shift
-before an index waits.  A shift's count does not depend on the other
-shifts of its pass, so the midpoints are bit-identical to plain bisection.
+number the most counts any one index needs.  Every pass also counts, for
+each waiting index, the next midpoint to need a count in each half of its
+bracket (a one-level lookahead), so about two counts are settled per pass;
+the counts of the last pass are looked up by shift before an index waits.
+A shift's count does not depend on the other shifts of its pass, so the
+midpoints are bit-identical to plain bisection.
 At an all-zero diagonal (every truncation at theta = 0) S T S = -T with
 S = diag((-1)^m), so the spectrum is symmetric, lambda_{n-1-j} =
 -lambda_j, and only the indices n//2 .. n-1 are certified and bisected;
 index n-1-j takes [-hi_j, -lo_j].  The pivots at -x are the pivots at x
 negated, so count(-x) = n - count(x) and the mirror has plain bisection's
 bits, unless a pivot is tiny (|d| < pivmin, replaced by -pivmin; x = 0
-always meets one).  Where a count on j's path met a tiny pivot, the
-partner n-1-j is bisected on its own from that step, and where a shift
-certifying j's bracket did, the partner is certified around its own seed
-and bisected in full; both in the same replay, from the one LAPACK call.
+always meets one).  Two rules keep those bits.  A certificate of j's that
+met a tiny pivot is refused, and j is certified again at a wider
+half-width, so a_j and b_j negated always certify the partner n-1-j.
+Where a count on j's path met a tiny pivot, the partner is bisected on
+its own from that step, in the same replay.
 A pass over a few shifts runs the O(n) recurrence per shift in Python
 floats.  A pass over many runs it on the negated pivots, two numpy calls
 per row (at a zero diagonal entry) over the shift vector into a block of
@@ -359,10 +360,10 @@ def _lapack_seed(T: TridiagonalMatrix) -> tuple[np.ndarray, int] | None:
 
 
 def _seed_brackets(
-    T: TridiagonalMatrix, tol: float, span: float, indices: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, int, np.ndarray]:
+    T: TridiagonalMatrix, tol: float, span: float, first: int
+) -> tuple[np.ndarray, np.ndarray, int]:
     """Certified brackets a_j <= lambda_j <= b_j around the LAPACK
-    eigenvalues, for these indices.
+    eigenvalues, for the indices first..n-1.
 
     A bracket is kept only when count(a_j) <= j < count(b_j).  Index j
     starts at half-width max(delta, w eps |seed_j|), with w from
@@ -373,29 +374,26 @@ def _seed_brackets(
     median and 32 eps at worst, so w = 8 certifies most of them; a
     narrower start leaves fewer bisection steps inside the bracket, but
     w = 4 took one pass more at k = 4, n = 1315, and w = 32 was slower at
-    n >= 888.  Uncertified indices are retried with a 4x wider half-width,
-    and once that exceeds span they keep (-inf, inf).  An index j whose
-    bracket a shift with a tiny pivot certified brings its partner
-    n - 1 - j into the next pass, where indices lack it: `_replay` mirrors
-    the bracket of an index whose partner is missing, which needs
-    count(-x) = n - count(x) at a_j and b_j.  Returns a, b, the Sturm
-    passes spent and the indices with the partners brought in.
+    n >= 888.  An index whose partner n - 1 - j lies below first, which
+    `_replay` mirrors from j's bracket, also needs count(-x) = n - count(x)
+    at a_j and b_j, so its bracket is refused where either count met a
+    tiny pivot.  Uncertified and refused indices are retried with a 4x
+    wider half-width, and once that exceeds span they keep (-inf, inf).
+    Returns a, b and the Sturm passes spent.
     """
     n = T.n
     a = np.full(n, -np.inf)
     b = np.full(n, np.inf)
     seeded = _lapack_seed(T)
     if seeded is None:  # no seed: every index bisects the full range
-        return a, b, 0, indices
+        return a, b, 0
     seed, width = seeded
     eps = np.finfo(np.float64).eps
     delta = np.maximum(
         min(tol / 2, 8 * eps * max(float(np.max(np.abs(seed))), 1.0)),
         width * eps * np.abs(seed),
     )
-    member = np.zeros(n, dtype=bool)
-    member[indices] = True
-    todo = indices
+    todo = np.arange(first, n)
     passes = 0
     while len(todo := todo[delta[todo] <= span]):
         below, above = seed[todo] - delta[todo], seed[todo] + delta[todo]
@@ -403,15 +401,12 @@ def _seed_brackets(
         passes += 1
         m = len(todo)
         ok = (counts[:m] <= todo) & (counts[m:] > todo)
+        ok &= (n - 1 - todo >= first) | ~(tiny[:m] | tiny[m:])
         a[todo[ok]] = below[ok]
         b[todo[ok]] = above[ok]
-        partners = n - 1 - todo[ok & (tiny[:m] | tiny[m:])]
-        partners = partners[~member[partners]]
-        member[partners] = True
         todo = todo[~ok]
         delta[todo] *= 4
-        todo = np.concatenate([todo, partners])
-    return a, b, passes, np.flatnonzero(member)
+    return a, b, passes
 
 
 def _advance(l: float, h: float, s: int, aj: float, bj: float) -> tuple[float, float, int]:
@@ -440,7 +435,7 @@ def _replay(
 
     An index takes the steps its brackets or the last pass's counts decide
     on its own; one whose midpoint they do not decide waits, and once every
-    unfinished index waits, one pass counts them all.  A numpy pass also
+    unfinished index waits, one pass counts them all.  Every pass also
     counts, for each waiting index, the next midpoint to need a count in
     each half of its bracket, so whichever half the count picks goes on
     without waiting.
@@ -450,10 +445,10 @@ def _replay(
     j's at x negated, so count(-x) = n - count(x) and its midpoints are
     j's negated, unless a pivot is tiny.  A count of j's that met a tiny
     pivot puts the partner in the replay at j's bracket negated, and from
-    there it bisects on its own; before it, j's bracket certificate (one
-    with no tiny pivot, see `_seed_brackets`) negated decides the
-    partner's steps that j decided without a count.  Returns lo, hi and
-    the passes.
+    there it bisects on its own; before it, j's bracket certificate
+    negated decides the partner's steps that j decided without a count
+    (`_seed_brackets` refuses a certificate that met a tiny pivot).
+    Returns lo, hi and the passes.
     """
     n = T.n
     lo, hi, left = [glo] * n, [ghi] * n, [steps] * n
@@ -484,12 +479,11 @@ def _replay(
             for j in mirrored:
                 lo[n - 1 - j], hi[n - 1 - j] = -hi[j], -lo[j]
             return lo, hi, passes
-        if len(waiting) > _SCALAR_SHIFTS:  # amortize the pass's numpy steps
-            for j, m in zip(waiting, shifts[: len(waiting)]):
-                for l, h in ((lo[j], m), (m, hi[j])):
-                    l, h, s = _advance(l, h, left[j] - 1, a[j], b[j])
-                    if s > 0:
-                        shifts.append(0.5 * (l + h))
+        for j, m in zip(waiting, shifts[: len(waiting)]):
+            for l, h in ((lo[j], m), (m, hi[j])):
+                l, h, s = _advance(l, h, left[j] - 1, a[j], b[j])
+                if s > 0:
+                    shifts.append(0.5 * (l + h))
         xs = np.array(shifts)
         counts, flags = _sturm_counts(T, xs)
         counted, tiny = dict(zip(shifts, counts.tolist())), set(xs[flags].tolist())
@@ -530,10 +524,8 @@ def eigenvalues_bisect(
     # spectrum is symmetric, and only its upper half, the centre included
     # at odd n, is bisected (`_replay` mirrors the rest)
     first = n // 2 if n > 1 and glo == -ghi and not T.diag.any() else 0
-    a, b, passes, indices = _seed_brackets(T, tol, width, np.arange(first, n))
-    lo, hi, counted = _replay(
-        T, glo, ghi, a.tolist(), b.tolist(), iterations, indices.tolist()
-    )
+    a, b, passes = _seed_brackets(T, tol, width, first)
+    lo, hi, counted = _replay(T, glo, ghi, a.tolist(), b.tolist(), iterations, range(first, n))
     lo, hi = np.array(lo), np.array(hi)
     passes += counted
     if np.any((hi - lo > tol) & (np.nextafter(lo, np.inf) < hi)):

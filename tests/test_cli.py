@@ -421,6 +421,38 @@ class TestValidationAndErrors:
         assert "Traceback" not in result.stderr
 
     @pytest.mark.parametrize(
+        "edit, reason",
+        [
+            (lambda doc: doc["results"]["coefficients"][1].update(m=0),
+             "coefficient 1 has m=0, not 1"),
+            (lambda doc: doc["results"]["coefficients"][1].update(re=math.nan),
+             "NaN is not a finite binary64 number"),
+            (lambda doc: doc["config"]["nu"].update(re=math.inf),
+             "Infinity is not a finite binary64 number"),
+            # json reads 1e400 as inf
+            (lambda doc: doc["config"]["lambda"].update(im="1e400"),
+             "1e400 is not a finite binary64 number"),
+            (lambda doc: doc["diagnostics"].update(tail_estimate=-1),
+             "tail_estimate -1.0 is negative"),
+        ],
+        ids=["m-out-of-order", "nan", "infinity", "overflow", "negative-tail"],
+    )
+    def test_edited_state_json_is_refused(self, tmp_path, edit, reason):
+        # a document that `state` could not have written exits 2 with one
+        # line, instead of a report on a different state (m out of order),
+        # null results (NaN) or numpy warnings (infinite nu)
+        path = tmp_path / "state.json"
+        assert main(["state", "--k", "2", "--nu", "0.5", "--lambda", "0.3", "--tol", "1e-6",
+                     "--format", "json", "--out", str(path)]) == 0
+        document = json.loads(path.read_text())
+        edit(document)
+        path.write_text(json.dumps(document, indent=2).replace('"1e400"', "1e400"))
+        result = run_cli("verify-sr", str(path))
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr == f"invalid flags: cannot read state JSON {str(path)!r}: {reason}\n"
+
+    @pytest.mark.parametrize(
         "k, kappa, reason",
         [
             (0, 0, "jacobi.SectorParams: k must be >= 1, got 0"),

@@ -247,8 +247,8 @@ def shifts_near_eigenvalues(k, kappa_frac, n, theta, picks, spread):
 def random_tridiagonal(draw):
     """Entries log-uniform over 16 decades, signed on the diagonal, or an
     all-zero diagonal (seeded from the bidiagonal half's singular values);
-    n up to 120, so that more than _SCALAR_SHIFTS indices wait on some
-    passes."""
+    n up to 120, so that some passes count more than _SCALAR_SHIFTS
+    shifts."""
     n = draw(st.integers(1, 120))
     magnitudes = st.lists(st.floats(-8.0, 8.0), min_size=n, max_size=n)
     # half the draws in principle; in the 40 derandomized examples of the
@@ -704,9 +704,8 @@ class TestSeededBisection:
             fake_lapack(monkeypatch, routine, lambda ev: (ev + 1.0, 1)) for routine in routines
         ]
         T = TridiagonalMatrix.truncation(SectorParams(3, 0), 44, theta=theta)
-        a, b, passes, indices = spectra._seed_brackets(T, 1e-10, 1e3, np.arange(44))
+        a, b, passes = spectra._seed_brackets(T, 1e-10, 1e3, 0)
         assert np.all(a == -np.inf) and np.all(b == np.inf) and passes == 0
-        assert np.array_equal(indices, np.arange(44))
         return calls
 
     def test_lapack_failure_seeds_nothing(self, monkeypatch):
@@ -859,6 +858,14 @@ class TestSeededBisection:
         T = TridiagonalMatrix.truncation(SectorParams(4, 0), 1315)
         assert eigenvalues_bisect(T, 1e-10).sturm_passes <= 7
 
+    def test_replay_passes_with_a_lookahead_on_every_pass(self):
+        # k = 3, n = 888 took 7 passes when the lookahead ran only on passes
+        # where more than _SCALAR_SHIFTS indices waited: bisecting the upper
+        # half of a zero-diagonal spectrum leaves the last passes below that
+        # many
+        T = TridiagonalMatrix.truncation(SectorParams(3, 0), 888)
+        assert eigenvalues_bisect(T, 1e-10).sturm_passes <= 6
+
     def test_bidiagonal_seed_passes(self):
         # k = 3, n = 3200 took 10 passes from dsterf's seeds at a start
         # half-width of 32 eps |seed_j|, and takes 6 from dlasq1's, which
@@ -962,11 +969,13 @@ class TestMirroredHalf:
             assert all(np.min(xs) > -1.0 for xs, _ in passes)
             assert got.tobytes() == plain_midpoints(SectorParams(2, 0), n, 0.0)[1e-9].tobytes()
 
-    def test_partner_of_a_tiny_pivot_certificate_is_certified(self, monkeypatch):
-        # a seed whose upper bracket end is the tiny-pivot shift: index 40
-        # then decides that midpoint by its bracket, with no count, and
-        # index 0 cannot take the bracket negated (count(-x) = 1 > 0), so
-        # it is certified around its own seed and bisected
+    def test_tiny_pivot_certificate_is_refused(self, monkeypatch):
+        # a seed whose upper bracket end is the tiny-pivot shift: index 0
+        # could not take that bracket negated (count(-x) = 1 > 0), so index
+        # 40's certificate is refused and retried at 4x the half-width in
+        # the second pass.  Index 0 is never certified on its own: no shift
+        # below -1 is counted until index 40 counts the tiny-pivot shift on
+        # its path, which brings index 0 in from there
         T = TridiagonalMatrix.truncation(SectorParams(4, 0), 41)
         seed = spectra._lapack_seed(T)[0].copy()
         # start width 0: every half-width is min(tol / 2, 8 eps max|seed|)
@@ -976,9 +985,14 @@ class TestMirroredHalf:
         monkeypatch.setattr(spectra, "_lapack_seed", lambda T: (seed, 0))
         passes = counted_shifts(monkeypatch)
         got = eigenvalues_bisect(T, 1e-10).eigenvalues
+        x = TINY_PIVOT_SHIFT
         first, second = passes[0][0], passes[1][0]
-        assert TINY_PIVOT_SHIFT in first.tolist() and np.min(first) > -1.0
-        assert np.array_equal(second, [seed[0] - half, seed[0] + half])
+        assert x in first[passes[0][1]].tolist()
+        assert np.array_equal(second, [seed[40] - 4 * half, seed[40] + 4 * half])
+        at = next(i for i, (xs, tiny) in enumerate(passes[1:], 1) if x in xs[tiny].tolist())
+        assert at > 2  # a count of the replay, after the certificates
+        assert all(np.min(xs) > -1.0 for xs, _ in passes[: at + 1])
+        assert any(-x in xs.tolist() for xs, _ in passes[at + 1 :])
         assert got.tobytes() == plain_midpoints(SectorParams(4, 0), 41, 0.0)[1e-10].tobytes()
 
 

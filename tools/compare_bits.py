@@ -4,7 +4,7 @@ determinacy, off-diagonal, quadrature and Pollaczek bits as revision REV.
     python tools/compare_bits.py REV
 
 Exports REV's `src/` with `git archive` into a temporary directory.  Then,
-in fresh interpreters with each tree's `src/` on PYTHONPATH, it runs six
+in fresh interpreters with each tree's `src/` on PYTHONPATH, it runs five
 fixed grids, the CLI commands pinned by
 `tests/test_cli.py::TestGoldenBytes` and four CLI commands with large
 outputs, under REV and under this checkout.
@@ -12,15 +12,7 @@ A spectra grid case compares the `eigenvalues_bisect` eigenvalue bytes and
 `max_bracket`, or the error raised, by digest.  The seeds come from the
 LAPACK in numpy's bundled OpenBLAS: from `dlasq1`, the singular values of
 the bidiagonal half, at theta = 0 (all-zero diagonal), and from `dsterf`
-at theta != 0.  The spectra grid runs with `scipy.linalg` loaded first,
-and the "spectra scipy-free" grid runs its sizes up to 512 again in an
-interpreter that never loads it.  Both take the same route here; they
-stay because older revisions chose the seed by what the process had
-loaded, so a comparison against one exercises each of its routes: with
-`scipy.linalg` loaded, `dlasq1` through scipy's `cython_lapack` at
-theta = 0 and scipy's `dsterf` otherwise (every seed from `dsterf` before
-the bidiagonal seed); without it, numpy's dense `eigvalsh` up to 512
-rows.  A deficiency grid case
+at theta != 0.  A deficiency grid case
 compares the repr of every `DeficiencyEvidence` field, or the error
 raised; M reaches the CLI's cap, 2e6.  M = 20000 is the largest M whose
 minimal solution could be built (its system has N = 2e6 rows); a
@@ -69,22 +61,14 @@ SIZES = (1, 2, 3, 5, 8, 12, 25, 41, 44, 60, 100, 150, 200, 300, 401, 888, 1315)
 THETAS = (0.0, -0.7, 0.5)
 TOLS = (1e-9, 1e-10, 1e-12)
 
-# the sizes that revisions before the bundled LAPACK binding seeded with
-# numpy's dense eigvalsh while scipy.linalg was not loaded
-DENSE_SEED_ROWS = 512
-
-
-def grid_worker(preload: str, sizes: tuple) -> str:
-    """Code for a fresh interpreter that runs `preload` first: one line per
-    grid case, the case and a digest of its eigenvalue bytes and
-    max_bracket (or of the error it raised)."""
-    return f"""
+# one line per spectra grid case, the case and a digest of its eigenvalue
+# bytes and max_bracket (or of the error it raised)
+SPECTRA_WORKER = f"""
 import hashlib, struct
-{preload}
 from powersqueeze import SectorParams, TridiagonalMatrix, eigenvalues_bisect
 for k in {KS!r}:
     for kappa in sorted({{0, k - 1}}):
-        for n in {sizes!r}:
+        for n in {SIZES!r}:
             for theta in {THETAS!r}:
                 T = TridiagonalMatrix.truncation(SectorParams(k, kappa), n, theta=theta)
                 for tol in {TOLS!r}:
@@ -96,13 +80,6 @@ for k in {KS!r}:
                     digest = hashlib.sha256(data).hexdigest()
                     print(k, kappa, n, theta, tol, digest)
 """
-
-
-# every size with scipy.linalg loaded, and the sizes up to DENSE_SEED_ROWS
-# again in a process that never loads it: one route here, each of an older
-# revision's routes there (see the module docstring)
-SPECTRA_WORKER = grid_worker("import scipy.linalg", SIZES)
-SCIPY_FREE_WORKER = grid_worker("", tuple(n for n in SIZES if n <= DENSE_SEED_ROWS))
 
 
 def sector_grid(ks: tuple, ms: tuple) -> list[tuple[int, int, int]]:
@@ -220,7 +197,6 @@ for b in {POLY_BS!r}:
 
 WORKERS = {
     "spectra": SPECTRA_WORKER,
-    "spectra scipy-free": SCIPY_FREE_WORKER,
     "deficiency": DEFICIENCY_WORKER,
     "classify": CLASSIFY_WORKER,
     "b_m": B_WORKER,
