@@ -990,7 +990,7 @@ class TestMirroredHalf:
         assert x in first[passes[0][1]].tolist()
         assert np.array_equal(second, [seed[40] - 4 * half, seed[40] + 4 * half])
         at = next(i for i, (xs, tiny) in enumerate(passes[1:], 1) if x in xs[tiny].tolist())
-        assert at > 2  # a count of the replay, after the certificates
+        assert at >= 2  # a count of the replay, after the two certificate passes
         assert all(np.min(xs) > -1.0 for xs, _ in passes[: at + 1])
         assert any(-x in xs.tolist() for xs, _ in passes[at + 1 :])
         assert got.tobytes() == plain_midpoints(SectorParams(4, 0), 41, 0.0)[1e-10].tobytes()
